@@ -575,7 +575,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute one configuration")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--serial", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="sweep one or two config fields")
     p_sweep.add_argument("config")

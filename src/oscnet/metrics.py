@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.optimize
 
 from .errors import NoBracket, ValidationError
 from .phasespace import _pair_weights
@@ -84,8 +86,12 @@ def _component_pair(state: CoherentMixture, r: int, s: int, branch: int):
 
 
 def _decay_exponent(delta: np.ndarray, bundle: PropagatorBundle) -> float:
-    moved = bundle.rotation.T @ (bundle.transition @ delta)
-    reduced = np.sum(np.abs(moved) ** 2 / bundle.diffusion_coeffs)
+    # In the rotated frame the reduced norm is sum_m |(U^T y)_m|^2 / D_m with
+    # y = T delta; since W = U diag(D) U^dag this equals y^T W^-1 conj(y),
+    # which a Cholesky solve gives without diagonalizing W.
+    moved = bundle.transition @ delta
+    factor = scipy.linalg.cho_factor(bundle.wigner_width)
+    reduced = (moved @ scipy.linalg.cho_solve(factor, moved.conj())).real
     return float(-2.0 * (np.sum(np.abs(delta) ** 2) - reduced))
 
 
@@ -109,7 +115,7 @@ def _gap(delta: np.ndarray, bundle: PropagatorBundle) -> float:
     # decayed past the spread-adjusted threshold.
     n = delta.size
     return _decay_exponent(delta, bundle) + 4.0 * n / float(
-        np.sum(bundle.diffusion_coeffs)
+        np.trace(bundle.wigner_width).real
     )
 
 
@@ -136,8 +142,10 @@ def interference_decay_time(
     tau ~ 1 / (2 rate |alpha|^2 (R+S)(1+2 nbar)) is the first-order form of
     this law, valid for large |alpha|^2; this function returns the exact root.
 
-    The crossing is bracketed on the supplied grid and refined by bisection to
-    the requested relative width.  If the grid ends with the gap still
+    The grid is scanned up to its first sign change, and the crossing in that
+    interval is found by Brent's method (:func:`scipy.optimize.brentq`) to
+    relative tolerance ``rtol`` (and brentq's default absolute tolerance
+    ``xtol``).  If the grid ends with the gap still
     positive, the t -> infinity limit decides between a genuinely absent
     crossing (``inf``) and a too-short grid (:class:`NoBracket`).
     """
@@ -146,30 +154,26 @@ def interference_decay_time(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValidationError("time grid must be increasing with at least two points")
-    values = [_gap(delta, propagator.bundle(t)) for t in t_grid]
-    lo = hi = None
-    for left, right, f_left, f_right in zip(t_grid, t_grid[1:], values, values[1:]):
+
+    def gap(t):
+        return _gap(delta, propagator.bundle(t))
+
+    first = f_left = gap(t_grid[0])
+    for left, right in zip(t_grid, t_grid[1:]):
+        f_right = gap(right)
         if f_left > 0 >= f_right:
-            lo, hi, f_lo = left, right, f_left
-            break
-    if lo is None:
-        if values[0] <= 0:
-            raise ValidationError("grid starts past the crossing; start earlier")
-        n = delta.size
-        stationary = propagator.stationary_coeffs()
-        limit = -2.0 * float(np.sum(np.abs(delta) ** 2)) + 4.0 * n / float(
-            np.sum(stationary)
-        )
-        if limit < -_LIMIT_TOL:
-            raise NoBracket("gap still positive at the end of the grid; extend it")
-        return math.inf
-    while (hi - lo) > rtol * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if _gap(delta, propagator.bundle(mid)) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            return scipy.optimize.brentq(gap, left, right, rtol=rtol)
+        f_left = f_right
+    if first <= 0:
+        raise ValidationError("grid starts past the crossing; start earlier")
+    n = delta.size
+    stationary = propagator.stationary_coeffs()
+    limit = -2.0 * float(np.sum(np.abs(delta) ** 2)) + 4.0 * n / float(
+        np.sum(stationary)
+    )
+    if limit < -_LIMIT_TOL:
+        raise NoBracket("gap still positive at the end of the grid; extend it")
+    return math.inf
 
 
 def decoherence_time(tau_diff: float, tau_int: float) -> float:

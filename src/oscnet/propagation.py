@@ -9,13 +9,18 @@ For each time the network state is summarized by a bundle holding
 * the Wigner width ``J(t) + I`` with its unitary diagonalization, whose
   eigenvalues are the diffusion coefficients of the rotated frame.
 
-Bundles at distinct times are independent and immutable; time grids are
-caller-supplied and nothing is interpolated.
+The rotated frame is lazy: a bundle diagonalizes its Wigner width (one call
+of :func:`rotate_frame`, cached) only when ``rotation`` or
+``diffusion_coeffs`` is first read, so callers that need only the transition
+and width matrices pay no eigensolve.  Bundles at distinct times are
+independent and immutable; time grids are caller-supplied and nothing is
+interpolated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -53,19 +58,31 @@ class PropagatorBundle:
     ``diffusion_coeffs`` are the eigenvalues of ``wigner_width`` sorted
     ascending, so the strongly diffusing collective mode (when one exists)
     always sits at the last index.  ``rotation`` holds the matching
-    eigenvectors as columns.
+    eigenvectors as columns.  Both are computed lazily, by a single cached
+    :func:`rotate_frame` call on first access of either; a bundle derived
+    with ``dataclasses.replace`` diagonalizes its own width afresh.
     """
 
     t: float
     transition: np.ndarray
     noise: np.ndarray
     wigner_width: np.ndarray
-    rotation: np.ndarray
-    diffusion_coeffs: np.ndarray
 
     @property
     def n(self) -> int:
         return self.transition.shape[0]
+
+    @cached_property
+    def _frame(self):
+        return rotate_frame(self.wigner_width)
+
+    @property
+    def rotation(self) -> np.ndarray:
+        return self._frame[0]
+
+    @property
+    def diffusion_coeffs(self) -> np.ndarray:
+        return self._frame[1]
 
 
 def transition_matrix(dis: DissipativeMatrix, t: float) -> np.ndarray:
@@ -148,15 +165,11 @@ class Propagator:
         transition = transition_matrix(self.dissipative, t)
         noise = noise_width(self.width.matrix, transition)
         noise = 0.5 * (noise + noise.conj().T)
-        wigner_width = noise + np.eye(self.n)
-        rotation, coeffs = rotate_frame(wigner_width)
         return PropagatorBundle(
             t=float(t),
             transition=transition,
             noise=noise,
-            wigner_width=wigner_width,
-            rotation=rotation,
-            diffusion_coeffs=coeffs,
+            wigner_width=noise + np.eye(self.n),
         )
 
     def bundles(self, times) -> list[PropagatorBundle]:

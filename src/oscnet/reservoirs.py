@@ -238,11 +238,14 @@ def _cross_damping(res: ReservoirSpec, freqs: np.ndarray, overlap: np.ndarray) -
 def _assemble(cross: np.ndarray, cross_diffusion: np.ndarray, modes: NormalModes) -> RateMatrices:
     # damping[m, n] = N sum_{l, k} cross[m, k](w_l) C[l, k] C[l, n]; the inverse
     # transform is the transpose, so both factors are rows of the transform.
+    # Contracting k first and then l costs O(N^3) instead of O(N^4).
     n = cross.shape[0]
     c = modes.transform
-    damping = n * np.einsum("mkl,lk,ln->mn", cross, c, c)
-    diffusion = n * np.einsum("mkl,lk,ln->mn", cross_diffusion, c, c)
-    return RateMatrices(damping=damping, diffusion=diffusion)
+
+    def contract(rates):
+        return n * (np.einsum("mkl,lk->ml", rates, c) @ c)
+
+    return RateMatrices(damping=contract(cross), diffusion=contract(cross_diffusion))
 
 
 def rates_distinct(res: ReservoirSpec, modes: NormalModes) -> RateMatrices:
