@@ -1,10 +1,19 @@
 """Brute-force master-equation oracle on a truncated Fock space.
 
-Ground truth for the analytic phase-space machinery at small mode counts:
-dense density matrices, an adaptive embedded Runge-Kutta integrator, and
-direct evaluation of the normal-ordered characteristic function, moments,
-purity, and partial traces.  Simplicity and auditability beat speed here; no
-sparsity or superoperator tricks.
+Ground truth for the analytic phase-space machinery at small mode counts.
+Density matrices are dense.  The master equation is integrated by an adaptive
+embedded Runge-Kutta method whose right-hand side is one sparse
+superoperator, built once from the per-mode ladder operators on the
+row-major vec of rho.  The normal-ordered characteristic function and the
+moments are traces of products of per-mode operators, contracted one mode
+axis at a time.  The oracle works in the Fock basis only and shares no
+formula with the Gaussian phase-space code it checks.
+
+Every array the oracle keeps scales with the Fock dimension ``dim =
+(n_max + 1)**n_modes``: the dense mode operators take ``2 n dim^2`` complex
+entries and the generator at most ``(1 + 4 n^2) dim^2`` stored entries.
+Sizes whose predicted bytes exceed ``_BYTE_LIMIT`` (1 GiB) are refused with a
+:class:`ValidationError` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+import scipy.sparse
 
 from .errors import CutoffOverflow, ValidationError
 from .states import CoherentMixture, FockMixture
@@ -36,6 +46,25 @@ __all__ = [
 
 _TOP_LEVEL_LIMIT = 1e-6
 _TAIL_LIMIT = 1e-8
+# Largest predicted size of one oracle structure (dense mode operators, or the
+# sparse generator); larger truncated spaces are refused up front.
+_BYTE_LIMIT = 1 << 30
+# Bytes per stored generator entry: a complex value and a (worst-case 64-bit)
+# column index.
+_ENTRY_BYTES = 16 + 8
+
+
+def _check_bytes(what: str, dim: int, predicted: int) -> None:
+    if predicted > _BYTE_LIMIT:
+        raise ValidationError(
+            f"{what} for Fock dimension {dim} would take {predicted} bytes, "
+            f"above the oracle limit of {_BYTE_LIMIT} bytes; lower n_max or n_modes"
+        )
+
+
+def _mode_lowering(levels: int) -> np.ndarray:
+    """Single-mode lowering operator on ``levels`` Fock levels."""
+    return np.diag(np.sqrt(np.arange(1.0, levels)), k=1)
 
 
 def select_cutoff(max_abs_alpha: float, max_occupation: float) -> int:
@@ -58,7 +87,8 @@ class FockSpace:
         self.n_max = n_max
         self.levels = n_max + 1
         self.dim = self.levels**n_modes
-        low = np.diag(np.sqrt(np.arange(1, self.levels)), k=1)
+        _check_bytes("dense mode operators", self.dim, 2 * n_modes * self.dim**2 * 16)
+        low = _mode_lowering(self.levels)
         eye = np.eye(self.levels)
         self.lowering = []
         for m in range(n_modes):
@@ -165,64 +195,54 @@ def density_from_fock(space: FockSpace, state: FockMixture) -> np.ndarray:
     return rho
 
 
-class _Lindblad:
-    """Precomputed right-hand side of the network master equation."""
+def _generator(space: FockSpace, hamiltonian, damping, diffusion) -> scipy.sparse.csr_array:
+    """Master-equation generator as a sparse superoperator on the row-major vec of rho.
 
-    def __init__(self, space: FockSpace, hamiltonian, damping, diffusion):
-        hamiltonian = np.asarray(hamiltonian, dtype=complex)
-        damping = np.asarray(damping, dtype=float)
-        diffusion = np.asarray(diffusion, dtype=float)
-        n = space.n_modes
-        if hamiltonian.shape != (n, n):
-            raise ValidationError("hamiltonian matrix has the wrong shape")
-        if damping.shape != (n, n) or diffusion.shape != (n, n):
-            raise ValidationError("rate matrices have the wrong shape")
-        self.space = space
-        big_h = np.zeros((space.dim, space.dim), dtype=complex)
-        for m in range(n):
-            for k in range(n):
-                if hamiltonian[m, k] != 0:
-                    big_h += hamiltonian[m, k] * space.raising[m] @ space.lowering[k]
-        loss = 0.5 * (damping + diffusion)
-        gain = 0.5 * diffusion
-        self.loss_weights = loss + loss.T  # a_k rho adag_m coefficient, symmetrized
-        self.gain_weights = gain + gain.T
-        q_loss = np.zeros_like(big_h)
-        q_loss_t = np.zeros_like(big_h)
-        r_gain = np.zeros_like(big_h)
-        r_gain_t = np.zeros_like(big_h)
-        for m in range(n):
-            for k in range(n):
-                if loss[m, k] != 0:
-                    q_loss += loss[m, k] * space.raising[m] @ space.lowering[k]
-                if loss[k, m] != 0:
-                    q_loss_t += loss[k, m] * space.raising[m] @ space.lowering[k]
-                if gain[m, k] != 0:
-                    r_gain += gain[m, k] * space.lowering[m] @ space.raising[k]
-                if gain[k, m] != 0:
-                    r_gain_t += gain[k, m] * space.lowering[m] @ space.raising[k]
-        self.left = -1j * big_h - q_loss - r_gain
-        self.right = 1j * big_h - q_loss_t - r_gain_t
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        space = self.space
-        n = space.n_modes
-        out = self.left @ rho + rho @ self.right
-        moved = [space.lowering[k] @ rho for k in range(n)]
-        for m in range(n):
-            acc = np.zeros_like(rho)
-            for k in range(n):
-                if self.loss_weights[m, k] != 0:
-                    acc += self.loss_weights[m, k] * moved[k]
-            out += acc @ space.raising[m]
-        lifted = [space.raising[k] @ rho for k in range(n)]
-        for m in range(n):
-            acc = np.zeros_like(rho)
-            for k in range(n):
-                if self.gain_weights[m, k] != 0:
-                    acc += self.gain_weights[m, k] * lifted[k]
-            out += acc @ space.lowering[m]
-        return out
+    ``d rho/dt = L rho + rho R + sum_mk w_mk a_k rho a_m^dag + v_mk a_k^dag rho a_m``
+    with ``L = -iH - Q - G`` and ``R = iH - Q' - G'``: Q holds the loss
+    weights (damping + diffusion)/2 on ``a_m^dag a_k``, G the gain weights
+    diffusion/2 on ``a_m a_k^dag``, primes transpose the weights, and w, v are
+    the symmetrized loss and gain weights.  Each term is a Kronecker product
+    through ``vec(A rho B) = (A kron B^T) vec(rho)``.
+    """
+    hamiltonian = np.asarray(hamiltonian, dtype=complex)
+    damping = np.asarray(damping, dtype=float)
+    diffusion = np.asarray(diffusion, dtype=float)
+    n = space.n_modes
+    if hamiltonian.shape != (n, n):
+        raise ValidationError("hamiltonian matrix has the wrong shape")
+    if damping.shape != (n, n) or diffusion.shape != (n, n):
+        raise ValidationError("rate matrices have the wrong shape")
+    dim = space.dim
+    _check_bytes("sparse generator", dim, (1 + 4 * n * n) * dim**2 * _ENTRY_BYTES)
+    lowering = [scipy.sparse.csr_array(op) for op in space.lowering]
+    raising = [scipy.sparse.csr_array(op) for op in space.raising]
+    loss = 0.5 * (damping + diffusion)
+    gain = 0.5 * diffusion
+    loss_weights = loss + loss.T  # a_k rho adag_m coefficient, symmetrized
+    gain_weights = gain + gain.T
+    left = scipy.sparse.csr_array((dim, dim), dtype=complex)
+    right = scipy.sparse.csr_array((dim, dim), dtype=complex)
+    generator = scipy.sparse.csr_array((dim * dim, dim * dim), dtype=complex)
+    for m in range(n):
+        for k in range(n):
+            hop = raising[m] @ lowering[k]
+            fill = lowering[m] @ raising[k]
+            left = left - (1j * hamiltonian[m, k] + loss[m, k]) * hop - gain[m, k] * fill
+            right = right + (1j * hamiltonian[m, k] - loss[k, m]) * hop - gain[k, m] * fill
+            if loss_weights[m, k] != 0:
+                generator = generator + loss_weights[m, k] * scipy.sparse.kron(
+                    lowering[k], raising[m].T, format="csr"
+                )
+            if gain_weights[m, k] != 0:
+                generator = generator + gain_weights[m, k] * scipy.sparse.kron(
+                    raising[k], lowering[m].T, format="csr"
+                )
+    eye = scipy.sparse.eye_array(dim, format="csr")
+    generator = generator + scipy.sparse.kron(left, eye, format="csr")
+    generator = generator + scipy.sparse.kron(eye, right.T, format="csr")
+    generator.eliminate_zeros()
+    return generator
 
 
 def liouvillian_apply(
@@ -233,7 +253,10 @@ def liouvillian_apply(
     Commutator part plus loss channels weighted by (damping + diffusion)/2 and
     gain channels weighted by diffusion/2; trace-free by construction.
     """
-    return _Lindblad(space, hamiltonian, damping, diffusion).apply(rho)
+    generator = _generator(space, hamiltonian, damping, diffusion)
+    return (generator @ np.asarray(rho, dtype=complex).reshape(-1)).reshape(
+        space.dim, space.dim
+    )
 
 
 def evolve_master(
@@ -258,12 +281,12 @@ def evolve_master(
         raise ValidationError("time grid must be increasing")
     if t_grid[0] < 0:
         raise ValidationError("times must be >= 0")
-    rhs = _Lindblad(space, hamiltonian, damping, diffusion)
+    generator = _generator(space, hamiltonian, damping, diffusion)
     dim = space.dim
     rho0 = np.asarray(rho0, dtype=complex)
 
     def f(_t, y):
-        return rhs.apply(y.reshape(dim, dim)).reshape(-1)
+        return generator @ y
 
     t_eval = t_grid
     t_span = (0.0, float(t_grid[-1])) if t_grid[-1] > 0 else (0.0, 0.0)
@@ -313,25 +336,41 @@ def oracle_char(rho: np.ndarray, eta, space: FockSpace) -> complex:
                 "characteristic-function displacement is large for this cutoff",
                 stacklevel=2,
             )
-    plus = np.eye(space.dim, dtype=complex)
-    minus = np.eye(space.dim, dtype=complex)
+    low = _mode_lowering(space.levels)
+    factors = {}
     for m in range(space.n_modes):
-        term_p = np.eye(space.dim, dtype=complex)
-        term_m = np.eye(space.dim, dtype=complex)
-        acc_p = np.eye(space.dim, dtype=complex)
-        acc_m = np.eye(space.dim, dtype=complex)
+        term_p = np.eye(space.levels, dtype=complex)
+        term_m = np.eye(space.levels, dtype=complex)
+        acc_p = np.eye(space.levels, dtype=complex)
+        acc_m = np.eye(space.levels, dtype=complex)
         for k in range(1, space.levels):
-            term_p = (eta[m] / k) * (space.raising[m] @ term_p)
-            term_m = (-eta[m].conjugate() / k) * (space.lowering[m] @ term_m)
+            term_p = (eta[m] / k) * (low.T @ term_p)
+            term_m = (-eta[m].conjugate() / k) * (low @ term_m)
             acc_p += term_p
             acc_m += term_m
-        plus = plus @ acc_p
-        minus = minus @ acc_m
-    return complex(np.trace(rho @ plus @ minus))
+        # Operators on different modes commute, so the full product is the
+        # tensor product of the per-mode products.
+        factors[m] = acc_p @ acc_m
+    return _trace_with(rho, factors, space)
+
+
+def _trace_with(rho: np.ndarray, factors: dict, space: FockSpace) -> complex:
+    """Tr[rho F] for F the tensor product of ``factors[m]`` (identity elsewhere).
+
+    Each levels x levels factor is contracted into its mode's column axis of
+    rho viewed as a ``(levels,) * 2n`` tensor, so no dim x dim operator is
+    formed; cost dim^2 * levels per factor.
+    """
+    n = space.n_modes
+    tensor = np.asarray(rho).reshape((space.levels,) * (2 * n))
+    for m, factor in factors.items():
+        tensor = np.moveaxis(np.tensordot(tensor, factor, axes=([n + m], [0])), -1, n + m)
+    return complex(np.trace(tensor.reshape(space.dim, space.dim)))
 
 
 def oracle_purity(rho: np.ndarray) -> float:
-    return float(np.trace(rho @ rho).real)
+    """Tr[rho^2], summed elementwise as sum(rho * rho^T)."""
+    return float(np.sum(rho * rho.T).real)
 
 
 def oracle_partial_trace(rho: np.ndarray, keep, space: FockSpace) -> np.ndarray:
@@ -351,15 +390,17 @@ def oracle_partial_trace(rho: np.ndarray, keep, space: FockSpace) -> np.ndarray:
 
 
 def expect_lowering(rho: np.ndarray, space: FockSpace) -> np.ndarray:
-    """Vector of first moments <a_m>."""
-    return np.array([np.trace(rho @ op) for op in space.lowering])
+    """Vector of first moments <a_m> = sum(rho * a_m^T)."""
+    return np.array([np.sum(rho * op.T) for op in space.lowering])
 
 
 def expect_number_matrix(rho: np.ndarray, space: FockSpace) -> np.ndarray:
-    """Matrix of second moments <a_m^dag a_n>."""
+    """Matrix of second moments <a_m^dag a_n>, one mode axis at a time."""
     n = space.n_modes
+    low = _mode_lowering(space.levels)
     out = np.zeros((n, n), dtype=complex)
     for m in range(n):
         for k in range(n):
-            out[m, k] = np.trace(rho @ space.raising[m] @ space.lowering[k])
+            factors = {m: low.T @ low} if m == k else {m: low.T, k: low}
+            out[m, k] = _trace_with(rho, factors, space)
     return out
