@@ -276,11 +276,13 @@ def _write_csv(path: Path, config, columns, rows):
     lines = _header_lines(config)
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
+        lines.append(",".join(map(_format_value, row)))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _format_value(value):
+    if type(value) is float and not math.isinf(value):
+        return repr(value)  # fast path: plain finite floats fill most tables
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -338,7 +340,8 @@ def _write_wigner_grid(path: Path, config, state, model: Model, times):
     for m in range(n):
         columns += [f"re_xi{m + 1}", f"im_xi{m + 1}"]
     columns.append("wigner")
-    rows = [list(c) + [v] for c, v in zip(coords, values)]
+    # Plain Python floats format faster than per-row lists of numpy scalars.
+    rows = np.column_stack([coords, values]).tolist()
     _write_csv(path, config, columns, rows)
 
 

@@ -319,17 +319,26 @@ def oracle_char(rho: np.ndarray, eta, space: FockSpace) -> complex:
     """Normal-ordered characteristic function Tr[rho exp(eta a^dag) exp(-conj(eta) a)].
 
     The exponentials are exact finite polynomials on the truncated space
-    (raising and lowering operators are nilpotent there); a warning is issued
-    when the requested displacement is large enough for truncation to matter.
+    (raising and lowering operators are nilpotent there), so the trace is
+    exact for a rho supported on the kept levels; truncation matters only
+    through probability the true state holds beyond the cutoff.  A warning is
+    issued when the displacement is large enough for that to show, judged
+    from the population at the cutoff level.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=complex))
     if eta.size != space.n_modes:
         raise ValidationError("eta has the wrong mode count")
     biggest = float(np.max(np.abs(eta)))
     if biggest > 0:
-        # Poisson-style tail estimate of the displacement polynomial at the cutoff.
-        log_tail = (space.n_max + 1) * math.log(biggest**2 + 1e-300) - math.lgamma(
-            space.n_max + 2
+        # Poisson-style tail estimate of the displacement polynomial at the
+        # cutoff, weighted by the cutoff population as a proxy for what lies
+        # beyond it; populations below the one `evolve_master` accepts at the
+        # cutoff (_TOP_LEVEL_LIMIT) are not told apart.
+        weight = max(space.top_level_population(rho), _TOP_LEVEL_LIMIT)
+        log_tail = (
+            math.log(weight)
+            + (space.n_max + 1) * math.log(biggest**2 + 1e-300)
+            - math.lgamma(space.n_max + 2)
         )
         if log_tail > math.log(_TAIL_LIMIT):
             warnings.warn(

@@ -10,6 +10,19 @@ evolved centroids with a common width: the accumulated noise J for the
 P-function, J + I for the Wigner function.  Pair weights are assembled in log
 space so widely separated components never underflow through intermediate
 factors.
+
+The characteristic, P- and Wigner functions share one kernel,
+:func:`_pair_sum`: per point, the sum over pairs of
+``exp(const[r, s] + row[r] + col[s] + q)``, with the K x K pair constants
+built once, cross-branch (and zero-coefficient) pairs dropped once, and the
+per-point terms formed as (points, K) matrix products.  The full exponent is
+formed in log space over chunks of points, sized so the per-chunk arrays
+stay within ``_CHUNK_BYTES`` (8 MiB) whatever the grid size or component
+count.  For P and Wigner the summand is Hermitian in (r, s) (the width is
+Hermitized and ``logw[s, r] = conj(logw[r, s])``), so only pairs r <= s are
+evaluated, off-diagonal ones counted twice, as ``exp(Re e) cos(Im e)``: the
+sum is real by construction.  The characteristic function keeps every
+ordered pair in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -34,6 +47,9 @@ __all__ = [
 ]
 
 _DET_FLOOR = 1e-14
+# Byte budget of the per-chunk arrays in `_pair_sum`; it alone sets how many
+# points go in one chunk.
+_CHUNK_BYTES = 8 << 20
 
 
 def _as_points(xi, n: int):
@@ -90,6 +106,68 @@ def _pair_weights(state: CoherentMixture):
     return betas, weights, logw
 
 
+def _pair_sum(pts, const, bra, form, ket=None):
+    """Per point p, sum over pairs of ``exp(const[r, s] + row[p, r] + col[p, s] + q[p])``.
+
+    ``row = pts @ bra``, ``q = pts form conj(pts)`` and, when ``ket`` is
+    given, ``col = conj(pts) @ ket``; pairs whose constant has real part -inf
+    contribute nothing and are dropped.  With ``ket=None`` the summand is
+    taken to be Hermitian in (r, s): ``col = conj(row)``, ``const`` and
+    ``form`` Hermitian.  Then only pairs r <= s are evaluated, off-diagonal
+    ones twice, and the (real) result is a sum of ``exp(Re e) cos(Im e)``.
+    Otherwise every ordered pair is summed in complex arithmetic.  Points
+    are taken in chunks whose arrays fit in ``_CHUNK_BYTES``.
+    """
+    hermitian = ket is None
+    keep = ~np.isneginf(const.real)
+    r_idx, s_idx = np.nonzero(np.triu(keep) if hermitian else keep)
+    pair_const = const[r_idx, s_idx]
+    count = pts.shape[0]
+    # Bytes per point: at most 32 per kept pair, 64 per component and per mode.
+    per_point = 32 * r_idx.size + 64 * (const.shape[0] + pts.shape[1])
+    step = max(1, min(count, _CHUNK_BYTES // per_point))
+    out = np.empty(count, dtype=float if hermitian else complex)
+    if hermitian:
+        mult = np.where(r_idx == s_idx, 1.0, 2.0)
+        x, y, z = (np.empty((step, r_idx.size)) for _ in range(3))
+    else:
+        x, y = (np.empty((step, r_idx.size), dtype=complex) for _ in range(2))
+    for start in range(0, count, step):
+        block = pts[start : start + step]
+        n = block.shape[0]
+        row = block @ bra
+        quad = np.einsum("pm,pm->p", block @ form, block.conj())
+        if hermitian:
+            # Re e = Re row_r + Re row_s + q + Re const and Im e = Im row_r
+            # - Im row_s + Im const (q is real for a Hermitian form).
+            a = row.real + 0.5 * quad.real[:, None]
+            xs, ys, zs = x[:n], y[:n], z[:n]
+            # mode="clip" lets np.take fill the buffer in place (indexes are valid).
+            np.take(a, r_idx, axis=1, out=xs, mode="clip")
+            np.take(a, s_idx, axis=1, out=ys, mode="clip")
+            xs += ys
+            xs += pair_const.real
+            with np.errstate(over="ignore"):
+                np.exp(xs, out=xs)
+            np.take(row.imag, r_idx, axis=1, out=ys, mode="clip")
+            np.take(row.imag, s_idx, axis=1, out=zs, mode="clip")
+            ys -= zs
+            ys += pair_const.imag
+            np.cos(ys, out=ys)
+            xs *= ys
+            out[start : start + n] = xs @ mult
+        else:
+            xs, ys = x[:n], y[:n]
+            np.take(row + quad[:, None], r_idx, axis=1, out=xs, mode="clip")
+            np.take(block.conj() @ ket, s_idx, axis=1, out=ys, mode="clip")
+            xs += ys
+            xs += pair_const
+            with np.errstate(over="ignore"):
+                np.exp(xs, out=xs)
+            out[start : start + n] = xs.sum(axis=1)
+    return out
+
+
 def char_function(state: CoherentMixture, eta, bundle: PropagatorBundle):
     """Normal-ordered characteristic function of an evolved coherent mixture.
 
@@ -100,70 +178,67 @@ def char_function(state: CoherentMixture, eta, bundle: PropagatorBundle):
     pts, scalar = _as_points(eta, state.n_modes)
     betas, logw = _flat_components(state)
     centers = (bundle.transition @ betas.T).T  # (K, N)
-    e_bra = pts @ centers.conj().T  # (..., K): eta . conj(K_r)
-    e_ket = pts.conj() @ centers.T  # (..., K): conj(eta) . K_s
-    gauss = -0.5 * np.einsum("...m,mn,...n->...", pts, bundle.noise, pts.conj())
-    exponent = (
-        logw
-        + e_bra[..., :, None]
-        - e_ket[..., None, :]
-        + gauss[..., None, None]
-    )
-    with np.errstate(over="ignore"):
-        terms = np.exp(exponent)
-    terms[np.isneginf(exponent.real)] = 0.0
-    value = terms.sum(axis=(-2, -1))
+    value = _pair_sum(
+        pts.reshape(-1, state.n_modes),
+        logw,
+        centers.conj().T,  # eta . conj(K_r)
+        -0.5 * bundle.noise,
+        ket=-centers.T,  # -conj(eta) . K_s
+    ).reshape(pts.shape[:-1])
     return complex(value[0]) if scalar else value
+
+
+def _gaussian_terms(state: CoherentMixture, bundle: PropagatorBundle, width: np.ndarray):
+    """Determinant and Hermitian kernel terms (const, bra, form) of a Gaussian sum.
+
+    The exponent of pair (r, s) at xi is ``logw[r, s] - 2 (xi A conj(xi)
+    - xi A conj(K_r) - K_s A conj(xi) + K_s A conj(K_r))`` with A the inverse
+    of the Hermitized width: const = logw - 2 K_s A conj(K_r), bra = 2 A
+    conj(K)^T, form = -2 A.
+    """
+    hermitized = 0.5 * (width + width.conj().T)
+    det = np.linalg.det(hermitized).real
+    if abs(det) < _DET_FLOOR:
+        raise SingularWidth(f"width determinant {det:.3g} below {_DET_FLOOR}")
+    betas, logw = _flat_components(state)
+    centers = (bundle.transition @ betas.T).T  # (K, N)
+    inv = np.linalg.inv(hermitized)
+    inv = 0.5 * (inv + inv.conj().T)
+    c_pair = (centers @ inv) @ centers.conj().T  # (s, r): K_s inv conj(K_r)
+    return det, logw - 2.0 * c_pair.T, 2.0 * (inv @ centers.conj().T), -2.0 * inv
 
 
 def _gaussian_sum(state: CoherentMixture, xi, bundle: PropagatorBundle, width: np.ndarray):
     n = state.n_modes
     pts, scalar = _as_points(xi, n)
-    det = np.linalg.det(0.5 * (width + width.conj().T)).real
-    if abs(det) < _DET_FLOOR:
-        raise SingularWidth(f"width determinant {det:.3g} below {_DET_FLOOR}")
-    betas, logw = _flat_components(state)
-    centers = (bundle.transition @ betas.T).T  # (K, N)
-    inv = np.linalg.inv(0.5 * (width + width.conj().T))
-    quad = np.einsum("...m,mn,...n->...", pts, inv, pts.conj())  # xi inv conj(xi)
-    t_bra = pts @ (inv @ centers.conj().T)  # (..., K): xi inv conj(K_r)
-    t_ket = np.einsum("sm,...m->...s", centers @ inv, pts.conj())  # K_s inv conj(xi)
-    c_pair = (centers @ inv) @ centers.conj().T  # (s, r): K_s inv conj(K_r)
-    exponent = (
-        logw
-        - 2.0
-        * (
-            quad[..., None, None]
-            - t_bra[..., :, None]  # conjugated side indexes r (axis -2)
-            - t_ket[..., None, :]  # unconjugated side indexes s (axis -1)
-            + c_pair.T
-        )
-    )
-    with np.errstate(over="ignore"):
-        terms = np.exp(exponent)
-    terms[np.isneginf(exponent.real)] = 0.0
-    value = (2.0 / np.pi) ** n / det * terms.sum(axis=(-2, -1))
-    return (value[0] if scalar else value), det
+    det, const, bra, form = _gaussian_terms(state, bundle, width)
+    total = _pair_sum(pts.reshape(-1, n), const, bra, form).reshape(pts.shape[:-1])
+    value = (2.0 / np.pi) ** n / det * total
+    return value[0] if scalar else value
 
 
 def p_function(state: CoherentMixture, xi, bundle: PropagatorBundle):
     """Glauber-Sudarshan P-function of the evolved mixture (complex per point).
 
-    Diverges without diffusion: raises :class:`SingularWidth` when the noise
-    width is singular (all reservoirs at zero temperature).
+    Evaluated by the Hermitian pair-sum kernel over pairs r <= s, so the
+    imaginary part is exactly zero; the complex dtype is kept.  Diverges
+    without diffusion: raises :class:`SingularWidth` when the noise width is
+    singular (all reservoirs at zero temperature).
     """
-    value, _ = _gaussian_sum(state, xi, bundle, bundle.noise)
-    return value
+    value = _gaussian_sum(state, xi, bundle, bundle.noise)
+    return np.asarray(value, dtype=complex) if np.ndim(value) else complex(value)
 
 
 def wigner(state: CoherentMixture, xi, bundle: PropagatorBundle):
     """Wigner function of the evolved mixture (real per point).
 
     Identical to the P-function with the noise width replaced by
-    noise + identity, which is always invertible.
+    noise + identity, which is always invertible.  Points are evaluated in
+    chunks under a fixed byte budget, so memory stays bounded in the grid
+    size and the component count.
     """
-    value, _ = _gaussian_sum(state, xi, bundle, bundle.wigner_width)
-    return np.real(value) if np.ndim(value) else float(np.real(value))
+    value = _gaussian_sum(state, xi, bundle, bundle.wigner_width)
+    return value if np.ndim(value) else float(value)
 
 
 def wigner_elements(state: CoherentMixture, xi_rotated, bundle: PropagatorBundle):

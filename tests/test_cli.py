@@ -3,10 +3,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
+from oscnet import cli, phasespace
 from oscnet.cli import canonical_json, config_hash, parse_config, run_config, run_sweep
 from oscnet.errors import ConfigError
 
@@ -138,14 +140,48 @@ class TestRun:
             assert fields["max_chi_err"] < 1e-5
             assert fields["purity_err"] < 1e-4
 
-    def test_deterministic_bytes(self, tmp_path):
-        config = _base_config(outputs=["tau_report", "dcoef"])
+    def test_deterministic_bytes(self, tmp_path, monkeypatch):
+        # A small chunk budget splits the Wigner grid over many chunks, with a
+        # short last one; the bytes must still depend on the config alone.
+        monkeypatch.setattr(phasespace, "_CHUNK_BYTES", 4096)
+        config = _base_config(
+            outputs=["tau_report", "dcoef", "entropy_curve", "wigner_grid"]
+        )
         run_config(config, tmp_path / "a")
         run_config(config, tmp_path / "b")
-        for name in ("tau_report.json", "dcoef.csv"):
+        for name in (
+            "tau_report.json",
+            "dcoef.csv",
+            "entropy_curve.csv",
+            "wigner_grid.csv",
+        ):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_formatter_matches_earlier_one(self, tmp_path):
+        def earlier(value):
+            # The formatter before its plain-float fast path, kept verbatim.
+            if isinstance(value, str):
+                return value
+            if isinstance(value, (int, np.integer)):
+                return str(int(value))
+            value = float(value)
+            return "inf" if math.isinf(value) else repr(value)
+
+        rows = [
+            [1.5, -0.0, 0.0, 3, np.int64(-7), "abc", math.inf, -math.inf],
+            [np.float64(-math.inf), np.float64(1e-5), 5e-324, 1e300, math.nan],
+            [True, np.float32(0.1), np.float64(-0.0), 0.1 + 0.2, -2.5e-17, ""],
+            np.array([[-2.5, 0.125, math.inf, -math.inf]]).tolist()[0],
+        ]
+        for row in rows:
+            for value in row:
+                assert cli._format_value(value) == earlier(value)
+        path = tmp_path / "table.csv"
+        cli._write_csv(path, _base_config(), ["a", "b"], rows)
+        body = path.read_text().splitlines()[3:]
+        assert body == [",".join(earlier(v) for v in row) for row in rows]
 
     def test_cli_run_exit_codes(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,20 @@ class TestOracleChar:
         rho = np.outer(space.fock_vector([0]), space.fock_vector([0]))
         with pytest.warns(UserWarning):
             osc.oracle_char(rho, [2.5], space)
+
+    def test_truncation_warning_follows_cutoff_population(self):
+        # The polynomials are exact on the kept levels, so the same eta warns
+        # for a state that fills the cutoff and not for one far below it.
+        space = osc.FockSpace(1, 8)
+        low = np.outer(space.fock_vector([1]), space.fock_vector([1]))
+        top = np.outer(space.fock_vector([8]), space.fock_vector([8]))
+        mixed = 0.5 * (np.outer(space.fock_vector([0]), space.fock_vector([0])) + top)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            osc.oracle_char(low, [1.0], space)
+        for rho in (top, mixed):
+            with pytest.warns(UserWarning, match="large for this cutoff"):
+                osc.oracle_char(rho, [1.0], space)
 
 
 class TestPurityAndPartialTrace:

@@ -1,0 +1,182 @@
+"""The chunked pair-sum kernel behind char_function, p_function and wigner.
+
+The reference formulas below are the earlier evaluators, which built the full
+(points, K, K) exponent at once; the kernel must reproduce them.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import oscnet as osc
+from oscnet import phasespace
+
+from conftest import white_model
+
+
+def _old_char(state, pts, bundle):
+    betas, logw = phasespace._flat_components(state)
+    centers = (bundle.transition @ betas.T).T
+    e_bra = pts @ centers.conj().T
+    e_ket = pts.conj() @ centers.T
+    gauss = -0.5 * np.einsum("...m,mn,...n->...", pts, bundle.noise, pts.conj())
+    exponent = (
+        logw + e_bra[..., :, None] - e_ket[..., None, :] + gauss[..., None, None]
+    )
+    with np.errstate(over="ignore"):
+        terms = np.exp(exponent)
+    terms[np.isneginf(exponent.real)] = 0.0
+    return terms.sum(axis=(-2, -1))
+
+
+def _old_gaussian_sum(state, pts, bundle, width):
+    n = state.n_modes
+    det = np.linalg.det(0.5 * (width + width.conj().T)).real
+    betas, logw = phasespace._flat_components(state)
+    centers = (bundle.transition @ betas.T).T
+    inv = np.linalg.inv(0.5 * (width + width.conj().T))
+    quad = np.einsum("...m,mn,...n->...", pts, inv, pts.conj())
+    t_bra = pts @ (inv @ centers.conj().T)
+    t_ket = np.einsum("sm,...m->...s", centers @ inv, pts.conj())
+    c_pair = (centers @ inv) @ centers.conj().T
+    exponent = logw - 2.0 * (
+        quad[..., None, None]
+        - t_bra[..., :, None]
+        - t_ket[..., None, :]
+        + c_pair.T
+    )
+    with np.errstate(over="ignore"):
+        terms = np.exp(exponent)
+    terms[np.isneginf(exponent.real)] = 0.0
+    return (2.0 / np.pi) ** n / det * terms.sum(axis=(-2, -1))
+
+
+def _assert_close(new, old, rel=1e-12):
+    new = np.asarray(new)
+    old = np.asarray(old)
+    assert new.shape == old.shape
+    assert np.all(np.isfinite(new))
+    assert np.max(np.abs(new - old)) <= rel * np.max(np.abs(old))
+
+
+def _two_branch_mixture():
+    # Cross-branch pairs carry -inf log weights and must contribute nothing.
+    first = osc.coherent_superposition(
+        [1.0, -0.4 + 0.3j], [[0.8, -0.2j], [-0.5 + 0.1j, 0.6]], probability=0.7
+    )
+    second = osc.coherent_superposition([1.0], [[0.3 - 0.4j, 0.2]], probability=0.3)
+    return osc.coherent_mixture([first, second])
+
+
+def _zero_coefficient_state():
+    return osc.coherent_mixture(
+        [
+            osc.coherent_superposition(
+                [1.0, 0.0, 0.5j], [[0.7, 0.1], [1.5j, -0.3], [-0.6, 0.4 - 0.2j]]
+            )
+        ]
+    )
+
+
+STATES = {
+    "two_branch": _two_branch_mixture,
+    "zero_coefficient": _zero_coefficient_state,
+    "ring16": lambda: osc.fock_state_ring([1, 1], radius=0.6, points=4),
+}
+
+
+@pytest.fixture(scope="module")
+def pair_model():
+    return white_model(n=2, coupling=0.2, gamma=0.05, nbar=0.5)
+
+
+def _points(rng, count, n=2, scale=1.2):
+    return scale * (rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n)))
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+@pytest.mark.parametrize("ragged", [False, True])
+def test_kernel_matches_full_tensor(name, ragged, pair_model, rng, monkeypatch):
+    state = STATES[name]()
+    if ragged:
+        # 7000 bytes: one point per chunk for the ring, 14 to 16 points for
+        # the three-component states, so 53 points leave a short last chunk.
+        monkeypatch.setattr(phasespace, "_CHUNK_BYTES", 7000)
+    bundle = pair_model.propagator.bundle(1.3)
+    pts = _points(rng, 53)
+    _assert_close(osc.char_function(state, pts, bundle), _old_char(state, pts, bundle))
+    old_p = _old_gaussian_sum(state, pts, bundle, bundle.noise)
+    _assert_close(osc.p_function(state, pts, bundle), old_p)
+    old_w = _old_gaussian_sum(state, pts, bundle, bundle.wigner_width)
+    _assert_close(osc.wigner(state, pts, bundle), old_w.real)
+
+
+def test_batch_shape_and_scalar(pair_model, rng):
+    state = STATES["ring16"]()
+    bundle = pair_model.propagator.bundle(0.7)
+    pts = _points(rng, 12).reshape(3, 4, 2)
+    values = osc.wigner(state, pts, bundle)
+    assert values.shape == (3, 4)
+    assert osc.wigner(state, pts[1, 2], bundle) == pytest.approx(values[1, 2], rel=1e-14)
+    chi = osc.char_function(state, pts, bundle)
+    assert chi.shape == (3, 4)
+    assert isinstance(osc.char_function(state, pts[0, 0], bundle), complex)
+    p_values = osc.p_function(state, pts, bundle)
+    assert p_values.dtype == complex and np.all(p_values.imag == 0)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05])
+def test_large_cat_stays_finite(t):
+    # |alpha| = 20: the cross-pair weight exp(-2|alpha|^2) underflows on its
+    # own, yet the interference fringe at the midpoint is of order one.
+    model = white_model(n=1, gamma=0.25, nbar=0.5)
+    cat = osc.build_cat_family(1, 1, 0, 20.0)
+    bundle = model.propagator.bundle(t)
+    center = bundle.transition[0, 0] * 20.0
+    pts = np.array([[center], [-center], [0.0 + 0.0j]])
+    values = osc.wigner(cat, pts, bundle)
+    _assert_close(values, _old_gaussian_sum(cat, pts, bundle, bundle.wigner_width).real)
+    if t == 0.0:
+        # Even cat: W(0) = (2/pi) <parity> = 2/pi.
+        assert values[2] == pytest.approx(2.0 / np.pi, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_pair_constants_hermitian(name, pair_model):
+    state = STATES[name]()
+    bundle = pair_model.propagator.bundle(0.9)
+    for width in (bundle.noise, bundle.wigner_width):
+        _, const, _, form = phasespace._gaussian_terms(state, bundle, width)
+        dropped = np.isneginf(const.real)
+        assert np.array_equal(dropped, dropped.T)
+        finite = const[~dropped]
+        swapped = const.T.conj()[~dropped]
+        assert np.max(np.abs(finite - swapped)) <= 1e-12 * np.max(np.abs(finite))
+        assert np.array_equal(form, form.conj().T)
+
+
+def test_ring64_memory_bounded(pair_model):
+    # 64 components on a 9^4 grid: the full (P, K, K) exponent would take
+    # 430 MB; the kernel stays inside its chunk budget.
+    ring = osc.fock_state_ring([1, 1], radius=0.6, points=8)
+    bundle = pair_model.propagator.bundle(2.0)
+    axis = np.linspace(-2.5, 2.5, 9)
+    mesh = np.meshgrid(axis, axis, axis, axis, indexing="ij")
+    xi = np.stack(
+        [(mesh[0] + 1j * mesh[1]).ravel(), (mesh[2] + 1j * mesh[3]).ravel()], axis=-1
+    )
+    tracemalloc.start()
+    try:
+        values = osc.wigner(ring, xi, bundle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * phasespace._CHUNK_BYTES
+    assert values.shape == (9**4,) and np.all(np.isfinite(values))
+    # Spot-check a few points against the full-tensor formula.
+    some = xi[:: 9**3]
+    _assert_close(
+        values[:: 9**3], _old_gaussian_sum(ring, some, bundle, bundle.wigner_width).real
+    )
+
