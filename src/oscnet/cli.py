@@ -8,16 +8,16 @@ Verbs:
 * ``validate <config>`` -- schema-check and echo the canonical form
 * ``selftest``          -- seeded randomized property checks
 
-Outputs are deterministic for identical configs; ``--serial`` forces in-process
-sequential sweeps for bit-exact reproducibility.  Every file starts with a
-header block carrying the config hash and package version.
+Outputs are deterministic for identical configs.  ``sweep`` runs its points
+sequentially in process; ``--serial`` is accepted and has no effect.  Every
+file starts with a header block carrying the config hash and package version.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -210,6 +210,8 @@ def _parse_state(config, n) -> CoherentMixture:
 
 def _parse_times(config) -> np.ndarray:
     node = _get(config, "times", required=True)
+    if not isinstance(node, dict):
+        raise ConfigError("times", "expected an object with 'list' or start/stop/steps")
     if "list" in node:
         times = np.asarray([float(t) for t in node["list"]], dtype=float)
     else:
@@ -334,6 +336,10 @@ def _write_wigner_grid(path: Path, config, state, model: Model, times):
     if len(ranges) != n:
         raise ConfigError("wigner_grid.ranges", f"expected {n} range tuples")
     index = node.get("time_index", -1)
+    if not isinstance(index, int) or not -len(times) <= index < len(times):
+        raise ConfigError(
+            "wigner_grid.time_index", f"expected an index into the {len(times)} times"
+        )
     bundle = model.propagator.bundle(times[index])
     coords, values = wigner_grid(state, bundle, ranges, points)
     columns = []
@@ -450,7 +456,12 @@ def _parse_axis(text: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError("--axis", "expected <start:stop:steps>")
-    start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ConfigError(
+            f"--axis {path.strip()}", "start and stop must be numbers, steps an integer"
+        ) from None
     if steps < 1:
         raise ConfigError("--axis", "steps must be >= 1")
     values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
@@ -470,43 +481,28 @@ def _sweep_metrics(config: dict) -> list[tuple[str, float]]:
     ]
 
 
-def _sweep_point(args):
-    config, path, value = args
-    metrics = _sweep_metrics(config)
-    return [(path, value, name, metric) for name, metric in metrics]
-
-
 def run_sweep(config: dict, axes, out_dir: Path, serial: bool) -> Path:
-    """Cross-product sweep over one or two axes; long-form CSV output."""
+    """Cross-product sweep over one or two axes; long-form CSV output.
+
+    Points run sequentially in process; ``serial`` is accepted and has no
+    effect.
+    """
     if len(axes) > 2:
         raise ConfigError("--axis", "at most two swept axes are supported")
-    jobs = []
-    if not axes:
-        jobs.append((json.loads(canonical_json(config)), "none", 0.0))
-    else:
-        grids = [[(path, v) for v in values] for path, values in axes]
-        combos = [[p] for p in grids[0]]
-        if len(grids) == 2:
-            combos = [[a, b] for a in grids[0] for b in grids[1]]
-        for combo in combos:
-            job = json.loads(canonical_json(config))
-            for path, value in combo:
-                _set_path(job, path, value)
-            label = ";".join(path for path, _ in combo)
-            value = (
-                combo[0][1]
-                if len(combo) == 1
-                else ";".join(_format_value(v) for _, v in combo)
-            )
-            jobs.append((job, label, value))
+    grids = [[(path, v) for v in values] for path, values in axes]
     rows = []
-    if serial or len(jobs) == 1:
-        results = [_sweep_point(job) for job in jobs]
-    else:
-        with concurrent.futures.ProcessPoolExecutor() as pool:
-            results = list(pool.map(_sweep_point, jobs))
-    for result in results:
-        rows.extend(result)
+    for combo in itertools.product(*grids):
+        job = json.loads(canonical_json(config))
+        for path, value in combo:
+            _set_path(job, path, value)
+        if not combo:
+            label, value = "none", 0.0
+        elif len(combo) == 1:
+            label, value = combo[0]
+        else:
+            label = ";".join(path for path, _ in combo)
+            value = ";".join(_format_value(v) for _, v in combo)
+        rows.extend((label, value, name, metric) for name, metric in _sweep_metrics(job))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
     _write_csv(path, config, ["axis", "value", "metric", "result"], rows)

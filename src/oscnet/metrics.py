@@ -1,5 +1,8 @@
 """Decoherence metrics: diffusion times, interference decay, entropy, concurrence.
 
+Concurrence is a closed-form sum of coherent overlaps (dissipation-free,
+pure states), O(K^3) in the component count and unlimited in the mode count.
+
 Times may be infinite (zero temperature, decoherence-free component pairs,
 single-component states); they are plain floats with ``math.inf`` as the
 infinite value, and the harmonic combination is defined on the extended reals.
@@ -17,7 +20,7 @@ import scipy.optimize
 from .errors import NoBracket, ValidationError
 from .phasespace import _pair_weights
 from .propagation import Model, Propagator, PropagatorBundle
-from .states import CoherentMixture
+from .states import CoherentMixture, _log_overlaps
 
 __all__ = [
     "DecoherenceReport",
@@ -196,7 +199,7 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     coefficients, divided by the Wigner-width determinant.  Equals 0 for any
     pure state at t = 0 and stays 0 without dissipation.
     """
-    betas, weights, _ = _pair_weights(state)
+    betas, weights = _pair_weights(state)
     coeffs = bundle.diffusion_coeffs
     det = float(np.prod(coeffs))
     moved = (bundle.rotation.T @ (bundle.transition @ betas.T)).T  # (K, N)
@@ -209,35 +212,27 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     return float(entropy)
 
 
-def _gh_nodes(nodes: int, stiffness: float):
-    u, w = np.polynomial.hermite.hermgauss(nodes)
-    scale = math.sqrt(stiffness)
-    return u / scale, w / scale
-
-
-def _plane_integral(stiffness: float, px, py, nodes: int):
-    """integral exp(-stiffness (x^2+y^2) + px x + py y) dx dy by Gauss-Hermite."""
-    x, w = _gh_nodes(nodes, stiffness)
-    gx = np.exp(np.asarray(px)[..., None] * x) @ w
-    gy = np.exp(np.asarray(py)[..., None] * x) @ w
-    return gx * gy
-
-
 def concurrence(
     state: CoherentMixture, part_a, bundle: PropagatorBundle, nodes: int = 64
 ) -> float:
     """Bipartite concurrence 1 - Tr_A[(Tr_B rho)^2] for dissipation-free evolution.
 
-    Evaluated through nested mode-by-mode Gauss-Hermite quadrature of the
-    joint Wigner function: the B-modes are integrated out of each Gaussian
-    pair term, then the squared marginal is integrated over the A-modes.
-    Requires a pure (single-branch) state, at most three modes, and a
-    dissipation-free bundle; symmetric under swapping the partition.
+    Without dissipation the pure state stays a superposition sum_s c_s |y_s>
+    of coherent products with y_s = T beta_s, so the reduced purity is the
+    finite overlap sum
+
+        sum c_s conj(c_r) c_q conj(c_p) <y_r^B|y_s^B> <y_p^B|y_q^B>
+            <y_r^A|y_q^A> <y_p^A|y_s^A>.
+
+    Summing over r first gives ``half = (conj(c) * B).T @ A`` from the K x K
+    overlap matrices A, B of the two sides, and the purity is
+    ``c @ (half * half.T) @ c``: closed form, O(K^3), with no limit on the
+    mode count.  Requires a pure (single-branch) state and a dissipation-free
+    bundle; symmetric under swapping the partition.  ``nodes`` is unused and
+    kept for signature compatibility.
     """
     branch = state.single_branch()
     n = state.n_modes
-    if n > 3:
-        raise ValidationError("concurrence quadrature is limited to three modes")
     part_a = sorted(int(m) for m in part_a)
     if not part_a or len(part_a) >= n or len(set(part_a)) != len(part_a):
         raise ValidationError("partition must be a proper non-empty subset of modes")
@@ -253,40 +248,15 @@ def concurrence(
 
     betas = np.array([c.amplitudes for c in branch.components])
     coeffs = np.array([c.coefficient for c in branch.components])
-    k = coeffs.size
     centers = (bundle.transition @ betas.T).T  # (K, N)
-    norms = np.sum(np.abs(betas) ** 2, axis=1)
-    overlap_exp = -0.5 * norms[:, None] - 0.5 * norms[None, :] + betas.conj() @ betas.T
-    pair_w = coeffs.conj()[:, None] * coeffs[None, :] * np.exp(overlap_exp)  # (r, s)
-
-    ket = centers[None, :, :]  # s
-    bra = centers[:, None, :].conj()  # r
-    # Marginal of one pair term over mode m: (2/pi) exp(-2 a conj(b)) * plane integral.
-    single = (2.0 / np.pi) * np.exp(-2.0 * ket * bra) * _plane_integral(
-        2.0, 2.0 * (ket + bra), 2.0j * (bra - ket), nodes
-    )  # (r, s, m)
-    marg_b = np.prod(single[:, :, part_b], axis=2)  # (r, s)
-
-    a_ket = centers[:, part_a]  # (K, |A|)
-    sum_ket = a_ket[None, :, None, None, :] + a_ket[None, None, None, :, :]  # s, s'
-    sum_bra = (
-        a_ket.conj()[:, None, None, None, :] + a_ket.conj()[None, None, :, None, :]
-    )  # r, r'
-    const = (
-        a_ket[None, :, None, None, :] * a_ket.conj()[:, None, None, None, :]
-        + a_ket[None, None, None, :, :] * a_ket.conj()[None, None, :, None, :]
+    # Every overlap exponent has real part <= 0, so a product of the two
+    # factors underflows only where the combined exponent would.
+    side_a, side_b = (
+        np.exp(_log_overlaps(centers[:, part], centers[:, part]))
+        for part in (part_a, part_b)
     )
-    squared = (
-        np.pi
-        * (2.0 / np.pi) ** 2
-        * np.exp(-2.0 * const)
-        * _plane_integral(4.0, 2.0 * (sum_ket + sum_bra), 2.0j * (sum_bra - sum_ket), nodes)
-    )  # (r, s, r', s', m in A)
-    over_a = np.prod(squared, axis=4)  # (r, s, r', s')
-
-    total = np.einsum("rs,pq,rspq->", pair_w, pair_w, over_a * marg_b[:, :, None, None]
-                      * marg_b[None, None, :, :])
-    value = 1.0 - float(total.real)
+    half = (coeffs.conj()[:, None] * side_b).T @ side_a  # (s, q)
+    value = 1.0 - float((coeffs @ (half * half.T) @ coeffs).real)
     if -1e-9 < value < 0:
         value = 0.0
     return value

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import QuadratureNotConverged, SingularWidth, ValidationError
 from .propagation import PropagatorBundle
-from .states import CoherentMixture, FockMixture
+from .states import CoherentMixture, FockMixture, _log_overlaps
 
 __all__ = [
     "char_function",
@@ -66,31 +66,18 @@ def _flat_components(state: CoherentMixture):
     ``logw[r, s] = log(p_branch) + log(conj(L_r) L_s) + overlap exponent`` for
     components r, s of one branch, and -inf for cross-branch pairs.
     """
-    betas = []
-    coeffs = []
-    branch_of = []
-    probs = []
-    for j, branch in enumerate(state.branches):
-        for comp in branch.components:
-            betas.append(comp.amplitudes)
-            coeffs.append(comp.coefficient)
-            branch_of.append(j)
-        probs.append(branch.probability)
-    betas = np.array(betas)
-    coeffs = np.array(coeffs)
-    branch_of = np.array(branch_of)
+    comps = [c for branch in state.branches for c in branch.components]
+    betas = np.array([c.amplitudes for c in comps])
+    coeffs = np.array([c.coefficient for c in comps])
+    branch_of = np.array([j for j, b in enumerate(state.branches) for _ in b.components])
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_coeffs = np.log(coeffs.astype(complex))
-        log_probs = np.log(np.array(probs, dtype=float))
+        log_coeffs = np.log(coeffs)
+        log_probs = np.log(np.array([b.probability for b in state.branches]))
     log_coeffs[coeffs == 0] = -np.inf
-    # Overlap exponents: sum_m(-|b_r|^2/2 - |b_s|^2/2 + conj(b_r) b_s).
-    norms = np.sum(np.abs(betas) ** 2, axis=1)
-    cross = betas.conj() @ betas.T
-    overlap_exp = -0.5 * norms[:, None] - 0.5 * norms[None, :] + cross
     logw = (
         log_coeffs.conj()[:, None]
         + log_coeffs[None, :]
-        + overlap_exp
+        + _log_overlaps(betas, betas)
         + log_probs[branch_of][:, None]
     )
     same = branch_of[:, None] == branch_of[None, :]
@@ -103,7 +90,7 @@ def _pair_weights(state: CoherentMixture):
     with np.errstate(over="ignore"):
         weights = np.exp(logw)
     weights[np.isneginf(logw.real)] = 0.0
-    return betas, weights, logw
+    return betas, weights
 
 
 def _pair_sum(pts, const, bra, form, ket=None):
@@ -249,17 +236,13 @@ def wigner_elements(state: CoherentMixture, xi_rotated, bundle: PropagatorBundle
     diagonal diffusion coefficients.  Summing over (r, s) at
     ``xi_rotated = U.T @ xi`` reproduces :func:`wigner` at ``xi``.
     """
-    branch = state.single_branch()
+    state.single_branch()  # raises unless the state is pure
     n = state.n_modes
     pts, scalar = _as_points(xi_rotated, n)
-    betas = np.array([c.amplitudes for c in branch.components])
-    coeffs = np.array([c.coefficient for c in branch.components])
+    betas, weight = _pair_weights(state)
     centers = (bundle.transition @ betas.T).T
     rotated = centers @ bundle.rotation  # row convention: K~ = K . U
     det = float(np.prod(bundle.diffusion_coeffs))
-    norms = np.sum(np.abs(betas) ** 2, axis=1)
-    overlap_exp = -0.5 * norms[:, None] - 0.5 * norms[None, :] + betas.conj() @ betas.T
-    weight = coeffs.conj()[:, None] * coeffs[None, :] * np.exp(overlap_exp)
     diff = pts[..., None, :] - rotated  # (..., K, N)
     quad = np.einsum(
         "...sm,m,...rm->...rs", diff, 1.0 / bundle.diffusion_coeffs, diff.conj()
@@ -270,7 +253,7 @@ def wigner_elements(state: CoherentMixture, xi_rotated, bundle: PropagatorBundle
 
 def moments(state: CoherentMixture, bundle: PropagatorBundle):
     """First and second moments: (<a_m>, <a_m^dag a_n>) of the evolved mixture."""
-    betas, weights, _ = _pair_weights(state)
+    betas, weights = _pair_weights(state)
     centers = (bundle.transition @ betas.T).T
     first = np.einsum("rs,sn->n", weights, centers)
     second = bundle.noise / 2.0 + np.einsum(

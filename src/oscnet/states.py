@@ -35,17 +35,26 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 
 
+def _log_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Log overlaps of coherent products: the (Ka, Kb) matrix of exponents
+    ``-|a_r|^2/2 - |b_s|^2/2 + conj(a_r) . b_s`` for amplitude rows a_r, b_s.
+
+    Every entry has real part ``-|a_r - b_s|^2 / 2 <= 0``.
+    """
+    norms_a = np.sum(np.abs(a) ** 2, axis=1)
+    norms_b = np.sum(np.abs(b) ** 2, axis=1)
+    return -0.5 * norms_a[:, None] - 0.5 * norms_b[None, :] + a.conj() @ b.T
+
+
 def coherent_overlap(a: np.ndarray, b: np.ndarray) -> complex:
     """Overlap <{a}|{b}> of two multimode coherent products.
 
-    The exponent ``sum(-|a|^2/2 - |b|^2/2 + conj(a)*b)`` is assembled before
-    exponentiating, so widely separated components do not underflow through
-    intermediate factors.
+    The exponent is assembled before exponentiating, so widely separated
+    components do not underflow through intermediate factors.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    exponent = np.sum(-0.5 * np.abs(a) ** 2 - 0.5 * np.abs(b) ** 2 + a.conj() * b)
-    return complex(np.exp(exponent))
+    a = np.asarray(a, dtype=complex).reshape(1, -1)
+    b = np.asarray(b, dtype=complex).reshape(1, -1)
+    return complex(np.exp(_log_overlaps(a, b)[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -85,12 +94,9 @@ class CoherentMixture:
 
 
 def _branch_norm(components: Sequence[CoherentComponent]) -> float:
-    total = 0.0 + 0.0j
-    for a in components:
-        for b in components:
-            total += a.coefficient.conjugate() * b.coefficient * coherent_overlap(
-                a.amplitudes, b.amplitudes
-            )
+    betas = np.array([c.amplitudes for c in components])
+    coeffs = np.array([c.coefficient for c in components])
+    total = complex(coeffs.conj() @ np.exp(_log_overlaps(betas, betas)) @ coeffs)
     if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
         raise ValidationError("branch norm is not real; check the component list")
     return float(total.real)

@@ -75,6 +75,35 @@ class TestValidation:
         assert proc.returncode == 0
         assert "config_hash" in proc.stdout
 
+    def test_malformed_axis_names_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_base_config()))
+        proc = _run_cli(
+            "sweep", str(path), "--axis", "network.n=a:64:8", "--out", str(tmp_path)
+        )
+        assert proc.returncode == 2
+        assert "--axis network.n" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_times_list_instead_of_object_names_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_base_config(times=[0.0, 1.0])))
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            proc = _run_cli(argv[0], str(path), *argv[1:])
+            assert proc.returncode == 2
+            assert "times:" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_wigner_time_index_out_of_range_names_field(self, tmp_path):
+        config = _base_config(outputs=["wigner_grid"])
+        config["wigner_grid"] = {"points": 3, "time_index": 50}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        proc = _run_cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "wigner_grid.time_index" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestRun:
     def test_tau_report_values(self, tmp_path):

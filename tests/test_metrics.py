@@ -311,7 +311,105 @@ def _free_model(n=2, coupling=0.2):
     return osc.build_model(net, res)
 
 
+def _plane_integral(stiffness, px, py, nodes):
+    """integral exp(-stiffness (x^2+y^2) + px x + py y) dx dy by Gauss-Hermite."""
+    u, w = np.polynomial.hermite.hermgauss(nodes)
+    x, w = u / math.sqrt(stiffness), w / math.sqrt(stiffness)
+    return (np.exp(np.asarray(px)[..., None] * x) @ w) * (
+        np.exp(np.asarray(py)[..., None] * x) @ w
+    )
+
+
+def _quadrature_concurrence(state, part_a, bundle, nodes=64):
+    """Reference concurrence by nested Gauss-Hermite quadrature of the joint
+    Wigner function (the B-modes integrated out of each pair term, then the
+    squared marginal integrated over the A-modes); at most three modes."""
+    branch = state.single_branch()
+    part_a = sorted(part_a)
+    part_b = [m for m in range(state.n_modes) if m not in part_a]
+    betas = np.array([c.amplitudes for c in branch.components])
+    coeffs = np.array([c.coefficient for c in branch.components])
+    centers = (bundle.transition @ betas.T).T
+    norms = np.sum(np.abs(betas) ** 2, axis=1)
+    overlap_exp = -0.5 * norms[:, None] - 0.5 * norms[None, :] + betas.conj() @ betas.T
+    pair_w = coeffs.conj()[:, None] * coeffs[None, :] * np.exp(overlap_exp)
+
+    ket = centers[None, :, :]
+    bra = centers[:, None, :].conj()
+    single = (2.0 / np.pi) * np.exp(-2.0 * ket * bra) * _plane_integral(
+        2.0, 2.0 * (ket + bra), 2.0j * (bra - ket), nodes
+    )
+    marg_b = np.prod(single[:, :, part_b], axis=2)
+
+    a_ket = centers[:, part_a]
+    sum_ket = a_ket[None, :, None, None, :] + a_ket[None, None, None, :, :]
+    sum_bra = (
+        a_ket.conj()[:, None, None, None, :] + a_ket.conj()[None, None, :, None, :]
+    )
+    const = (
+        a_ket[None, :, None, None, :] * a_ket.conj()[:, None, None, None, :]
+        + a_ket[None, None, None, :, :] * a_ket.conj()[None, None, :, None, :]
+    )
+    squared = (
+        np.pi
+        * (2.0 / np.pi) ** 2
+        * np.exp(-2.0 * const)
+        * _plane_integral(4.0, 2.0 * (sum_ket + sum_bra), 2.0j * (sum_bra - sum_ket), nodes)
+    )
+    over_a = np.prod(squared, axis=4)
+    total = np.einsum(
+        "rs,pq,rspq->", pair_w, pair_w,
+        over_a * marg_b[:, :, None, None] * marg_b[None, None, :, :],
+    )
+    return 1.0 - float(total.real)
+
+
 class TestConcurrence:
+    def test_matches_quadrature(self, rng):
+        for n in (2, 3):
+            model = _free_model(n)
+            for k in (2, 4):
+                vecs = 0.7 * (rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
+                coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+                state = osc.coherent_mixture([osc.coherent_superposition(coeffs, vecs)])
+                for t in (0.0, 0.7, 2.3):
+                    bundle = model.propagator.bundle(t)
+                    for cut in ([0], list(range(1, n))):
+                        assert abs(
+                            osc.concurrence(state, cut, bundle)
+                            - _quadrature_concurrence(state, cut, bundle)
+                        ) < 1e-12
+
+    def test_three_modes_evolved_against_oracle(self):
+        model = _free_model(3)
+        cat = osc.build_cat_family(3, 1, 0, 0.5)
+        space = osc.FockSpace(3, 6)
+        times = np.array([0.0, 1.0, 2.5])
+        snaps = osc.evolve_master(
+            osc.density_from_coherent(space, cat), model.hamiltonian,
+            np.zeros((3, 3)), np.zeros((3, 3)), times, space,
+        )
+        for snap in snaps:
+            bundle = model.propagator.bundle(snap.t)
+            for cut in ([0], [1], [0, 2]):
+                reduced = osc.oracle_partial_trace(snap.rho, cut, space)
+                expected = 1.0 - osc.oracle_purity(reduced)
+                assert abs(osc.concurrence(cat, cut, bundle) - expected) < 1e-8
+
+    def test_four_modes_against_oracle(self, rng):
+        # Beyond the three modes a mode-by-mode quadrature could reach.
+        vecs = rng.uniform(-0.2, 0.2, size=(3, 4)) + 1j * rng.uniform(-0.2, 0.2, size=(3, 4))
+        state = osc.coherent_mixture(
+            [osc.coherent_superposition([1.0, -0.8j, 0.6], vecs)]
+        )
+        bundle = _free_model(4).propagator.bundle(0.0)
+        space = osc.FockSpace(4, 6)
+        rho = osc.density_from_coherent(space, state)
+        for cut in ([0], [1, 3]):
+            reduced = osc.oracle_partial_trace(rho, cut, space)
+            expected = 1.0 - osc.oracle_purity(reduced)
+            assert abs(osc.concurrence(state, cut, bundle) - expected) < 1e-9
+
     def test_product_state(self):
         model = _free_model()
         state = osc.single_coherent_state([0.8 + 0.3j, -0.5 + 0.1j])

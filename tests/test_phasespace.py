@@ -213,13 +213,23 @@ class TestWigner:
 
     def test_elements_sum_to_full_value(self, pair_model):
         cat = osc.build_cat_family(2, 1, 1, 0.8 + 0.1j)
+        # A 16-component ring with one zero coefficient.
+        ring = osc.fock_state_ring([1, 1], points=4).branches[0].components
+        coeffs = [c.coefficient for c in ring]
+        coeffs[5] = 0.0
+        holed = osc.coherent_mixture(
+            [osc.coherent_superposition(coeffs, [c.amplitudes for c in ring])]
+        )
         bundle = pair_model.propagator.bundle(1.2)
         xi = np.array([0.4 - 0.2j, -0.1 + 0.5j])
         xi_rot = bundle.rotation.T @ xi
-        elements = osc.wigner_elements(cat, xi_rot, bundle)
-        assert_allclose(
-            elements.sum().real, osc.wigner(cat, xi, bundle), rtol=1e-10
-        )
+        for state in (cat, holed):
+            elements = osc.wigner_elements(state, xi_rot, bundle)
+            assert_allclose(
+                elements.sum().real, osc.wigner(state, xi, bundle), rtol=1e-10
+            )
+        assert elements.shape == (16, 16)
+        assert not elements[5].any() and not elements[:, 5].any()
 
 
 class TestWignerFromChar:
