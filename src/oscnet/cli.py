@@ -10,12 +10,22 @@ Verbs:
 
 Outputs are deterministic for identical configs.  ``sweep`` runs its points
 sequentially in process; ``--serial`` is accepted and has no effect.  Every
-file starts with a header block carrying the config hash and package version.
+file starts with a header block carrying the config hash and package version;
+CSV rows are streamed to a temporary file in blocks and renamed into place.
+
+``run`` and ``sweep`` pin every mapped OpenBLAS to one thread while they run
+and restore the earlier count afterwards: their work is many small dense
+eigensolves and products, where the thread pool's hand-offs cost more than
+the flops.  Setting ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS`` turns the pin off.  ``dcoef`` and ``entropy_curve`` share
+one pass over the times, building each time's propagator bundle once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import itertools
 import json
@@ -213,7 +223,10 @@ def _parse_times(config) -> np.ndarray:
     if not isinstance(node, dict):
         raise ConfigError("times", "expected an object with 'list' or start/stop/steps")
     if "list" in node:
-        times = np.asarray([float(t) for t in node["list"]], dtype=float)
+        try:
+            times = np.asarray([float(t) for t in node["list"]], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("times.list", "expected a list of numbers") from None
     else:
         start = float(node.get("start", 0.0))
         stop = float(node.get("stop", 0.0))
@@ -261,25 +274,32 @@ def config_hash(config: dict) -> str:
 # Output writers
 
 
-def _header_lines(config):
-    return [
-        f"# oscnet {__version__}",
-        f"# config_hash {config_hash(config)}",
-    ]
-
-
 def _write_atomic(path: Path, text: str):
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, config, columns, rows):
-    lines = _header_lines(config)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(map(_format_value, row)))
-    _write_atomic(path, "\n".join(lines) + "\n")
+# Rows formatted per write: the table's text never sits in memory whole.
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: Path, config, columns, rows, digest=None):
+    """Write the header, the column names and ``rows`` to ``path`` atomically.
+
+    ``digest`` is ``config_hash(config)``, passed in by callers that write
+    several artifacts of one config.
+    """
+    if digest is None:
+        digest = config_hash(config)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp, "w") as out:
+        out.write(f"# oscnet {__version__}\n# config_hash {digest}\n")
+        out.write(",".join(columns) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start : start + _CSV_BLOCK_ROWS]
+            out.write("".join(",".join(map(_format_value, row)) + "\n" for row in block))
+    os.replace(tmp, path)
 
 
 def _format_value(value):
@@ -297,10 +317,10 @@ def _json_time(value: float):
     return "inf" if math.isinf(value) else value
 
 
-def _write_tau_report(path: Path, config, state, model: Model, times):
+def _write_tau_report(path: Path, digest: str, state, model: Model, times):
     report = decoherence_report(state, model, times)
     payload = {
-        "meta": {"oscnet": __version__, "config_hash": config_hash(config)},
+        "meta": {"oscnet": __version__, "config_hash": digest},
         "tau_diff": _json_time(report.tau_diff),
         "tau_directional": [_json_time(t) for t in report.tau_directional],
         "tau_int": _json_time(report.tau_int),
@@ -311,25 +331,30 @@ def _write_tau_report(path: Path, config, state, model: Model, times):
     return payload
 
 
-def _write_dcoef(path: Path, config, model: Model, times):
-    rows = []
-    for t in times:
+def _time_curves(state, model: Model, times, outputs) -> dict:
+    """The requested ``dcoef`` and ``entropy_curve`` tables, {kind: (columns, rows)}.
+
+    One pass over ``times`` builds each time's bundle once, feeds both tables
+    and drops it: keeping every bundle would hold several N x N complex
+    matrices per time for no further use.
+    """
+    rows = {kind: [] for kind in ("dcoef", "entropy_curve") if kind in outputs}
+    for t in times if rows else ():
         bundle = model.propagator.bundle(t)
-        rows.append([t, *bundle.diffusion_coeffs])
-    n = model.network.n
-    _write_csv(path, config, ["t"] + [f"d{m + 1}" for m in range(n)], rows)
+        if "dcoef" in rows:
+            rows["dcoef"].append([t, *bundle.diffusion_coeffs])
+        if "entropy_curve" in rows:
+            rows["entropy_curve"].append([t, linear_entropy(state, bundle)])
+    columns = {
+        "dcoef": ["t"] + [f"d{m + 1}" for m in range(model.network.n)],
+        "entropy_curve": ["t", "linear_entropy"],
+    }
+    return {kind: (columns[kind], table) for kind, table in rows.items()}
 
 
-def _write_entropy_curve(path: Path, config, state, model: Model, times):
-    rows = []
-    for t in times:
-        rows.append([t, linear_entropy(state, model.propagator.bundle(t))])
-    _write_csv(path, config, ["t", "linear_entropy"], rows)
-
-
-def _write_wigner_grid(path: Path, config, state, model: Model, times):
+def _wigner_table(config, state, model: Model, times):
     node = _get(config, "wigner_grid", {}) or {}
-    points = node.get("points", 41)
+    points = _positive_int(node.get("points", 41), "wigner_grid.points")
     n = model.network.n
     default_range = [-3.0, 3.0, -3.0, 3.0]
     ranges = node.get("ranges", [default_range] * n)
@@ -347,8 +372,7 @@ def _write_wigner_grid(path: Path, config, state, model: Model, times):
         columns += [f"re_xi{m + 1}", f"im_xi{m + 1}"]
     columns.append("wigner")
     # Plain Python floats format faster than per-row lists of numpy scalars.
-    rows = np.column_stack([coords, values]).tolist()
-    _write_csv(path, config, columns, rows)
+    return columns, np.column_stack([coords, values]).tolist()
 
 
 def _default_eta_grid(n):
@@ -357,7 +381,7 @@ def _default_eta_grid(n):
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
-def _write_oracle_compare(path: Path, config, state, model: Model, times):
+def _oracle_table(config, state, model: Model, times):
     node = _get(config, "oracle", {}) or {}
     largest_amp = max(
         float(np.max(np.abs(c.amplitudes)))
@@ -399,36 +423,73 @@ def _write_oracle_compare(path: Path, config, state, model: Model, times):
                 abs(purity_model - oracle_purity(snapshot.rho)),
             ]
         )
-    _write_csv(
-        path,
-        config,
-        ["t", "max_chi_err", "max_first_moment_err", "max_second_moment_err", "purity_err"],
-        rows,
-    )
+    columns = ["t", "max_chi_err", "max_first_moment_err", "max_second_moment_err", "purity_err"]
+    return columns, rows
 
 
+# ---------------------------------------------------------------------------
+# Commands
+
+# Any of these, when set, leaves the BLAS thread count to the user.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every mapped OpenBLAS on one thread, then restore.
+
+    A command is a chain of small dense problems (N up to a few hundred), on
+    which OpenBLAS's thread pool costs more in hand-offs than it gains.  numpy
+    and scipy each map their own OpenBLAS; each is found in /proc/self/maps
+    and set through ``openblas_set_num_threads_local``, which returns the
+    count it replaces (in the pthreads builds the wheels ship, that count is
+    process-wide).  Does nothing when a thread-count variable is set, without
+    /proc, or when no mapped library has the symbol (MKL, Accelerate).
+    """
+    setters = []
+    if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        try:
+            with open("/proc/self/maps") as maps:
+                paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+        except OSError:
+            paths = set()
+        for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+            try:
+                setter = ctypes.CDLL(path).openblas_set_num_threads_local
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+            setters.append(setter)
+    previous = [setter(1) for setter in setters]
+    try:
+        yield
+    finally:
+        for setter, count in zip(setters, previous):
+            setter(count)
+
+
+@_one_blas_thread()
 def run_config(config: dict, out_dir: Path) -> dict:
     """Execute one validated config; returns {output kind: file path}."""
     network, reservoirs, regime, state, times, outputs = parse_config(config)
     model = build_model(network, reservoirs, regime)
     out_dir.mkdir(parents=True, exist_ok=True)
+    digest = config_hash(config)
+    tables = _time_curves(state, model, times, outputs)
     written = {}
     for kind in outputs:
         if kind == "tau_report":
             path = out_dir / "tau_report.json"
-            _write_tau_report(path, config, state, model, times)
-        elif kind == "dcoef":
-            path = out_dir / "dcoef.csv"
-            _write_dcoef(path, config, model, times)
-        elif kind == "entropy_curve":
-            path = out_dir / "entropy_curve.csv"
-            _write_entropy_curve(path, config, state, model, times)
-        elif kind == "wigner_grid":
-            path = out_dir / "wigner_grid.csv"
-            _write_wigner_grid(path, config, state, model, times)
+            _write_tau_report(path, digest, state, model, times)
         else:
-            path = out_dir / "oracle_compare.csv"
-            _write_oracle_compare(path, config, state, model, times)
+            path = out_dir / f"{kind}.csv"
+            if kind in tables:
+                columns, rows = tables[kind]
+            elif kind == "wigner_grid":
+                columns, rows = _wigner_table(config, state, model, times)
+            else:
+                columns, rows = _oracle_table(config, state, model, times)
+            _write_csv(path, config, columns, rows, digest)
         written[kind] = str(path)
     return written
 
@@ -481,6 +542,7 @@ def _sweep_metrics(config: dict) -> list[tuple[str, float]]:
     ]
 
 
+@_one_blas_thread()
 def run_sweep(config: dict, axes, out_dir: Path, serial: bool) -> Path:
     """Cross-product sweep over one or two axes; long-form CSV output.
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import NoBracket, ValidationError
 from .phasespace import _pair_weights
@@ -165,7 +164,9 @@ def interference_decay_time(
     for left, right in zip(t_grid, t_grid[1:]):
         f_right = gap(right)
         if f_left > 0 >= f_right:
-            return scipy.optimize.brentq(gap, left, right, rtol=rtol)
+            from scipy.optimize import brentq
+
+            return brentq(gap, left, right, rtol=rtol)
         f_left = f_right
     if first <= 0:
         raise ValidationError("grid starts past the crossing; start earlier")

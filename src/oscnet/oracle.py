@@ -23,8 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.sparse
 
 from .errors import CutoffOverflow, ValidationError
 from .states import CoherentMixture, FockMixture
@@ -205,6 +203,8 @@ def _generator(space: FockSpace, hamiltonian, damping, diffusion) -> scipy.spars
     the symmetrized loss and gain weights.  Each term is a Kronecker product
     through ``vec(A rho B) = (A kron B^T) vec(rho)``.
     """
+    import scipy.sparse
+
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     damping = np.asarray(damping, dtype=float)
     diffusion = np.asarray(diffusion, dtype=float)
@@ -293,7 +293,9 @@ def evolve_master(
     if t_span[1] == 0.0:
         snapshots = [rho0]
     else:
-        solution = scipy.integrate.solve_ivp(
+        from scipy.integrate import solve_ivp
+
+        solution = solve_ivp(
             f,
             t_span,
             rho0.reshape(-1),

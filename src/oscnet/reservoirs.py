@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.integrate
 
 from .errors import ValidationError
 from .network import NetworkSpec, NormalModes
@@ -210,12 +209,14 @@ def profile_overlap(p: Profile, q: Profile) -> float:
     lo, hi = sorted([p.center, q.center])
     breaks = [0.0, max(lo, 0.0), max(hi, 0.0)]
 
+    from scipy.integrate import quad
+
     def integrate(f):
         total = 0.0
         for a, b in zip(breaks[:-1], breaks[1:]):
             if b > a:
-                total += scipy.integrate.quad(f, a, b, limit=200)[0]
-        total += scipy.integrate.quad(f, breaks[-1], np.inf, limit=200)[0]
+                total += quad(f, a, b, limit=200)[0]
+        total += quad(f, breaks[-1], np.inf, limit=200)[0]
         return total
 
     cross = integrate(lambda nu: np.sqrt(fp(nu) * fq(nu)))

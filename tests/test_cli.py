@@ -1,14 +1,16 @@
+import ctypes
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
-from oscnet import cli, phasespace
+from oscnet import cli, phasespace, propagation
 from oscnet.cli import canonical_json, config_hash, parse_config, run_config, run_sweep
 from oscnet.errors import ConfigError
 
@@ -33,6 +35,32 @@ def _run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "oscnet", *args], capture_output=True, text=True
     )
+
+
+def _mapped_openblas():
+    """Thread-count setters of the OpenBLAS libraries mapped into this process."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return []
+    setters = []
+    for path in sorted({line.split()[-1] for line in maps if "openblas" in line}):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(setter)
+    return setters
+
+
+def _thread_counts(setters):
+    counts = []
+    for setter in setters:
+        count = setter(1)  # the setter returns the count it replaces
+        setter(count)
+        counts.append(count)
+    return counts
 
 
 class TestValidation:
@@ -104,6 +132,24 @@ class TestValidation:
         assert "wigner_grid.time_index" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_non_numeric_times_list_entry_names_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_base_config(times={"list": [0.0, "a", 2.0]})))
+        proc = _run_cli("validate", str(path))
+        assert proc.returncode == 2
+        assert "times.list" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_integer_wigner_points_names_field(self, tmp_path):
+        config = _base_config(outputs=["wigner_grid"])
+        config["wigner_grid"] = {"points": "x"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        proc = _run_cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "wigner_grid.points" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestRun:
     def test_tau_report_values(self, tmp_path):
@@ -143,6 +189,22 @@ class TestRun:
         entropy = (tmp_path / "entropy_curve.csv").read_text().splitlines()
         values = [float(line.split(",")[1]) for line in entropy[3:]]
         assert values[0] < 1e-10 and values[-1] > 0.1
+
+    def test_curves_build_one_bundle_per_time(self, tmp_path, monkeypatch):
+        times = []
+        original = propagation.Propagator.bundle
+
+        def counting(self, t):
+            times.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(propagation.Propagator, "bundle", counting)
+        config = _base_config(
+            network={"n": 2, "omega": 1.0, "coupling": 0.2},
+            outputs=["dcoef", "entropy_curve"],
+        )
+        run_config(config, tmp_path)
+        assert times == list(np.linspace(0.0, 40.0, 50))
 
     def test_wigner_grid_columns(self, tmp_path):
         config = _base_config(outputs=["wigner_grid"])
@@ -212,6 +274,16 @@ class TestRun:
         body = path.read_text().splitlines()[3:]
         assert body == [",".join(earlier(v) for v in row) for row in rows]
 
+    def test_csv_blocks_do_not_change_bytes(self, tmp_path, monkeypatch):
+        table = np.linspace(-1.0, 1.0, 30).reshape(10, 3) ** 3
+        whole = tmp_path / "whole.csv"
+        cli._write_csv(whole, _base_config(), ["a", "b", "c"], table.tolist())
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+        blocks = tmp_path / "blocks.csv"
+        cli._write_csv(blocks, _base_config(), ["a", "b", "c"], table.tolist())
+        assert blocks.read_bytes() == whole.read_bytes()
+        assert not (tmp_path / "blocks.csv.tmp").exists()
+
     def test_cli_run_exit_codes(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(_base_config()))
@@ -220,6 +292,64 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert _run_cli("run", str(bad)).returncode == 2
+
+
+class TestBlasThreads:
+    COMMANDS = {
+        "run": lambda out: run_config(_base_config(), out),
+        "sweep": lambda out: run_sweep(_base_config(), [], out, serial=True),
+    }
+
+    def _counts_inside_and_after(self, command, tmp_path, monkeypatch):
+        """Thread counts seen while ``command`` builds its model, and after it.
+
+        Every mapped OpenBLAS is set to 2 threads first, so a pin to one
+        thread and its undoing both show.
+        """
+        setters = _mapped_openblas()
+        if not setters:
+            pytest.skip("no mapped OpenBLAS has openblas_set_num_threads_local")
+        inside = []
+        original = cli.build_model
+
+        def observing(*args, **kwargs):
+            inside.append(_thread_counts(setters))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_model", observing)
+        earlier = [setter(2) for setter in setters]
+        try:
+            self.COMMANDS[command](tmp_path)
+            after = _thread_counts(setters)
+        finally:
+            for setter, count in zip(setters, earlier):
+                setter(count)
+        return len(setters), inside, after
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_pins_one_thread_and_restores(self, command, tmp_path, monkeypatch):
+        for name in cli._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        n_libs, inside, after = self._counts_inside_and_after(command, tmp_path, monkeypatch)
+        assert inside == [[1] * n_libs]
+        assert after == [2] * n_libs
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_thread_variable_leaves_count_alone(self, command, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        n_libs, inside, after = self._counts_inside_and_after(command, tmp_path, monkeypatch)
+        assert inside == [[2] * n_libs]
+        assert after == [2] * n_libs
+
+
+class TestStartup:
+    def test_import_leaves_heavy_scipy_modules_unloaded(self):
+        lazy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+        code = f"import sys, oscnet.cli; print([m for m in {lazy!r} if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSweep:
