@@ -21,6 +21,7 @@ from .errors import (
     NullState,
     OscnetError,
     QuadratureNotConverged,
+    RootNotConverged,
     SingularSystem,
     SingularWidth,
     ValidationError,

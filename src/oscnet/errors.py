@@ -47,6 +47,10 @@ class NoBracket(OscnetError):
     """Root not bracketed on the supplied time grid; extend the grid."""
 
 
+class RootNotConverged(OscnetError):
+    """A root finder ran out of iterations before meeting its tolerance."""
+
+
 class CutoffOverflow(OscnetError):
     """Truncated Fock space is too small for the requested state or evolution."""
 

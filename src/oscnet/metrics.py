@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import NoBracket, ValidationError
+from .errors import NoBracket, RootNotConverged, ValidationError
 from .phasespace import _pair_weights
 from .propagation import Model, Propagator, PropagatorBundle
 from .states import CoherentMixture, _log_overlaps
@@ -90,10 +89,12 @@ def _component_pair(state: CoherentMixture, r: int, s: int, branch: int):
 def _decay_exponent(delta: np.ndarray, bundle: PropagatorBundle) -> float:
     # In the rotated frame the reduced norm is sum_m |(U^T y)_m|^2 / D_m with
     # y = T delta; since W = U diag(D) U^dag this equals y^T W^-1 conj(y),
-    # which a Cholesky solve gives without diagonalizing W.
+    # which is |L^-1 conj(y)|^2 for the Cholesky factor W = L L^dag, so W is
+    # never diagonalized.  A W that is not positive definite raises LinAlgError.
     moved = bundle.transition @ delta
-    factor = scipy.linalg.cho_factor(bundle.wigner_width)
-    reduced = (moved @ scipy.linalg.cho_solve(factor, moved.conj())).real
+    lower = np.linalg.cholesky(bundle.wigner_width)
+    solved = np.linalg.solve(lower, moved.conj())
+    reduced = np.vdot(solved, solved).real
     return float(-2.0 * (np.sum(np.abs(delta) ** 2) - reduced))
 
 
@@ -121,6 +122,57 @@ def _gap(delta: np.ndarray, bundle: PropagatorBundle) -> float:
     )
 
 
+_BRENT_XTOL = 2e-12  # brentq's default absolute tolerance
+
+
+def _brentq(f, xa, xb, fa, fb, rtol, maxiter=100):
+    # Brent's method (Brent 1973, ch. 4) ported line for line from scipy's
+    # brentq.c, so it takes the same iterates; fa = f(xa) and fb = f(xb) come
+    # from the caller, which has evaluated them already.
+    if rtol < 4 * np.finfo(float).eps:
+        raise ValidationError(f"rtol too small ({rtol:g} < 4 eps)")
+    xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoBracket("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        signs_differ = math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        if fpre != 0 and fcur != 0 and signs_differ:
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RootNotConverged(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def interference_decay_time(
     state: CoherentMixture,
     r: int,
@@ -145,9 +197,10 @@ def interference_decay_time(
     this law, valid for large |alpha|^2; this function returns the exact root.
 
     The grid is scanned up to its first sign change, and the crossing in that
-    interval is found by Brent's method (:func:`scipy.optimize.brentq`) to
-    relative tolerance ``rtol`` (and brentq's default absolute tolerance
-    ``xtol``).  If the grid ends with the gap still
+    interval is found by Brent's method, ported from scipy's ``brentq`` (same
+    iterates), to relative tolerance ``rtol`` and brentq's default absolute
+    tolerance ``xtol = 2e-12``; the scan's values at the interval ends are
+    reused, not recomputed.  If the grid ends with the gap still
     positive, the t -> infinity limit decides between a genuinely absent
     crossing (``inf``) and a too-short grid (:class:`NoBracket`).
     """
@@ -164,9 +217,7 @@ def interference_decay_time(
     for left, right in zip(t_grid, t_grid[1:]):
         f_right = gap(right)
         if f_left > 0 >= f_right:
-            from scipy.optimize import brentq
-
-            return brentq(gap, left, right, rtol=rtol)
+            return _brentq(gap, left, right, f_left, f_right, rtol)
         f_left = f_right
     if first <= 0:
         raise ValidationError("grid starts past the crossing; start earlier")

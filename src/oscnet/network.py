@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DefectiveMatrix,
@@ -143,7 +142,7 @@ def normal_modes(h: np.ndarray) -> NormalModes:
     scale = max(1.0, float(np.max(np.abs(h))))
     if np.max(np.abs(h - h.T)) > _SYMMETRY_TOL * scale:
         raise ValidationError("coupling matrix must be symmetric")
-    freqs, vecs = scipy.linalg.eigh(h)
+    freqs, vecs = np.linalg.eigh(h)
     if freqs[0] <= 0:
         raise NonPositiveNormalMode(
             f"smallest normal-mode frequency {freqs[0]:.6g} is not positive"
@@ -194,7 +193,7 @@ def dissipative_matrix(h: np.ndarray, damping: np.ndarray) -> DissipativeMatrix:
     if damping.shape != h.shape:
         raise ValidationError("damping matrix must match the coupling matrix shape")
     hd = damping / 2.0 + 1j * h
-    values, vectors = scipy.linalg.eig(hd)
+    values, vectors = np.linalg.eig(hd)
     order = np.lexsort((values.real, values.imag))
     values = values[order]
     vectors = vectors[:, order]

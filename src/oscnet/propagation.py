@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 from .network import (
@@ -140,7 +139,7 @@ def rotate_frame(wigner_width: np.ndarray):
         keys = np.round(diag / (1e-12 * scale))
         order = np.argsort(keys, kind="stable")
         return np.eye(n, dtype=complex)[:, order], diag[order]
-    coeffs, vectors = scipy.linalg.eigh(width)
+    coeffs, vectors = np.linalg.eigh(width)
     rotation = _fix_column_phases(vectors)
     return rotation, coeffs
 

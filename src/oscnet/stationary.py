@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularSystem, ValidationError
 from .network import DissipativeMatrix
@@ -143,6 +142,8 @@ def _solve_pi_sylvester(dis: DissipativeMatrix, diffusion: np.ndarray) -> Statio
     # Bartels-Stewart on the Schur forms of conj(G) and G.T: O(N^3), and
     # indifferent to how well conditioned the eigenvectors of G are.  Only
     # reached after solve_pi_eigen has passed the spectral-gap check.
+    import scipy.linalg
+
     g = dis.matrix
     pi = scipy.linalg.solve_sylvester(g.conj(), g.T, _symmetrized(diffusion))
     return _validated(pi, dis, diffusion)

@@ -344,12 +344,43 @@ class TestBlasThreads:
 
 class TestStartup:
     def test_import_leaves_heavy_scipy_modules_unloaded(self):
-        lazy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+        lazy = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse")
         code = f"import sys, oscnet.cli; print([m for m in {lazy!r} if m in sys.modules])"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_gaussian_run_loads_no_scipy(self, tmp_path):
+        # Mixed white-noise and Lorentzian baths, every Gaussian output: the
+        # whole run path is numpy-only.
+        config = _base_config(
+            network={"n": 2, "omega": [1.0, 1.1], "coupling": 0.05},
+            reservoirs={
+                "temperature": [0.9, 0.6],
+                "profile": [
+                    {"kind": "white", "gamma": 0.05},
+                    {"kind": "lorentzian", "gamma": 0.05, "center": 1.0, "width": 0.5},
+                ],
+            },
+            times={"start": 0.0, "stop": 40.0, "steps": 20},
+            outputs=["tau_report", "dcoef", "entropy_curve", "wigner_grid"],
+            wigner_grid={"points": 3},
+        )
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from oscnet.cli import run_config\n"
+            f"written = run_config({config!r}, Path({str(tmp_path / 'out')!r}))\n"
+            "print(sorted(written))\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        outputs, loaded = proc.stdout.strip().splitlines()
+        assert outputs == repr(sorted(config["outputs"]))
+        assert loaded == "[]"
 
 
 class TestSweep:

@@ -1,9 +1,12 @@
-"""Equivalence and guard tests for the O(N^3) and eigensolve-free paths.
+"""Equivalence and guard tests for the O(N^3), eigensolve-free and numpy-only paths.
 
 Each fast path is checked against the formula it replaced, written out here
 as the reference: the O(N^4) rate einsum, the rotated-frame decay exponent,
-the grid-plus-bisection interference time, and the dense vec solve behind the
-stationary fallback.  The guard tests pin down the work the fast paths skip.
+the grid-plus-bisection interference time, the dense vec solve behind the
+stationary fallback, and the scipy eigensolvers, Cholesky solve and
+``brentq`` that numpy and a ported Brent root replaced (these tests import
+scipy; the package's Gaussian path does not).  The guard tests pin down the
+work the fast paths skip.
 """
 
 import dataclasses
@@ -11,11 +14,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 import oscnet as osc
 from oscnet import metrics, propagation, reservoirs, stationary
-from oscnet.errors import ValidationError
+from oscnet.errors import NoBracket, RootNotConverged, ValidationError
 
 from conftest import white_model
 
@@ -243,3 +248,165 @@ class TestStationaryFallback:
         assert np.max(np.abs(width.matrix - expected)) <= 1e-12
         assert np.max(np.abs(expected)) > 1e-3
         assert vec_calls == []
+
+
+def _bracketed_family(rng, count):
+    # Smooth functions whose one sign change is a root inside a random
+    # bracket, over widely different scales; half the brackets are reversed.
+    for i in range(count):
+        root = rng.uniform(-1.0, 1.0)
+        k, c = rng.uniform(0.5, 20.0), rng.uniform(0.0, 3.0)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        shape = i % 3
+
+        def f(x, r=root, k=k, c=c, s=scale, shape=shape):
+            if shape == 0:
+                return s * (math.tanh(k * (x - r)) + c * (x - r) ** 3)
+            if shape == 1:
+                return s * math.expm1(k * (x - r))
+            return s * (x - r) * (1.0 + c * math.sin(k * x) ** 2)
+
+        a, b = root - rng.uniform(0.01, 3.0), root + rng.uniform(0.01, 3.0)
+        if i % 2:
+            a, b = b, a
+        yield f, a, b
+
+
+class TestBrentPort:
+    @pytest.mark.parametrize("rtol", [1e-8, 1e-12, 4 * np.finfo(float).eps])
+    def test_matches_scipy_brentq_exactly(self, rtol):
+        rng = np.random.default_rng(7)
+        compared = 0
+        for f, a, b in _bracketed_family(rng, 1200):
+            fa, fb = f(a), f(b)
+            if fa == 0 or fb == 0:
+                continue
+            assert metrics._brentq(f, a, b, fa, fb, rtol) == scipy.optimize.brentq(
+                f, a, b, rtol=rtol
+            )
+            compared += 1
+        assert compared >= 1000
+
+    def test_zero_at_an_end_returns_that_end_unevaluated(self):
+        def f(x):
+            raise AssertionError("an end value of zero needs no evaluation")
+
+        assert metrics._brentq(f, 0.5, 2.0, 0.0, 1.0, 1e-8) == 0.5
+        assert metrics._brentq(f, 0.5, 2.0, -1.0, 0.0, 1e-8) == 2.0
+
+    def test_same_signs_or_tiny_rtol_rejected(self):
+        with pytest.raises(NoBracket):
+            metrics._brentq(math.cos, 0.0, 1.0, 1.0, math.cos(1.0), 1e-8)
+        with pytest.raises(ValidationError):
+            metrics._brentq(math.sin, -1.0, 1.0, math.sin(-1.0), math.sin(1.0), 1e-16)
+
+    def test_iteration_cap_raises_typed_error(self):
+        f = lambda x: math.tanh(8.0 * (x - 0.3)) + 0.2 * (x - 0.3) ** 3
+        a, b = -2.0, 3.0
+        needed = next(
+            m
+            for m in range(1, 100)
+            if scipy.optimize.brentq(f, a, b, maxiter=m, full_output=True, disp=False)[
+                1
+            ].converged
+        )
+        assert needed > 2
+        expected = scipy.optimize.brentq(f, a, b, maxiter=needed)
+        assert metrics._brentq(f, a, b, f(a), f(b), 1e-8, maxiter=needed) == expected
+        with pytest.raises(RootNotConverged):
+            metrics._brentq(f, a, b, f(a), f(b), 1e-8, maxiter=needed - 1)
+
+    def test_interference_time_evaluates_each_time_once(self, monkeypatch):
+        model = white_model(n=3, coupling=0.1, gamma=0.05, nbar=0.5)
+        state = osc.build_cat_family(3, 1, 1, 1.0)
+        grid = np.linspace(0.0, 200.0, 40)
+        times = []
+        original = osc.Propagator.bundle
+
+        def counting(self, t):
+            times.append(float(t))
+            return original(self, t)
+
+        monkeypatch.setattr(osc.Propagator, "bundle", counting)
+        tau = osc.interference_decay_time(state, 0, 1, model.propagator, grid)
+        assert grid[0] < tau < grid[-1]
+        scanned = int(np.searchsorted(grid, tau)) + 1
+        assert times[:scanned] == grid[:scanned].tolist()
+        assert len(set(times)) == len(times) > scanned
+
+
+def _sized_lorentzian_model(rng, n):
+    # Couplings shrink with N so large networks stay in a physical regime.
+    net = _random_network(rng, n, coupling=min(0.05, 0.5 / n))
+    return osc.build_model(net, _lorentzian_reservoirs(rng, n))
+
+
+def _sorted_eigvals(matrix):
+    values = scipy.linalg.eigvals(matrix)
+    return values[np.lexsort((values.real, values.imag))]
+
+
+class TestNumpyEigensolvers:
+    @pytest.mark.parametrize("n", [2, 10, 150])
+    def test_eigenvalues_match_scipy(self, rng, n):
+        model = _sized_lorentzian_model(rng, n)
+        h = model.hamiltonian
+        _assert_rel(osc.normal_modes(h).frequencies, scipy.linalg.eigvalsh(h), 1e-12)
+        dis = osc.dissipative_matrix(h, model.rates.damping)
+        _assert_rel(dis.eigenvalues, _sorted_eigvals(dis.matrix), 1e-12)
+        width = model.propagator.bundle(6.0).wigner_width
+        assert np.max(np.abs(width - np.diag(np.diag(width)))) > 1e-10
+        _, coeffs = propagation.rotate_frame(width)
+        _assert_rel(coeffs, scipy.linalg.eigvalsh(width), 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 10, 150])
+    def test_decay_exponent_matches_scipy_cholesky(self, rng, n):
+        model = _sized_lorentzian_model(rng, n)
+        delta = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for t in (0.7, 6.0, 40.0):
+            bundle = model.propagator.bundle(t)
+            # The scipy cho_factor / cho_solve form the numpy Cholesky replaced.
+            moved = bundle.transition @ delta
+            factor = scipy.linalg.cho_factor(bundle.wigner_width)
+            reduced = (moved @ scipy.linalg.cho_solve(factor, moved.conj())).real
+            expected = float(-2.0 * (np.sum(np.abs(delta) ** 2) - reduced))
+            actual = metrics._decay_exponent(delta, bundle)
+            assert abs(actual - expected) <= 1e-13 * max(1.0, abs(expected)), t
+
+    def test_non_positive_width_raises(self):
+        model = white_model(n=2, coupling=0.1, gamma=0.05, nbar=0.5)
+        bundle = dataclasses.replace(
+            model.propagator.bundle(1.0), wigner_width=np.diag([1.0, -1.0])
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            metrics._decay_exponent(np.array([1.0, 0.5j]), bundle)
+
+    @pytest.mark.parametrize("regime", ["weak", "strong"])
+    def test_degenerate_network_matches_scipy_values(self, monkeypatch, regime):
+        # All-to-all couplings leave an (N-1)-fold degenerate normal mode, so
+        # the two eigensolvers may pick different bases of it; the physics
+        # must not notice.
+        n = 5
+        net = osc.degenerate_symmetric_network(n, 1.0, 0.03)
+        res = osc.ReservoirSpec(
+            temperatures=np.linspace(0.4, 1.2, n),
+            profiles=tuple(osc.WhiteNoise(g) for g in np.linspace(0.02, 0.06, n)),
+        )
+        state = osc.build_cat_family(n, 2, 1, 1.0)
+        times = (0.0, 0.5, 6.0, 40.0)
+
+        def curves():
+            model = osc.build_model(net, res, regime=regime)
+            bundles = [model.propagator.bundle(t) for t in times]
+            return (
+                np.array([b.diffusion_coeffs for b in bundles]),
+                np.array([osc.linear_entropy(state, b) for b in bundles]),
+            )
+
+        dcoef, entropy = curves()
+        monkeypatch.setattr(np.linalg, "eigh", scipy.linalg.eigh)
+        monkeypatch.setattr(np.linalg, "eig", scipy.linalg.eig)
+        scipy_dcoef, scipy_entropy = curves()
+        _assert_rel(dcoef, scipy_dcoef, 1e-12)
+        assert np.max(entropy) > 1e-3
+        assert np.max(np.abs(entropy - scipy_entropy)) <= 1e-12
