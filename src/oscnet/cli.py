@@ -444,12 +444,13 @@ def _one_blas_thread():
     ``openblas_set_num_threads_local``, which returns the count it replaces
     (in the pthreads builds the wheels ship, that count is process-wide).  A
     Gaussian run uses numpy alone, so numpy's copy is the one mapped and the
-    pin covers it.  scipy's wheel ships its own OpenBLAS, which is mapped
-    later, inside the body, and only by the Fock oracle, profile overlaps
-    (``quad``) or the Sylvester fallback; the maps are not scanned again, so
-    that copy keeps its own thread count.  Does nothing when a thread-count
-    variable is set, without /proc, or when no mapped library has the symbol
-    (MKL, Accelerate).
+    pin covers it, as it does for the Fock oracle, which uses only
+    ``scipy.sparse``.  scipy's wheel ships its own OpenBLAS, which is mapped
+    later, inside the body, and only by profile overlaps (``quad``) or the
+    Sylvester fallback; the maps are not scanned again, so that copy keeps
+    its own thread count.  Does nothing when a thread-count variable is set,
+    without /proc, or when no mapped library has the symbol (MKL,
+    Accelerate).
     """
     setters = []
     if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):

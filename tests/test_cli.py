@@ -382,6 +382,34 @@ class TestStartup:
         assert outputs == repr(sorted(config["outputs"]))
         assert loaded == "[]"
 
+    def test_oracle_run_loads_only_scipy_sparse(self, tmp_path):
+        # The Fock oracle builds its generator with scipy.sparse and steps it
+        # with its own Taylor action: no integrator, no sparse or dense linalg.
+        config = _base_config(
+            network={"n": 2, "omega": 1.0, "coupling": 0.2},
+            reservoirs={"temperature": 0.4, "profile": {"kind": "white", "gamma": 0.05}},
+            state={"kind": "cat", "r": 1, "s": 0, "alpha": 0.5},
+            times={"start": 0.0, "stop": 2.0, "steps": 3},
+            outputs=["oracle_compare"],
+            oracle={"n_max": 8},
+        )
+        heavy = ("scipy.integrate", "scipy.sparse.linalg", "scipy.linalg")
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from oscnet.cli import run_config\n"
+            f"run_config({config!r}, Path({str(tmp_path / 'out')!r}))\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        sparse_loaded, loaded = proc.stdout.strip().splitlines()
+        assert sparse_loaded == "True"
+        assert loaded == "[]"
+        assert (tmp_path / "out" / "oracle_compare.csv").exists()
+
 
 class TestSweep:
     def test_empty_axis_matches_run(self, tmp_path):

@@ -3,9 +3,11 @@
 The sparse generator and the per-mode characteristic function are checked
 against the dense formulas they replaced, written out here as the reference:
 the dense Lindblad right-hand side built from dim x dim ladder operators, and
-the dim x dim displacement polynomials.  The 3-mode check compares the
-Gaussian solution with the oracle at a size the dense integrator could not
-reach in test time.
+the dim x dim displacement polynomials.  The propagator action is checked
+against scipy's ``expm_multiply``, whose algorithm it ports, and against the
+dense exponential of the generator.  The 3-mode check compares the Gaussian
+solution with the oracle at a size the dense integrator could not reach in
+test time.
 """
 
 import types
@@ -16,6 +18,7 @@ from numpy.testing import assert_allclose
 
 import oscnet as osc
 from oscnet import oracle
+from oscnet.cli import parse_config
 from oscnet.errors import OscnetError, ValidationError
 
 from conftest import white_model
@@ -201,5 +204,100 @@ def test_three_mode_gaussian_solution_matches_oracle():
         ours = osc.char_function(state, etas, bundle)
         theirs = np.array([osc.oracle_char(snap.rho, eta, space) for eta in etas])
         assert np.max(np.abs(ours - theirs)) <= 1e-7
-        _, second = osc.moments(state, bundle)
+        first, second = osc.moments(state, bundle)
+        assert np.max(np.abs(first - osc.expect_lowering(snap.rho, space))) <= 1e-7
         assert np.max(np.abs(second - osc.expect_number_matrix(snap.rho, space))) <= 1e-7
+        purity = 1.0 - osc.linear_entropy(state, bundle)
+        assert abs(purity - osc.oracle_purity(snap.rho)) <= 1e-7
+
+
+@pytest.mark.parametrize("n_modes, n_max", [(1, 6), (2, 3)])
+@pytest.mark.parametrize("t", [0.05, 0.8, 7.5])
+def test_action_matches_expm_multiply(rng, n_modes, n_max, t):
+    from scipy.sparse.linalg import expm_multiply
+
+    space = osc.FockSpace(n_modes, n_max)
+    rates = _random_rates(rng, n_modes)
+    vec = _random_density(rng, space.dim).reshape(-1)
+    got = oracle._expm_action(*oracle._shifted_generator(space, *rates), vec, t)
+    generator = oracle._generator(space, *rates)
+    expected = expm_multiply(generator, vec, start=0.0, stop=t, num=2, endpoint=True)[1]
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _oracle_check_setup():
+    # The benchmark's oracle_check run: two detuned modes, cat |alpha| = 0.7,
+    # warm white-noise baths, n_max = 10 (dim 121), five times on [0, 4].
+    config = {
+        "network": {"n": 2, "omega": [0.93, 1.07], "coupling": 0.1},
+        "reservoirs": {"temperature": 0.4, "profile": {"kind": "white", "gamma": 0.05}},
+        "regime": "auto",
+        "state": {"kind": "cat", "r": 1, "s": 1, "alpha": [0.42, 0.56]},
+        "times": {"start": 0.0, "stop": 4.0, "steps": 5},
+        "outputs": ["oracle_compare"],
+    }
+    network, reservoirs, regime, state, times, _ = parse_config(config)
+    model = osc.build_model(network, reservoirs, regime)
+    space = osc.FockSpace(2, 10)
+    rates = (model.hamiltonian, model.rates.damping, model.rates.diffusion)
+    return space, osc.density_from_coherent(space, state), rates, times
+
+
+def test_evolution_equals_expm_multiply_on_benchmark_run():
+    from scipy.sparse.linalg import expm_multiply
+
+    space, rho0, rates, times = _oracle_check_setup()
+    snaps = osc.evolve_master(rho0, *rates, times, space)
+    generator = oracle._generator(space, *rates)
+    expected = expm_multiply(
+        generator, rho0.reshape(-1), start=0.0, stop=times[-1], num=times.size,
+        endpoint=True,
+    )
+    for snap, ref in zip(snaps, expected):
+        assert np.array_equal(snap.rho.reshape(-1), ref)
+
+
+def _dense_evolution(rho0, rates, times, space):
+    from scipy.linalg import expm
+
+    dense = oracle._generator(space, *rates).toarray()
+    return [(expm(dense * t) @ rho0.reshape(-1)).reshape(space.dim, space.dim) for t in times]
+
+
+DENSE_CASES = {
+    # One warm mode with a cat, and two cold coupled modes holding a weak
+    # coherent state, so that n_max = 3 keeps the cutoff population < 1e-6.
+    "1x8": (white_model(n=1, gamma=0.2, nbar=0.15), osc.build_cat_family(1, 1, 0, 0.6), (1, 8)),
+    "2x3": (
+        white_model(n=2, coupling=0.2, gamma=0.1, nbar=0.003),
+        osc.single_coherent_state([0.08, 0.05j]),
+        (2, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+@pytest.mark.parametrize("times", [[0.0, 0.4, 1.7, 6.0], [0.4, 1.7, 6.0]])
+def test_evolution_matches_dense_exponential(case, times):
+    model, state, shape = DENSE_CASES[case]
+    space = osc.FockSpace(*shape)
+    rho0 = osc.density_from_coherent(space, state)
+    rates = (model.hamiltonian, model.rates.damping, model.rates.diffusion)
+    snaps = osc.evolve_master(rho0, *rates, times, space)
+    assert [snap.t for snap in snaps] == times
+    for snap, expected in zip(snaps, _dense_evolution(rho0, rates, times, space)):
+        assert np.max(np.abs(snap.rho - expected)) <= 1e-12
+    if times[0] == 0.0:
+        assert np.array_equal(snaps[0].rho, rho0)
+
+
+def test_trace_kept_over_long_evolution():
+    model = white_model(n=1, gamma=0.1, nbar=0.05)
+    space = osc.FockSpace(1, 8)
+    rho0 = osc.density_from_coherent(space, osc.build_cat_family(1, 1, 0, 0.5))
+    rho0 = rho0 / np.trace(rho0).real
+    snaps = osc.evolve_master(
+        rho0, model.hamiltonian, model.rates.damping, model.rates.diffusion,
+        [60.0], space,
+    )
+    assert snaps[0].trace_defect < 1e-12
