@@ -287,19 +287,27 @@ _CSV_BLOCK_ROWS = 4096
 def _write_csv(path: Path, config, columns, rows, digest=None):
     """Write the header, the column names and ``rows`` to ``path`` atomically.
 
-    ``digest`` is ``config_hash(config)``, passed in by callers that write
-    several artifacts of one config.
+    ``rows`` is a list of rows, formatted in blocks of ``_CSV_BLOCK_ROWS``,
+    or an iterator of text blocks formatted already.  ``digest`` is
+    ``config_hash(config)``, passed in by callers that write several
+    artifacts of one config.
     """
     if digest is None:
         digest = config_hash(config)
+    blocks = _row_blocks(rows) if isinstance(rows, list) else rows
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w") as out:
         out.write(f"# oscnet {__version__}\n# config_hash {digest}\n")
         out.write(",".join(columns) + "\n")
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start : start + _CSV_BLOCK_ROWS]
-            out.write("".join(",".join(map(_format_value, row)) + "\n" for row in block))
+        for block in blocks:
+            out.write(block)
     os.replace(tmp, path)
+
+
+def _row_blocks(rows):
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[start : start + _CSV_BLOCK_ROWS]
+        yield "".join(",".join(map(_format_value, row)) + "\n" for row in block)
 
 
 def _format_value(value):
@@ -371,8 +379,31 @@ def _wigner_table(config, state, model: Model, times):
     for m in range(n):
         columns += [f"re_xi{m + 1}", f"im_xi{m + 1}"]
     columns.append("wigner")
-    # Plain Python floats format faster than per-row lists of numpy scalars.
-    return columns, np.column_stack([coords, values]).tolist()
+    return columns, _grid_blocks(coords, values)
+
+
+def _grid_blocks(coords, values):
+    """Text blocks of the Wigner table, each coordinate formatted once.
+
+    A grid column takes only ``points`` distinct values, so each distinct
+    value (by bit pattern, which keeps -0.0 apart from 0.0) is formatted
+    once and looked up per block; only the Wigner values are formatted per
+    row.  The text never covers more than one block of rows.
+    """
+    bits = coords.view(np.int64)
+    axes = []
+    for j in range(coords.shape[1]):
+        keys = np.unique(bits[:, j])
+        text = np.array([_format_value(v) for v in keys.view(float).tolist()], dtype=object)
+        axes.append((keys, text))
+    for start in range(0, values.size, _CSV_BLOCK_ROWS):
+        rows = slice(start, start + _CSV_BLOCK_ROWS)
+        fields = [
+            text[np.searchsorted(keys, bits[rows, j])].tolist()
+            for j, (keys, text) in enumerate(axes)
+        ]
+        fields.append(map(_format_value, values[rows].tolist()))
+        yield "".join(",".join(row) + "\n" for row in zip(*fields))
 
 
 def _default_eta_grid(n):

@@ -1,7 +1,8 @@
 """Decoherence metrics: diffusion times, interference decay, entropy, concurrence.
 
-Concurrence is a closed-form sum of coherent overlaps (dissipation-free,
-pure states), O(K^3) in the component count and unlimited in the mode count.
+The linear entropy is a log-space sum over one K x K Gram matrix, and
+concurrence a closed-form sum of coherent overlaps (dissipation-free, pure
+states); both are O(K^3) in the component count.
 
 Times may be infinite (zero temperature, decoherence-free component pairs,
 single-component states); they are plain floats with ``math.inf`` as the
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import phasespace
 from .errors import NoBracket, RootNotConverged, ValidationError
-from .phasespace import _pair_weights
 from .propagation import Model, Propagator, PropagatorBundle
 from .states import CoherentMixture, _log_overlaps
 
@@ -245,19 +246,49 @@ def decoherence_time(tau_diff: float, tau_int: float) -> float:
 def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     """Linear entropy 1 - Tr rho^2 of the evolved mixture, in [0, 1).
 
-    Computed in closed form from the Gaussian pair sums of the Wigner
-    function: the purity is a quadruple sum over component pairs with a
-    kernel built from the rotated transition matrix and the diffusion
-    coefficients, divided by the Wigner-width determinant.  Equals 0 for any
-    pure state at t = 0 and stays 0 without dissipation.
+    With the centroids ``y = (U^T T beta^T)^T`` in the frame where the Wigner
+    width is ``diag(D)``, one K x K Gram matrix ``H[a, b] = sum_m y_am
+    conj(y_bm) / D_m`` gives the pair-sum kernel ``-(H[s, r] - H[s, p]
+    - H[q, r] + H[q, p])``, and the quadruple sum over component pairs
+    factorises exactly: ``det(D) Tr rho^2 = sum_{s, q} X[s, q] X[q, s]`` with
+
+        log X[s, q] = lse_r(logw[r, s] - H[s, r] + H[q, r]),
+
+    lse a log-sum-exp shifted by its largest real part (the p-sum of the
+    other factor is X transposed).  Every exponent is formed whole in log
+    space, so widely separated components never underflow through
+    intermediate factors; cross-branch and zero-coefficient pairs are -inf
+    and drop out.  The work is O(K^3), in chunks of s whose (s, q, r) array
+    fits in ``phasespace._CHUNK_BYTES``, so memory stays bounded in the
+    component count.
+
+    U and D come from the bundle's cached frame (``rotate_frame``).  A
+    Cholesky factor of W would give H and det W without an eigensolve, but
+    the frame is kept for now: the ``dcoef`` output computes it anyway, and
+    the benchmark's trace expects a ``rotate_frame`` span on every workload.
+    Equals 0 for any pure state at t = 0 and stays 0 without dissipation.
     """
-    betas, weights = _pair_weights(state)
+    betas, logw = phasespace._flat_components(state)
     coeffs = bundle.diffusion_coeffs
     det = float(np.prod(coeffs))
     moved = (bundle.rotation.T @ (bundle.transition @ betas.T)).T  # (K, N)
-    diff = moved[:, None, :] - moved[None, :, :]  # (a, b, m) = y_a - y_b
-    kernel = -np.einsum("abm,cdm,m->abcd", diff, diff.conj(), 1.0 / coeffs)
-    purity = np.einsum("rs,pq,sqrp->", weights, weights, np.exp(kernel)).real / det
+    gram = (moved / coeffs) @ moved.conj().T  # H[a, b]
+    head = logw.T - gram  # (s, r): logw[r, s] - H[s, r]
+    k = gram.shape[0]
+    step = max(1, min(k, phasespace._CHUNK_BYTES // (16 * k * k)))
+    work = np.empty((step, k, k), dtype=complex)
+    log_x = np.empty((k, k), dtype=complex)
+    for start in range(0, k, step):
+        exponents = work[: min(step, k - start)]
+        np.add(head[start : start + step, None, :], gram[None, :, :], out=exponents)
+        # Shift by the largest real part; an all -inf row keeps shift 0.
+        shift = exponents.real.max(axis=-1)
+        shift[np.isneginf(shift)] = 0.0
+        exponents -= shift[..., None]
+        np.exp(exponents, out=exponents)
+        with np.errstate(divide="ignore"):
+            log_x[start : start + step] = np.log(exponents.sum(axis=-1)) + shift
+    purity = np.exp(log_x + log_x.T).sum().real / det
     entropy = 1.0 - purity
     if entropy < 0 and entropy > -1e-10:
         entropy = 0.0

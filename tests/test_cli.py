@@ -214,6 +214,52 @@ class TestRun:
         assert lines[2] == "re_xi1,im_xi1,wigner"
         assert len(lines) == 3 + 49
 
+    @staticmethod
+    def _row_path_bytes(config):
+        # The Wigner table as it was written before per-axis formatting: every
+        # value of ``np.column_stack(...).tolist()`` through ``_format_value``.
+        network, reservoirs, regime, state, times, _ = parse_config(config)
+        model = osc.build_model(network, reservoirs, regime)
+        node = config["wigner_grid"]
+        bundle = model.propagator.bundle(times[node.get("time_index", -1)])
+        coords, values = osc.wigner_grid(state, bundle, node["ranges"], node["points"])
+        columns = []
+        for m in range(network.n):
+            columns += [f"re_xi{m + 1}", f"im_xi{m + 1}"]
+        columns.append("wigner")
+        rows = np.column_stack([coords, values]).tolist()
+        text = f"# oscnet {osc.__version__}\n# config_hash {config_hash(config)}\n"
+        text += ",".join(columns) + "\n"
+        text += "".join(",".join(map(cli._format_value, row)) + "\n" for row in rows)
+        return text.encode()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            # Unequal per-mode ranges; the first axis passes through 0.0 and
+            # the last ends at -0.0.
+            {"n": 2, "points": 5, "ranges": [[-1, 1, -0.3, 2.7], [0.5, 4, -2.25, -0.0]]},
+            {"n": 1, "points": 1, "ranges": [[-2, 2, -1.5, 1.5]]},
+            {"n": 1, "points": 2, "ranges": [[-2, 2, -1.5, 1.5]]},
+        ],
+    )
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    def test_wigner_csv_matches_row_path(self, tmp_path, monkeypatch, grid, block_rows):
+        if block_rows is not None:
+            # 7 rows per block puts block boundaries inside runs of every axis.
+            monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        config = _base_config(
+            network={"n": grid["n"], "omega": 1.0, "coupling": 0.2},
+            outputs=["wigner_grid"],
+            wigner_grid={"points": grid["points"], "ranges": grid["ranges"]},
+        )
+        run_config(config, tmp_path)
+        written = (tmp_path / "wigner_grid.csv").read_bytes()
+        assert written == self._row_path_bytes(config)
+        assert len(written.splitlines()) == 3 + grid["points"] ** (2 * grid["n"])
+        if grid["n"] == 2:
+            assert b"\n0.0," in written and b",-0.0," in written
+
     def test_oracle_compare(self, tmp_path):
         config = _base_config(
             network={"n": 2, "omega": 1.0, "coupling": 0.2},

@@ -1,7 +1,9 @@
-"""The chunked pair-sum kernel behind char_function, p_function and wigner.
+"""The chunked pair-sum kernels behind char_function, p_function, wigner and
+linear_entropy.
 
 The reference formulas below are the earlier evaluators, which built the full
-(points, K, K) exponent at once; the kernel must reproduce them.
+(points, K, K) exponent, or the K^4 purity kernel, at once; the kernels must
+reproduce them.
 """
 
 import tracemalloc
@@ -180,3 +182,82 @@ def test_ring64_memory_bounded(pair_model):
         values[:: 9**3], _old_gaussian_sum(ring, some, bundle, bundle.wigner_width).real
     )
 
+
+
+def _old_linear_entropy(state, bundle):
+    # The K^4 kernel that linear_entropy used before its Gram-matrix form.
+    betas, weights = phasespace._pair_weights(state)
+    coeffs = bundle.diffusion_coeffs
+    det = float(np.prod(coeffs))
+    moved = (bundle.rotation.T @ (bundle.transition @ betas.T)).T  # (K, N)
+    diff = moved[:, None, :] - moved[None, :, :]  # (a, b, m) = y_a - y_b
+    kernel = -np.einsum("abm,cdm,m->abcd", diff, diff.conj(), 1.0 / coeffs)
+    purity = np.einsum("rs,pq,sqrp->", weights, weights, np.exp(kernel)).real / det
+    entropy = 1.0 - purity
+    if entropy < 0 and entropy > -1e-10:
+        entropy = 0.0
+    return float(entropy)
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_purity_matches_k4_kernel(name, pair_model):
+    state = STATES[name]()
+    for t in (0.0, 0.4, 1.3, 6.0, 40.0):
+        bundle = pair_model.propagator.bundle(t)
+        new = osc.linear_entropy(state, bundle)
+        assert abs(new - _old_linear_entropy(state, bundle)) <= 1e-12
+        if t == 0.0 and name != "two_branch":
+            assert abs(new) < 1e-10  # pure at t = 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_large_cat_purity(n, pair_model):
+    # |alpha| = 20: the old kernel multiplied exp(-2|alpha|^2)-sized weights by
+    # exp(+|2 alpha|^2)-sized factors and overflowed to nan at early times;
+    # where it stays finite, the log-space sum must agree with it.
+    model = white_model(n=1, gamma=0.25, nbar=0.5) if n == 1 else pair_model
+    cat = osc.build_cat_family(n, 1, 0, 20.0)
+    assert abs(osc.linear_entropy(cat, model.propagator.bundle(0.0))) < 1e-10
+    for t in (5.0, 20.0):
+        bundle = model.propagator.bundle(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = _old_linear_entropy(cat, bundle)
+        assert abs(osc.linear_entropy(cat, bundle) - old) <= 1e-12
+    for t in (0.01, 0.5, 2.0):
+        assert 0.0 < osc.linear_entropy(cat, model.propagator.bundle(t)) < 1.0
+
+
+def test_large_cat_stays_pure_without_dissipation():
+    net = osc.degenerate_symmetric_network(2, 1.0, 0.2)
+    res = osc.ReservoirSpec(temperatures=[0.0, 0.0], profiles=(osc.WhiteNoise(0.0),) * 2)
+    model = osc.build_model(net, res)
+    cat = osc.build_cat_family(2, 1, 1, 20.0)
+    for t in (0.0, 0.9, 3.3):
+        assert abs(osc.linear_entropy(cat, model.propagator.bundle(t))) < 1e-10
+
+
+def test_purity_chunks_over_s(pair_model, monkeypatch):
+    ring = osc.fock_state_ring([1, 1], radius=0.6, points=8)  # K = 64
+    bundle = pair_model.propagator.bundle(2.0)
+    whole = osc.linear_entropy(ring, bundle)
+    # One (s, q, r) row of 64 x 64 complex numbers is 64 KiB: five rows per
+    # chunk leave a short last chunk of four.
+    monkeypatch.setattr(phasespace, "_CHUNK_BYTES", 5 * 16 * 64 * 64 + 100)
+    assert abs(osc.linear_entropy(ring, bundle) - whole) <= 1e-14
+    monkeypatch.setattr(phasespace, "_CHUNK_BYTES", 1)  # one row per chunk
+    assert abs(osc.linear_entropy(ring, bundle) - whole) <= 1e-14
+
+
+def test_ring144_purity_memory_bounded(pair_model):
+    # 144 components: the K^4 kernel alone would take 6.9 GB.
+    ring = osc.fock_state_ring([1, 1], radius=0.6, points=12)
+    bundle = pair_model.propagator.bundle(2.0)
+    bundle.rotation  # build the cached frame outside the measurement
+    tracemalloc.start()
+    try:
+        entropy = osc.linear_entropy(ring, bundle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * phasespace._CHUNK_BYTES
+    assert 0.0 < entropy < 1.0
