@@ -18,7 +18,7 @@ import numpy as np
 
 from . import phasespace
 from .errors import NoBracket, RootNotConverged, ValidationError
-from .propagation import Model, Propagator, PropagatorBundle
+from .propagation import Model, Propagator, PropagatorBundle, rotate_frame
 from .states import CoherentMixture, _log_overlaps
 
 __all__ = [
@@ -52,30 +52,17 @@ def mean_diffusion_time(diffusion: np.ndarray) -> float:
     return diffusion.shape[0] / (2.0 * trace)
 
 
-def directional_diffusion_times(bundles) -> np.ndarray:
-    """Per-direction diffusion times from a forward difference at t = 0.
+def directional_diffusion_times(diffusion: np.ndarray) -> np.ndarray:
+    """Per-direction diffusion times 1 / r, r the eigenvalues of Y + Y^T.
 
-    Takes the first two bundles of a series (the first at t = 0); the inverse
-    time of direction m is the initial growth rate of the m-th diffusion
-    coefficient.  Flat directions get ``inf``.  The average of the inverse
-    times reproduces the inverse mean diffusion time to O(step).
+    The Wigner width starts at I with slope Y + Y^T (the stationary equation
+    at t = 0), so r are exactly the initial growth rates of the diffusion
+    coefficients, in the ascending order of :func:`rotate_frame`.  Flat
+    directions get ``inf``; the mean of 1 / time is 1 / mean_diffusion_time.
     """
-    bundles = list(bundles)
-    if len(bundles) < 2:
-        raise ValidationError("need bundles at t = 0 and one later time")
-    first, second = bundles[0], bundles[1]
-    if abs(first.t) > 0:
-        raise ValidationError("first bundle must be at t = 0")
-    step = second.t - first.t
-    if step <= 0:
-        raise ValidationError("bundle times must increase")
-    rates = (second.diffusion_coeffs - first.diffusion_coeffs) / step
-    # below this, the difference quotient is dominated by rounding noise
-    floor = max(
-        _FLAT_RATE,
-        8.0 * np.finfo(float).eps * float(np.max(second.diffusion_coeffs)) / step,
-    )
-    return np.array([1.0 / r if r > floor else math.inf for r in rates])
+    diffusion = np.asarray(diffusion)
+    _, rates = rotate_frame(diffusion + diffusion.T)
+    return np.array([1.0 / r if r > _FLAT_RATE else math.inf for r in rates])
 
 
 def _component_pair(state: CoherentMixture, r: int, s: int, branch: int):
@@ -203,7 +190,8 @@ def interference_decay_time(
     tolerance ``xtol = 2e-12``; the scan's values at the interval ends are
     reused, not recomputed.  If the grid ends with the gap still
     positive, the t -> infinity limit decides between a genuinely absent
-    crossing (``inf``) and a too-short grid (:class:`NoBracket`).
+    crossing (``inf``) and a too-short grid (:class:`NoBracket`); it needs
+    only the trace tr P + N of the stationary Wigner width, not its spectrum.
     """
     beta_r, beta_s = _component_pair(state, r, s, branch)
     delta = beta_r - beta_s
@@ -223,10 +211,8 @@ def interference_decay_time(
     if first <= 0:
         raise ValidationError("grid starts past the crossing; start earlier")
     n = delta.size
-    stationary = propagator.stationary_coeffs()
-    limit = -2.0 * float(np.sum(np.abs(delta) ** 2)) + 4.0 * n / float(
-        np.sum(stationary)
-    )
+    spread = float(np.trace(propagator.width.matrix).real) + n
+    limit = -2.0 * float(np.sum(np.abs(delta) ** 2)) + 4.0 * n / spread
     if limit < -_LIMIT_TOL:
         raise NoBracket("gap still positive at the end of the grid; extend it")
     return math.inf
@@ -369,10 +355,14 @@ def decoherence_report(
     branch: int = 0,
     fd_step: float = 1e-6,
 ) -> DecoherenceReport:
-    """Assemble the full decoherence report for one state and model."""
+    """Assemble the full decoherence report for one state and model.
+
+    Both diffusion times are closed forms in the diffusion matrix; only the
+    interference time scans ``t_grid``.  ``fd_step`` is unused, kept for
+    signature compatibility.
+    """
     tau_diff = mean_diffusion_time(model.rates.diffusion)
-    bundles = model.propagator.bundles([0.0, fd_step])
-    directional = tuple(directional_diffusion_times(bundles))
+    directional = tuple(directional_diffusion_times(model.rates.diffusion))
     if len(state.branches[branch].components) >= 2:
         tau_int = interference_decay_time(
             state, pair[0], pair[1], model.propagator, t_grid, branch=branch

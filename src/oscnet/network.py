@@ -45,16 +45,12 @@ _CONDITION_LIMIT = 1e12
 _DISSIPATIVE_FLOOR = 1e-14
 
 
-def _fix_row_signs(rows: np.ndarray) -> np.ndarray:
-    """Flip each row so its first non-negligible entry is positive."""
-    out = rows.copy()
-    for row in out:
-        for value in row:
-            if abs(value) > 1e-12:
-                if value < 0:
-                    row *= -1.0
-                break
-    return out
+def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """Scale each column by conj(p)/|p|, p its first entry above 1e-12 in modulus."""
+    big = np.abs(vectors) > 1e-12
+    lead = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
+    lead = np.where(big.any(axis=0), lead, 1)
+    return vectors * (lead.conj() / np.abs(lead))
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def normal_modes(h: np.ndarray) -> NormalModes:
         raise NonPositiveNormalMode(
             f"smallest normal-mode frequency {freqs[0]:.6g} is not positive"
         )
-    transform = _fix_row_signs(vecs.T)
+    transform = np.ascontiguousarray(_fix_phases(vecs).T)  # rows in C order
     gram = transform @ transform.T
     if np.max(np.abs(gram - np.eye(h.shape[0]))) > _ORTHOGONALITY_TOL:
         raise ValidationError("eigenvector matrix failed the orthogonality check")

@@ -231,23 +231,21 @@ def wigner(state: CoherentMixture, xi, bundle: PropagatorBundle):
 def wigner_elements(state: CoherentMixture, xi_rotated, bundle: PropagatorBundle):
     """Per-pair Wigner elements of a pure state in the rotated frame.
 
-    Returns an array with trailing shape (K, K): entry (r, s) is the
-    bra-r/ket-s Gaussian evaluated at the rotated coordinates, using the
-    diagonal diffusion coefficients.  Summing over (r, s) at
-    ``xi_rotated = U.T @ xi`` reproduces :func:`wigner` at ``xi``.
+    Returns an array with trailing shape (K, K): entry (r, s) is the bra-r/
+    ket-s term ``exp(const[r, s] + row_r + conj(row_s) + q)`` of
+    :func:`wigner`'s kernel at ``xi = xi_rotated U^dag``, its exponent formed
+    whole in log space (zero-coefficient pairs are exactly 0).  Summing over
+    (r, s) at ``xi_rotated = U.T @ xi`` reproduces :func:`wigner` at ``xi``.
     """
     state.single_branch()  # raises unless the state is pure
     n = state.n_modes
     pts, scalar = _as_points(xi_rotated, n)
-    betas, weight = _pair_weights(state)
-    centers = (bundle.transition @ betas.T).T
-    rotated = centers @ bundle.rotation  # row convention: K~ = K . U
-    det = float(np.prod(bundle.diffusion_coeffs))
-    diff = pts[..., None, :] - rotated  # (..., K, N)
-    quad = np.einsum(
-        "...sm,m,...rm->...rs", diff, 1.0 / bundle.diffusion_coeffs, diff.conj()
-    )
-    value = (2.0 / np.pi) ** n / det * weight * np.exp(-2.0 * quad)
+    det, const, bra, form = _gaussian_terms(state, bundle, bundle.wigner_width)
+    xi = pts @ bundle.rotation.conj().T
+    row = xi @ bra  # (..., K)
+    quad = np.einsum("...m,mn,...n->...", xi, form, xi.conj()).real
+    exponent = const + row[..., :, None] + row.conj()[..., None, :]
+    value = (2.0 / np.pi) ** n / det * np.exp(exponent + quad[..., None, None])
     return value[0] if scalar else value
 
 

@@ -12,9 +12,10 @@ For each time the network state is summarized by a bundle holding
 The rotated frame is lazy: a bundle diagonalizes its Wigner width (one call
 of :func:`rotate_frame`, cached) only when ``rotation`` or
 ``diffusion_coeffs`` is first read, so callers that need only the transition
-and width matrices pay no eigensolve.  Bundles at distinct times are
-independent and immutable; time grids are caller-supplied and nothing is
-interpolated.
+and width matrices pay no eigensolve.  The width's slope Y + Y.T at t = 0
+and its limit's trace tr P + N need no bundle (see :mod:`oscnet.metrics`).
+Bundles at distinct times are independent and immutable; time grids are
+caller-supplied and nothing is interpolated.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import ValidationError
 from .network import (
     DissipativeMatrix,
     NetworkSpec,
+    _fix_phases,
     build_hamiltonian,
     coupling_regime,
     dissipative_matrix,
@@ -107,17 +109,6 @@ def eta_flow(transition: np.ndarray, eta0: np.ndarray) -> np.ndarray:
     return np.asarray(eta0, dtype=complex) @ transition.conj()
 
 
-def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        for value in col:
-            if abs(value) > 1e-12:
-                out[:, k] = col * (value.conjugate() / abs(value))
-                break
-    return out
-
-
 def rotate_frame(wigner_width: np.ndarray):
     """Diagonalize the Wigner width: returns (rotation U, coefficients D).
 
@@ -126,7 +117,7 @@ def rotate_frame(wigner_width: np.ndarray):
     diagonal (so an undiffused or weak-regime width rotates by a plain
     permutation, not an arbitrary basis of a degenerate eigenspace).  U is
     unitary with ``U^dag @ width @ U = diag(D)`` and D sorted ascending;
-    column phases are fixed for reproducibility.
+    each column's first entry above 1e-12 in modulus is made real positive.
     """
     width = np.asarray(wigner_width, dtype=complex)
     width = 0.5 * (width + width.conj().T)
@@ -140,8 +131,7 @@ def rotate_frame(wigner_width: np.ndarray):
         order = np.argsort(keys, kind="stable")
         return np.eye(n, dtype=complex)[:, order], diag[order]
     coeffs, vectors = np.linalg.eigh(width)
-    rotation = _fix_column_phases(vectors)
-    return rotation, coeffs
+    return _fix_phases(vectors), coeffs
 
 
 class Propagator:
@@ -173,11 +163,6 @@ class Propagator:
 
     def bundles(self, times) -> list[PropagatorBundle]:
         return [self.bundle(t) for t in times]
-
-    def stationary_coeffs(self) -> np.ndarray:
-        """Diffusion coefficients in the infinite-time limit."""
-        _, coeffs = rotate_frame(self.width.matrix + np.eye(self.n))
-        return coeffs
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,17 @@ class TestLazyFrame:
         )
         assert calls == []
 
+    def test_no_crossing_limit_takes_no_eigensolve(self, monkeypatch):
+        # The t -> infinity gap needs only tr P, not the stationary spectrum.
+        model = white_model(n=2, coupling=0.1, gamma=0.05, nbar=0.5)
+        state = osc.build_cat_family(2, 1, 0, 0.1)
+        calls = _count_calls(monkeypatch, propagation, "rotate_frame")
+        tau = osc.interference_decay_time(
+            state, 0, 1, model.propagator, np.linspace(0.0, 200.0, 60)
+        )
+        assert math.isinf(tau)
+        assert calls == []
+
     def test_frame_computed_once(self, monkeypatch):
         model = white_model(n=3, coupling=0.1, gamma=0.05, nbar=0.5)
         bundle = model.propagator.bundle(2.0)
@@ -231,6 +242,23 @@ class TestEarlyStop:
         tau = osc.interference_decay_time(state, 0, 1, model.propagator, grid)
         assert grid[0] < tau < grid[1]
         assert len(calls) <= 12
+
+
+class TestReportBundles:
+    def test_report_builds_only_the_scan_bundles(self, monkeypatch):
+        # Both diffusion times are closed forms in the diffusion matrix.
+        model = white_model(n=2, coupling=0.1, gamma=0.05, nbar=0.5)
+        grid = np.linspace(0.0, 150.0, 40)
+        cat = osc.build_cat_family(2, 1, 0, 1.0)
+        calls = _count_calls(monkeypatch, osc.Propagator, "bundle")
+        osc.interference_decay_time(cat, 0, 1, model.propagator, grid)
+        scan = len(calls)
+        assert scan > 0
+        report = osc.decoherence_report(cat, model, grid)
+        assert math.isfinite(report.tau_int)
+        assert len(calls) == 2 * scan
+        osc.decoherence_report(osc.single_coherent_state([0.3, 0.1j]), model, grid)
+        assert len(calls) == 2 * scan
 
 
 class TestStationaryFallback:

@@ -57,12 +57,32 @@ class TestMeanDiffusionTime:
             osc.mean_diffusion_time(np.diag([-0.1, 0.05]))
 
 
+def _forward_difference_times(bundles):
+    # The forward-difference estimate directional_diffusion_times used to take,
+    # copied as the reference for its closed form.
+    bundles = list(bundles)
+    if len(bundles) < 2:
+        raise ValidationError("need bundles at t = 0 and one later time")
+    first, second = bundles[0], bundles[1]
+    if abs(first.t) > 0:
+        raise ValidationError("first bundle must be at t = 0")
+    step = second.t - first.t
+    if step <= 0:
+        raise ValidationError("bundle times must increase")
+    rates = (second.diffusion_coeffs - first.diffusion_coeffs) / step
+    # below this, the difference quotient is dominated by rounding noise
+    floor = max(
+        1e-12,
+        8.0 * np.finfo(float).eps * float(np.max(second.diffusion_coeffs)) / step,
+    )
+    return np.array([1.0 / r if r > floor else math.inf for r in rates])
+
+
 class TestDirectionalTimes:
     def test_weak_regime_all_equal(self):
         model = white_model(n=3, coupling=0.001, gamma=0.05, nbar=0.6, regime="weak")
         rate = model.rates.damping[0, 0]
-        bundles = model.propagator.bundles([0.0, 1e-7])
-        times = osc.directional_diffusion_times(bundles)
+        times = osc.directional_diffusion_times(model.rates.diffusion)
         assert_allclose(times, 1.0 / (2 * 0.6 * rate), rtol=1e-5)
 
     def test_strong_regime_single_active_direction(self):
@@ -73,24 +93,47 @@ class TestDirectionalTimes:
         )
         model = osc.build_model(net, res)
         nbar = osc.mean_occupation(temp, 1.0 - 0.25 * (n - 1))
-        times = osc.directional_diffusion_times(model.propagator.bundles([0.0, 1e-6]))
+        times = osc.directional_diffusion_times(model.rates.diffusion)
         assert all(math.isinf(t) for t in times[:-1])
-        assert_allclose(times[-1], 1.0 / (2 * nbar * n * gamma), rtol=1e-4)
+        assert_allclose(times[-1], 1.0 / (2 * nbar * n * gamma), rtol=1e-10)
 
     def test_zero_temperature_all_flat(self):
         model = white_model(n=2, coupling=0.1, gamma=0.05, nbar=0.0)
-        times = osc.directional_diffusion_times(model.propagator.bundles([0.0, 1e-6]))
+        times = osc.directional_diffusion_times(model.rates.diffusion)
         assert all(math.isinf(t) for t in times)
 
     def test_mean_consistency(self, rng):
-        # Average inverse directional time equals the inverse mean time to O(h).
+        # Average inverse directional time equals the inverse mean time.
         model = white_model(n=3, coupling=0.15, gamma=0.08, nbar=0.7)
-        step = 1e-7
-        times = osc.directional_diffusion_times(model.propagator.bundles([0.0, step]))
+        times = osc.directional_diffusion_times(model.rates.diffusion)
         mean_rate = np.mean([0.0 if math.isinf(t) else 1.0 / t for t in times])
         assert_allclose(
-            mean_rate, 1.0 / osc.mean_diffusion_time(model.rates.diffusion), rtol=1e-5
+            mean_rate, 1.0 / osc.mean_diffusion_time(model.rates.diffusion), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("case", ["weak", "strong", "degenerate"])
+    def test_matches_forward_difference(self, case):
+        model = {
+            "weak": lambda: white_model(
+                n=3, coupling=0.001, gamma=0.05, nbar=0.6, regime="weak"
+            ),
+            "strong": lambda: white_model(n=3, coupling=0.15, gamma=0.08, nbar=0.7),
+            "degenerate": lambda: osc.build_model(
+                osc.degenerate_symmetric_network(5, 1.0, 0.03),
+                osc.ReservoirSpec(
+                    temperatures=np.linspace(0.4, 1.2, 5),
+                    profiles=tuple(
+                        osc.WhiteNoise(g) for g in np.linspace(0.02, 0.06, 5)
+                    ),
+                ),
+            ),
+        }[case]()
+        exact = osc.directional_diffusion_times(model.rates.diffusion)
+        reference = _forward_difference_times(model.propagator.bundles([0.0, 1e-6]))
+        assert np.array_equal(np.isinf(exact), np.isinf(reference))
+        finite = np.isfinite(exact)
+        assert finite.any()
+        assert_allclose(exact[finite], reference[finite], rtol=1e-6)
 
 
 class TestDecayFunction:

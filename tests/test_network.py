@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
+from oscnet import network
 from oscnet.errors import (
     DefectiveMatrix,
     NonDissipativeMode,
@@ -154,3 +155,79 @@ class TestCouplingRegime:
     def test_negative_couplings_count(self):
         spec = osc.degenerate_symmetric_network(4, 1.0, -0.25)
         assert osc.coupling_regime(spec) == "strong"
+
+
+def _old_fix_row_signs(rows):
+    # The earlier per-row loop of normal_modes, kept verbatim as a reference.
+    out = rows.copy()
+    for row in out:
+        for value in row:
+            if abs(value) > 1e-12:
+                if value < 0:
+                    row *= -1.0
+                break
+    return out
+
+
+def _old_fix_column_phases(vectors):
+    # The earlier per-column loop of rotate_frame, kept verbatim as a reference.
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        for value in col:
+            if abs(value) > 1e-12:
+                out[:, k] = col * (value.conjugate() / abs(value))
+                break
+    return out
+
+
+def _awkward_columns(matrix):
+    # Leading entries at and below the 1e-12 threshold, and an all-zero column.
+    matrix = matrix.copy()
+    matrix[0, 0] = 1e-12
+    matrix[:2, 1] = [-1e-13, 0.0]
+    matrix[:, 2] = 0.0
+    return matrix
+
+
+class TestFixPhases:
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_real_rows_match_loop_exactly(self, rng, n):
+        vectors = np.linalg.eigh(random_symmetric_hamiltonian(rng, n))[1]
+        cases = [vectors.T, rng.normal(size=(n, n))]
+        if n >= 3:
+            cases.append(_awkward_columns(rng.normal(size=(n, n))).T)
+        for rows in cases:
+            expected = _old_fix_row_signs(rows)
+            assert np.array_equal(network._fix_phases(rows.T).T, expected)
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_complex_columns_match_loop_to_4_ulp(self, rng, n):
+        plain = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        hermitian = plain + plain.conj().T
+        cases = [np.linalg.eigh(hermitian)[1], plain]
+        if n >= 3:
+            cases.append(_awkward_columns(plain))
+        for vectors in cases:
+            fixed = network._fix_phases(vectors)
+            expected = _old_fix_column_phases(vectors)
+            ulp = np.spacing(np.abs(expected))
+            assert np.all(np.abs(fixed - expected) <= 4 * ulp)
+        if n >= 3:  # the last case holds the all-zero column
+            assert np.array_equal(fixed[:, 2], np.zeros(n))
+
+    def test_rotate_frame_diagonalizes(self, rng):
+        plain = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        width = np.eye(6) + plain @ plain.conj().T
+        rotation, coeffs = osc.rotate_frame(width)
+        assert_allclose(
+            rotation.conj().T @ width @ rotation, np.diag(coeffs), atol=1e-12
+        )
+        leading = rotation[np.argmax(np.abs(rotation) > 1e-12, axis=0), range(6)]
+        assert np.all(leading.real > 0)
+        assert np.all(np.abs(leading.imag) <= 1e-15 * leading.real)
+
+    def test_rotate_frame_diagonal_shortcut_unchanged(self):
+        rotation, coeffs = osc.rotate_frame(np.diag([2.0, 1.0, 2.0 + 1e-14, 1.5]))
+        assert np.array_equal(rotation, np.eye(4, dtype=complex)[:, [1, 3, 0, 2]])
+        assert np.array_equal(coeffs, [1.0, 1.5, 2.0, 2.0 + 1e-14])

@@ -220,16 +220,42 @@ class TestWigner:
         holed = osc.coherent_mixture(
             [osc.coherent_superposition(coeffs, [c.amplitudes for c in ring])]
         )
-        bundle = pair_model.propagator.bundle(1.2)
+        # Distinct reservoirs give a complex rotation; identical ones a real one.
+        distinct = osc.build_model(
+            osc.NetworkSpec(omega=[1.0, 1.1], coupling=[[0.0, 0.2], [0.2, 0.0]]),
+            osc.ReservoirSpec(
+                temperatures=[0.3, 1.2],
+                profiles=(osc.WhiteNoise(0.03), osc.WhiteNoise(0.08)),
+            ),
+        )
         xi = np.array([0.4 - 0.2j, -0.1 + 0.5j])
-        xi_rot = bundle.rotation.T @ xi
-        for state in (cat, holed):
-            elements = osc.wigner_elements(state, xi_rot, bundle)
-            assert_allclose(
-                elements.sum().real, osc.wigner(state, xi, bundle), rtol=1e-10
-            )
-        assert elements.shape == (16, 16)
-        assert not elements[5].any() and not elements[:, 5].any()
+        for model in (pair_model, distinct):
+            bundle = model.propagator.bundle(1.2)
+            xi_rot = bundle.rotation.T @ xi
+            for state in (cat, holed):
+                elements = osc.wigner_elements(state, xi_rot, bundle)
+                assert_allclose(
+                    elements.sum().real, osc.wigner(state, xi, bundle), rtol=1e-10
+                )
+            assert elements.shape == (16, 16)
+            assert not elements[5].any() and not elements[:, 5].any()
+        assert np.abs(bundle.rotation.imag).max() > 0.1
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_elements_finite_for_a_large_cat(self, t):
+        # |alpha| = 20: the pair weight underflows and the Gaussian factor
+        # overflows, so the exponent must be formed whole in log space.
+        model = white_model(n=1, gamma=0.05, nbar=0.5)
+        cat = osc.build_cat_family(1, 1, 0, 20.0)
+        bundle = model.propagator.bundle(t)
+        center = bundle.transition[0, 0] * 20.0
+        xi = np.array([[center], [-center], [0.3 + 0.2j], [0.0j]])
+        elements = osc.wigner_elements(cat, xi @ bundle.rotation, bundle)
+        assert elements.shape == (4, 2, 2)
+        assert np.isfinite(elements).all()
+        assert_allclose(
+            elements.sum(axis=(-2, -1)).real, osc.wigner(cat, xi, bundle), rtol=1e-12
+        )
 
 
 class TestWignerFromChar:
