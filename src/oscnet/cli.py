@@ -239,6 +239,37 @@ def _parse_times(config) -> np.ndarray:
     return times
 
 
+def _parse_wigner_grid(config, n, times):
+    """The grid's (points, ranges, time index), defaults filled in."""
+    node = _get(config, "wigner_grid")
+    node = {} if node is None else node
+    if not isinstance(node, dict):
+        raise ConfigError("wigner_grid", "expected an object")
+    points = _positive_int(node.get("points", 41), "wigner_grid.points")
+    ranges = node.get("ranges", [[-3.0, 3.0, -3.0, 3.0]] * n)
+    if not isinstance(ranges, (list, tuple)) or len(ranges) != n:
+        raise ConfigError("wigner_grid.ranges", f"expected {n} range tuples")
+    for bounds in ranges:
+        if not (
+            isinstance(bounds, (list, tuple))
+            and len(bounds) == 4
+            and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in bounds
+            )
+        ):
+            raise ConfigError(
+                "wigner_grid.ranges",
+                f"expected [re_min, re_max, im_min, im_max] finite numbers, not {bounds!r}",
+            )
+    index = node.get("time_index", -1)
+    if type(index) is not int or not -len(times) <= index < len(times):
+        raise ConfigError(
+            "wigner_grid.time_index", f"expected an index into the {len(times)} times"
+        )
+    return points, ranges, index
+
+
 def _parse_outputs(config):
     outputs = _get(config, "outputs", ["tau_report"])
     for out in outputs:
@@ -258,6 +289,7 @@ def parse_config(config: dict):
         raise ConfigError("regime", f"expected auto|weak|strong, got {regime!r}")
     state = _parse_state(config, network.n)
     times = _parse_times(config)
+    _parse_wigner_grid(config, network.n, times)
     outputs = _parse_outputs(config)
     return network, reservoirs, regime, state, times, outputs
 
@@ -361,22 +393,11 @@ def _time_curves(state, model: Model, times, outputs) -> dict:
 
 
 def _wigner_table(config, state, model: Model, times):
-    node = _get(config, "wigner_grid", {}) or {}
-    points = _positive_int(node.get("points", 41), "wigner_grid.points")
-    n = model.network.n
-    default_range = [-3.0, 3.0, -3.0, 3.0]
-    ranges = node.get("ranges", [default_range] * n)
-    if len(ranges) != n:
-        raise ConfigError("wigner_grid.ranges", f"expected {n} range tuples")
-    index = node.get("time_index", -1)
-    if not isinstance(index, int) or not -len(times) <= index < len(times):
-        raise ConfigError(
-            "wigner_grid.time_index", f"expected an index into the {len(times)} times"
-        )
+    points, ranges, index = _parse_wigner_grid(config, model.network.n, times)
     bundle = model.propagator.bundle(times[index])
     coords, values = wigner_grid(state, bundle, ranges, points)
     columns = []
-    for m in range(n):
+    for m in range(model.network.n):
         columns += [f"re_xi{m + 1}", f"im_xi{m + 1}"]
     columns.append("wigner")
     return columns, _grid_blocks(coords, values)

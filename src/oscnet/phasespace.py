@@ -23,6 +23,17 @@ Hermitized and ``logw[s, r] = conj(logw[r, s])``), so only pairs r <= s are
 evaluated, off-diagonal ones counted twice, as ``exp(Re e) cos(Im e)``: the
 sum is real by construction.  The characteristic function keeps every
 ordered pair in complex arithmetic.
+
+:func:`wigner_grid` evaluates the same Hermitian sum on a cartesian grid by
+a factored route instead.  The pair part of the exponent is linear in the 2N
+grid coordinates, so it splits into one factor per axis; the factors of the
+first N axes and of the last N form two (points^N, pairs) matrices, built in
+blocks under ``_CHUNK_BYTES``, and the pair sum is their product, times
+``exp(q)`` per point.  Each factor is shifted to modulus <= 1 and the shifts
+are folded into the pair weights, so nothing overflows while the largest
+shifted weight stays under ``exp(_FACTOR_LOG_MAX)``.  Past that, the grid
+falls back to :func:`_pair_sum`: only on that route is the whole exponent
+formed in log space.
 """
 
 from __future__ import annotations
@@ -47,9 +58,13 @@ __all__ = [
 ]
 
 _DET_FLOOR = 1e-14
-# Byte budget of the per-chunk arrays in `_pair_sum`; it alone sets how many
-# points go in one chunk.
+# Byte budget of the per-chunk arrays in `_pair_sum` and of the factor blocks
+# in `_factored_sum`; it alone sets how many points go in one chunk.
 _CHUNK_BYTES = 8 << 20
+# Largest log of a shifted pair weight that `wigner_grid` factors.  Each
+# factored term is then at most 2 e^600, and where exp(q) underflows
+# (q < -745) the part dropped is at most 2 * pairs * e^-145.
+_FACTOR_LOG_MAX = 600.0
 
 
 def _as_points(xi, n: int):
@@ -359,12 +374,81 @@ def wigner_from_char(
     return fine
 
 
+def _factored_sum(coords, axes, const, bra, form):
+    """The Hermitian `_pair_sum` on a cartesian grid, factored over its axes.
+
+    Returns None, leaving the grid to `_pair_sum`, when a pair's shifted
+    weight exceeds ``exp(_FACTOR_LOG_MAX)``.
+    """
+    n = bra.shape[0]
+    r_idx, s_idx = np.nonzero(np.triu(~np.isneginf(const.real)))
+    # Axis a of the grid (re or im part of mode a // 2) enters pair p's
+    # exponent as coef[a, p] * u_a.
+    coef = np.empty((2 * n, r_idx.size), dtype=complex)
+    br, bs = bra[:, r_idx], bra[:, s_idx].conj()
+    coef[0::2] = br + bs
+    coef[1::2] = 1j * (br - bs)
+    # Re(coef * u) is monotone in u, so its largest value over an axis sits
+    # at one of the axis's ends.
+    ends = np.array([[axis[0], axis[-1]] for axis in axes])
+    shift = np.maximum(coef.real * ends[:, :1], coef.real * ends[:, 1:])
+    pair_const = const[r_idx, s_idx]
+    if np.max(pair_const.real + shift.sum(axis=0)) > _FACTOR_LOG_MAX:
+        return None
+    # Grid points in "ij" order: the first n axes pick the row of the
+    # (left, right) table, the last n the column.
+    n_right = len(axes[0]) ** n
+    grid = coords.reshape(-1, n_right, 2 * n)
+    left, right = grid[:, 0, :n], grid[0, :, n:]
+    right_shift = shift[n:].sum(axis=0)
+    mult = np.where(r_idx == s_idx, 1.0, 2.0)
+    left_offset = pair_const + np.log(mult) + right_shift
+    table = np.empty((left.shape[0], n_right))
+    # One left and one right block of complex factors, and the left block's
+    # successor while it is built, stay within _CHUNK_BYTES.
+    step = max(1, _CHUNK_BYTES // (64 * r_idx.size))
+    for k in range(0, n_right, step):
+        rhs = right[k : k + step] @ coef[n:]
+        rhs -= right_shift
+        np.exp(rhs, out=rhs)
+        # Re(L R) = Re L Re R - Im L Im R: a real product of the interleaved
+        # (re, im) views of L and conj(R).
+        rhs = np.conjugate(rhs, out=rhs).view(float)
+        for j in range(0, left.shape[0], step):
+            lhs = left[j : j + step] @ coef[:n]
+            lhs += left_offset
+            np.exp(lhs, out=lhs)
+            np.matmul(lhs.view(float), rhs.T, out=table[j : j + step, k : k + step])
+    values = table.reshape(-1)
+    # q = Re(xi form conj(xi)) as a real quadratic form in the interleaved
+    # (re, im) coordinates; form is Hermitian.
+    real_form = np.empty((2 * n, 2 * n))
+    real_form[0::2, 0::2] = real_form[1::2, 1::2] = form.real
+    real_form[0::2, 1::2] = form.imag
+    real_form[1::2, 0::2] = -form.imag
+    # Bytes per point: at most 32 per mode, plus q itself.
+    step = max(1, _CHUNK_BYTES // (32 * n + 16))
+    for start in range(0, values.size, step):
+        block = coords[start : start + step]
+        quad = np.einsum("pi,pi->p", block @ real_form, block)
+        values[start : start + step] *= np.exp(quad, out=quad)
+    return values
+
+
 def wigner_grid(state: CoherentMixture, bundle: PropagatorBundle, ranges, points: int):
     """Evaluate the Wigner function on a cartesian re/im grid per mode.
 
     ``ranges`` is one (re_min, re_max, im_min, im_max) tuple per mode.
     Returns ``(coords, values)`` with coords of shape (P, 2N) holding the
     real and imaginary parts per mode, and values of shape (P,).
+
+    The pair part of each exponent is linear in the 2N grid coordinates, so
+    the pair sum is one product of a (points^N, pairs) factor matrix over the
+    first N axes with one over the last N, times ``exp(q)`` per point; each
+    factor is shifted to modulus <= 1 and the shifts folded into the pair
+    weight.  Only when a shifted pair weight would exceed
+    ``exp(_FACTOR_LOG_MAX)`` does the grid go through :func:`wigner`'s
+    kernel, the one route that forms the whole exponent in log space.
     """
     n = state.n_modes
     if len(ranges) != n:
@@ -375,8 +459,9 @@ def wigner_grid(state: CoherentMixture, bundle: PropagatorBundle, ranges, points
         axes.append(np.linspace(im_min, im_max, points))
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    xi = np.stack(
-        [coords[:, 2 * m] + 1j * coords[:, 2 * m + 1] for m in range(n)], axis=-1
-    )
-    values = wigner(state, xi, bundle)
-    return coords, np.asarray(values, dtype=float)
+    del mesh  # as large as coords: not kept alive through the pair sum
+    det, const, bra, form = _gaussian_terms(state, bundle, bundle.wigner_width)
+    total = _factored_sum(coords, axes, const, bra, form)
+    if total is None:
+        total = _pair_sum(coords[:, 0::2] + 1j * coords[:, 1::2], const, bra, form)
+    return coords, (2.0 / np.pi) ** n / det * total

@@ -41,3 +41,22 @@ def white_model(n=1, omega=1.0, coupling=0.0, gamma=0.05, nbar=0.5, regime="auto
         temperatures=[temp] * n, profiles=(osc.WhiteNoise(gamma),) * n
     )
     return osc.build_model(net, res, regime=regime)
+
+
+def two_branch_mixture():
+    # Cross-branch pairs carry -inf log weights and must contribute nothing.
+    first = osc.coherent_superposition(
+        [1.0, -0.4 + 0.3j], [[0.8, -0.2j], [-0.5 + 0.1j, 0.6]], probability=0.7
+    )
+    second = osc.coherent_superposition([1.0], [[0.3 - 0.4j, 0.2]], probability=0.3)
+    return osc.coherent_mixture([first, second])
+
+
+def zero_coefficient_state():
+    return osc.coherent_mixture(
+        [
+            osc.coherent_superposition(
+                [1.0, 0.0, 0.5j], [[0.7, 0.1], [1.5j, -0.3], [-0.6, 0.4 - 0.2j]]
+            )
+        ]
+    )

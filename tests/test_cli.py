@@ -151,6 +151,37 @@ class TestValidation:
         assert "Traceback" not in proc.stderr
 
 
+    @pytest.mark.parametrize(
+        "node, field",
+        [
+            ({"ranges": [[-1, 1]]}, "wigner_grid.ranges"),
+            ({"ranges": [["-1", "1", "-1", "1"]]}, "wigner_grid.ranges"),
+            ({"ranges": 3}, "wigner_grid.ranges"),
+            ({"ranges": [[-1.0, float("nan"), -1.0, 1.0]]}, "wigner_grid.ranges"),
+            ({"ranges": [[-1.0, 1.0, -1.0, float("inf")]]}, "wigner_grid.ranges"),
+            ({"ranges": [[-1.0, 1.0, True, 1.0]]}, "wigner_grid.ranges"),
+            ({"points": -1}, "wigner_grid.points"),
+            ({"points": 0}, "wigner_grid.points"),
+            ({"time_index": 50}, "wigner_grid.time_index"),
+            ({"time_index": 1.0}, "wigner_grid.time_index"),
+            ("grid", "wigner_grid"),
+            ([], "wigner_grid"),
+        ],
+    )
+    def test_malformed_wigner_grid_rejected_before_any_output(
+        self, node, field, tmp_path, capsys
+    ):
+        config = _base_config(outputs=["tau_report", "entropy_curve", "wigner_grid"])
+        config["wigner_grid"] = node
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRun:
     def test_tau_report_values(self, tmp_path):
         config = _base_config()

@@ -14,7 +14,7 @@ import pytest
 import oscnet as osc
 from oscnet import phasespace
 
-from conftest import white_model
+from conftest import two_branch_mixture, white_model, zero_coefficient_state
 
 
 def _old_char(state, pts, bundle):
@@ -62,28 +62,9 @@ def _assert_close(new, old, rel=1e-12):
     assert np.max(np.abs(new - old)) <= rel * np.max(np.abs(old))
 
 
-def _two_branch_mixture():
-    # Cross-branch pairs carry -inf log weights and must contribute nothing.
-    first = osc.coherent_superposition(
-        [1.0, -0.4 + 0.3j], [[0.8, -0.2j], [-0.5 + 0.1j, 0.6]], probability=0.7
-    )
-    second = osc.coherent_superposition([1.0], [[0.3 - 0.4j, 0.2]], probability=0.3)
-    return osc.coherent_mixture([first, second])
-
-
-def _zero_coefficient_state():
-    return osc.coherent_mixture(
-        [
-            osc.coherent_superposition(
-                [1.0, 0.0, 0.5j], [[0.7, 0.1], [1.5j, -0.3], [-0.6, 0.4 - 0.2j]]
-            )
-        ]
-    )
-
-
 STATES = {
-    "two_branch": _two_branch_mixture,
-    "zero_coefficient": _zero_coefficient_state,
+    "two_branch": two_branch_mixture,
+    "zero_coefficient": zero_coefficient_state,
     "ring16": lambda: osc.fock_state_ring([1, 1], radius=0.6, points=4),
 }
 

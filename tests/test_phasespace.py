@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,9 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
+from oscnet import phasespace
 from oscnet.errors import QuadratureNotConverged, SingularWidth, ValidationError
 
-from conftest import white_model
+from conftest import two_branch_mixture, white_model, zero_coefficient_state
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +335,101 @@ class TestMoments:
             )
 
 
+def _ring_model():
+    # A two-mode network and reservoirs like the ring_wigner benchmark's.
+    return osc.build_model(
+        osc.NetworkSpec(omega=[1.0, 1.03], coupling=[[0.0, 0.1], [0.1, 0.0]]),
+        osc.ReservoirSpec(temperatures=[0.5, 0.5], profiles=(osc.WhiteNoise(0.05),) * 2),
+    )
+
+
+def _ring16():
+    return osc.fock_state_ring([1, 1], radius=0.6, points=4)
+
+
+def _grid_route(monkeypatch, state, bundle, ranges, points):
+    """``wigner_grid``'s output and the number of `_pair_sum` calls it made."""
+    calls = []
+    kernel = phasespace._pair_sum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(phasespace, "_pair_sum", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            coords, values = osc.wigner_grid(state, bundle, ranges, points)
+    return coords, values, len(calls)
+
+
+def _assert_matches_wigner(state, bundle, coords, values, rel=1e-12):
+    xi = coords[:, 0::2] + 1j * coords[:, 1::2]
+    direct = osc.wigner(state, xi, bundle)
+    assert values.shape == direct.shape and np.all(np.isfinite(values))
+    assert np.max(np.abs(values - direct)) <= rel * np.max(np.abs(direct))
+
+
+GRID_CASES = {
+    # name: (model, state, ranges, points, time)
+    "ring_t0": (_ring_model, _ring16, [(-2.5, 2.5, -2.5, 2.5)] * 2, 9, 0.0),
+    "ring_mid": (_ring_model, _ring16, [(-2.5, 2.5, -2.5, 2.5)] * 2, 9, 20.5),
+    "ring_end": (_ring_model, _ring16, [(-2.5, 2.5, -2.5, 2.5)] * 2, 9, 40.0),
+    "one_mode": (
+        lambda: white_model(n=1, gamma=0.25, nbar=0.5),
+        lambda: osc.build_cat_family(1, 1, 0, 1.2 - 0.4j),
+        [(-3.0, 3.0, -2.0, 2.5)],
+        31,
+        0.7,
+    ),
+    "three_modes": (
+        lambda: white_model(n=3, coupling=0.2, gamma=0.05, nbar=0.5),
+        lambda: osc.build_cat_family(3, 1, 1, 0.8 + 0.3j, beta=0.2j),
+        [(-2.0, 2.0, -1.5, 1.5), (-1.0, 2.5, -2.0, 2.0), (-1.5, 1.5, -1.0, 1.0)],
+        4,
+        1.1,
+    ),
+    "one_point": (_ring_model, _ring16, [(0.3, 2.0, -1.0, 1.0)] * 2, 1, 3.0),
+    "two_points": (_ring_model, _ring16, [(-2.0, 2.0, -1.0, 1.0)] * 2, 2, 3.0),
+    "unequal_descending": (
+        _ring_model,
+        _ring16,
+        [(1.5, -2.0, -1.0, 2.5), (-0.5, 3.0, 2.0, -2.0)],
+        6,
+        3.0,
+    ),
+    "distinct_reservoirs": (
+        # Distinct reservoirs make the Wigner width complex.
+        lambda: osc.build_model(
+            osc.NetworkSpec(omega=[1.0, 1.1], coupling=[[0.0, 0.2], [0.2, 0.0]]),
+            osc.ReservoirSpec(
+                temperatures=[0.3, 1.2],
+                profiles=(osc.WhiteNoise(0.03), osc.WhiteNoise(0.08)),
+            ),
+        ),
+        lambda: osc.build_cat_family(2, 1, 1, 0.8 + 0.1j),
+        [(-2.0, 2.0, -1.5, 2.5)] * 2,
+        7,
+        1.2,
+    ),
+    "zero_coefficient": (
+        lambda: white_model(n=2, coupling=0.2, gamma=0.05, nbar=0.5),
+        zero_coefficient_state,
+        [(-2.0, 2.0, -2.0, 2.0)] * 2,
+        7,
+        1.3,
+    ),
+    "two_branch": (
+        lambda: white_model(n=2, coupling=0.2, gamma=0.05, nbar=0.5),
+        two_branch_mixture,
+        [(-2.0, 2.0, -2.0, 2.0)] * 2,
+        7,
+        1.3,
+    ),
+}
+
+
 class TestWignerGrid:
     def test_shape_and_values(self, thermal_model):
         state = osc.single_coherent_state([0.3])
@@ -344,6 +442,72 @@ class TestWignerGrid:
         xi = coords[:, 0] + 1j * coords[:, 1]
         direct = osc.wigner(state, xi[:, None], bundle)
         assert_allclose(values, direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    @pytest.mark.parametrize("name", sorted(GRID_CASES))
+    def test_matches_wigner(self, name, ragged, monkeypatch):
+        make_model, make_state, ranges, points, t = GRID_CASES[name]
+        state = make_state()
+        if ragged:
+            # Three-row factor blocks for the 136 pairs of the ring, so block
+            # edges fall inside the (left, right) table and leave short blocks.
+            monkeypatch.setattr(phasespace, "_CHUNK_BYTES", 3 * 64 * 136)
+        bundle = make_model().propagator.bundle(t)
+        coords, values, fallbacks = _grid_route(monkeypatch, state, bundle, ranges, points)
+        assert fallbacks == 0
+        axes = [np.linspace(lo, hi, points) for r in ranges for lo, hi in (r[:2], r[2:])]
+        expected = np.array(list(itertools.product(*axes)))
+        assert coords.shape == (points ** (2 * len(ranges)), 2 * len(ranges))
+        assert np.array_equal(coords.view(np.int64), expected.view(np.int64))
+        _assert_matches_wigner(state, bundle, coords, values)
+
+    def test_large_cat_trips_the_guard(self, pair_model, monkeypatch):
+        # |alpha| = 10 on +-14: a shifted pair weight reaches e^719, past the
+        # guard, so the grid goes through the log-space kernel.
+        cat = osc.build_cat_family(2, 1, 1, 10.0)
+        bundle = pair_model.propagator.bundle(0.0)
+        ranges = [(-14.0, 14.0, -14.0, 14.0)] * 2
+        coords, values, fallbacks = _grid_route(monkeypatch, cat, bundle, ranges, 9)
+        assert fallbacks == 1
+        assert np.all(np.isfinite(values))
+        _assert_matches_wigner(cat, bundle, coords, values, rel=0.0)
+
+    def test_guard_is_needed(self, pair_model, monkeypatch):
+        # Without the guard the same grid overflows its factors.
+        monkeypatch.setattr(phasespace, "_FACTOR_LOG_MAX", np.inf)
+        cat = osc.build_cat_family(2, 1, 1, 10.0)
+        bundle = pair_model.propagator.bundle(0.0)
+        with pytest.warns(RuntimeWarning):
+            _, values = osc.wigner_grid(cat, bundle, [(-14.0, 14.0, -14.0, 14.0)] * 2, 9)
+        assert not np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
+    def test_mid_size_cat_is_factored(self, pair_model, monkeypatch, t):
+        cat = osc.build_cat_family(2, 1, 1, 5.0)
+        bundle = pair_model.propagator.bundle(t)
+        ranges = [(-8.0, 8.0, -8.0, 8.0)] * 2
+        coords, values, fallbacks = _grid_route(monkeypatch, cat, bundle, ranges, 9)
+        assert fallbacks == 0
+        _assert_matches_wigner(cat, bundle, coords, values)
+
+    def test_ring64_memory_bounded(self, pair_model, monkeypatch):
+        # The README's 64-component ring on a 21^4 grid: unchunked, the left
+        # factor matrix alone would take 441 x 2080 x 16 bytes = 14.7 MB.
+        ring = osc.fock_state_ring([1, 1], radius=0.6, points=8)
+        bundle = pair_model.propagator.bundle(2.0)
+        ranges = [(-2.5, 2.5, -2.5, 2.5)] * 2
+        tracemalloc.start()
+        try:
+            coords, values, fallbacks = _grid_route(monkeypatch, ring, bundle, ranges, 21)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fallbacks == 0
+        assert peak <= coords.nbytes + values.nbytes + 2 * phasespace._CHUNK_BYTES
+        some = slice(None, None, 997)
+        xi = coords[some, 0::2] + 1j * coords[some, 1::2]
+        direct = osc.wigner(ring, xi, bundle)
+        assert np.max(np.abs(values[some] - direct)) <= 1e-12 * np.max(np.abs(values))
 
 
 class TestMixedStates:
