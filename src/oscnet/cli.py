@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -89,6 +90,27 @@ def _complex_field(value, path):
     raise ConfigError(path, "expected a number or [re, im] pair")
 
 
+def _number(convert, value, path):
+    """``convert(value)``, or a ConfigError naming ``path``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(path, "expected a number") from None
+
+
+def _floats(value, path):
+    return _number(lambda v: np.asarray(v, dtype=float), value, path)
+
+
+def _per_mode(value, path, n):
+    """One float per mode; a single number is repeated ``n`` times."""
+    values = _floats(value, path)
+    values = np.full(n, values) if values.ndim == 0 else values
+    if values.shape != (n,):
+        raise ConfigError(path, f"expected {n} entries")
+    return values
+
+
 def _positive_int(value, path):
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(path, "expected a positive integer")
@@ -97,57 +119,38 @@ def _positive_int(value, path):
 
 def _parse_network(config) -> NetworkSpec:
     n = _positive_int(_get(config, "network.n", required=True), "network.n")
-    omega = _get(config, "network.omega", required=True)
-    coupling = _get(config, "network.coupling", 0.0)
-    if isinstance(omega, (int, float)):
-        omega = [float(omega)] * n
-    if len(omega) != n:
-        raise ConfigError("network.omega", f"expected {n} entries")
-    if isinstance(coupling, (int, float)):
-        lam = np.full((n, n), float(coupling))
+    omega = _per_mode(_get(config, "network.omega", required=True), "network.omega", n)
+    lam = _floats(_get(config, "network.coupling", 0.0), "network.coupling")
+    if lam.ndim == 0:
+        lam = np.full((n, n), lam)
         np.fill_diagonal(lam, 0.0)
-    else:
-        lam = np.asarray(coupling, dtype=float)
     try:
-        return NetworkSpec(omega=np.asarray(omega, dtype=float), coupling=lam)
+        return NetworkSpec(omega=omega, coupling=lam)
     except OscnetError as exc:
         raise ConfigError("network", str(exc)) from exc
+
+
+_PROFILES = {"white": WhiteNoise, "lorentzian": Lorentzian, "gaussian_band": GaussianBand}
 
 
 def _parse_profile(node, path):
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(path, "expected an object with a 'kind' field")
     kind = node["kind"]
+    profile = _PROFILES.get(kind) if isinstance(kind, str) else None
+    if profile is None:
+        raise ConfigError(f"{path}.kind", f"unknown profile kind {kind!r}")
     try:
-        if kind == "white":
-            return WhiteNoise(gamma=float(node["gamma"]))
-        if kind == "lorentzian":
-            return Lorentzian(
-                gamma=float(node["gamma"]),
-                center=float(node["center"]),
-                width=float(node["width"]),
-            )
-        if kind == "gaussian_band":
-            return GaussianBand(
-                gamma=float(node["gamma"]),
-                center=float(node["center"]),
-                width=float(node["width"]),
-            )
+        return profile(*(float(node[f.name]) for f in dataclasses.fields(profile)))
     except KeyError as exc:
         raise ConfigError(path, f"missing profile field {exc}") from exc
     except (TypeError, ValueError, OscnetError) as exc:
         raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.kind", f"unknown profile kind {kind!r}")
 
 
 def _parse_reservoirs(config, n) -> ReservoirSpec:
-    temperature = _get(config, "reservoirs.temperature", required=True)
-    if isinstance(temperature, (int, float)):
-        temps = [float(temperature)] * n
-    else:
-        temps = [float(t) for t in temperature]
-    if len(temps) != n:
-        raise ConfigError("reservoirs.temperature", f"expected {n} entries")
+    path = "reservoirs.temperature"
+    temps = _per_mode(_get(config, path, required=True), path, n)
     profile = _get(config, "reservoirs.profile", required=True)
     if isinstance(profile, dict):
         profiles = [_parse_profile(profile, "reservoirs.profile")] * n
@@ -159,15 +162,15 @@ def _parse_reservoirs(config, n) -> ReservoirSpec:
         ]
     overlap = _get(config, "reservoirs.overlap")
     if overlap is not None:
-        overlap = np.asarray(overlap, dtype=float)
+        overlap = _floats(overlap, "reservoirs.overlap")
     common = bool(_get(config, "reservoirs.common", False))
-    if common and len(set(temps)) > 1:
+    if common and np.any(temps != temps[0]):
         raise ConfigError(
             "reservoirs.temperature", "a common reservoir has a single temperature"
         )
     try:
         return ReservoirSpec(
-            temperatures=np.asarray(temps),
+            temperatures=temps,
             profiles=tuple(profiles),
             common=common,
             overlap=overlap,
@@ -179,13 +182,13 @@ def _parse_reservoirs(config, n) -> ReservoirSpec:
 def _parse_state(config, n) -> CoherentMixture:
     kind = _get(config, "state.kind", required=True)
     if kind == "cat":
-        r = _get(config, "state.r", 1)
-        s = _get(config, "state.s", 0)
+        r = _number(int, _get(config, "state.r", 1), "state.r")
+        s = _number(int, _get(config, "state.s", 0), "state.s")
         alpha = _complex_field(_get(config, "state.alpha", required=True), "state.alpha")
         beta = _complex_field(_get(config, "state.beta", 0.0), "state.beta")
-        sign = _get(config, "state.sign", 1)
+        sign = _number(int, _get(config, "state.sign", 1), "state.sign")
         try:
-            return build_cat_family(n, int(r), int(s), alpha, beta, int(sign))
+            return build_cat_family(n, r, s, alpha, beta, sign)
         except OscnetError as exc:
             field = "state.r" if "exceeds" in str(exc) else "state"
             raise ConfigError(field, str(exc)) from exc
@@ -228,8 +231,8 @@ def _parse_times(config) -> np.ndarray:
         except (TypeError, ValueError):
             raise ConfigError("times.list", "expected a list of numbers") from None
     else:
-        start = float(node.get("start", 0.0))
-        stop = float(node.get("stop", 0.0))
+        start = _number(float, node.get("start", 0.0), "times.start")
+        stop = _number(float, node.get("stop", 0.0), "times.stop")
         steps = node.get("steps", 0)
         if not isinstance(steps, int) or steps < 2 or stop <= start:
             raise ConfigError("times", "need start < stop and integer steps >= 2")
@@ -270,6 +273,15 @@ def _parse_wigner_grid(config, n, times):
     return points, ranges, index
 
 
+def _parse_oracle(config):
+    """The oracle's Fock cutoff ``n_max``, or None to have it chosen."""
+    node = _get(config, "oracle")
+    if node is not None and not isinstance(node, dict):
+        raise ConfigError("oracle", "expected an object")
+    n_max = _get(config, "oracle.n_max")
+    return None if n_max is None else _positive_int(n_max, "oracle.n_max")
+
+
 def _parse_outputs(config):
     outputs = _get(config, "outputs", ["tau_report"])
     for out in outputs:
@@ -290,6 +302,7 @@ def parse_config(config: dict):
     state = _parse_state(config, network.n)
     times = _parse_times(config)
     _parse_wigner_grid(config, network.n, times)
+    _parse_oracle(config)
     outputs = _parse_outputs(config)
     return network, reservoirs, regime, state, times, outputs
 
@@ -434,7 +447,7 @@ def _default_eta_grid(n):
 
 
 def _oracle_table(config, state, model: Model, times):
-    node = _get(config, "oracle", {}) or {}
+    n_max = _parse_oracle(config)
     largest_amp = max(
         float(np.max(np.abs(c.amplitudes)))
         for b in state.branches
@@ -443,8 +456,9 @@ def _oracle_table(config, state, model: Model, times):
     occupations = model.rates.diffusion.diagonal() / np.maximum(
         model.rates.damping.diagonal(), 1e-300
     )
-    n_max = node.get("n_max", select_cutoff(largest_amp, float(np.max(occupations))))
-    space = FockSpace(model.network.n, int(n_max))
+    if n_max is None:
+        n_max = select_cutoff(largest_amp, float(np.max(occupations)))
+    space = FockSpace(model.network.n, n_max)
     rho0 = density_from_coherent(space, state)
     evolved = evolve_master(
         rho0,

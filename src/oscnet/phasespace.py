@@ -322,19 +322,9 @@ def _hermite_rule(nodes: int):
 
 def _wigner_quadrature(chi, xi, n_modes: int, nodes: int, chunk: int) -> float:
     x, w = _hermite_rule(nodes)
-    axes_pts = []
-    axes_wts = []
-    for _ in range(2 * n_modes):
-        axes_pts.append(x)
-        axes_wts.append(w)
-    mesh = np.meshgrid(*axes_pts, indexing="ij")
-    weight = np.ones_like(mesh[0])
-    for wm in np.meshgrid(*axes_wts, indexing="ij"):
-        weight = weight * wm
-    eta = np.stack(
-        [mesh[2 * m] + 1j * mesh[2 * m + 1] for m in range(n_modes)], axis=-1
-    ).reshape(-1, n_modes)
-    weight = weight.reshape(-1)
+    points = _grid_coords([x] * (2 * n_modes))
+    eta = points[:, 0::2] + 1j * points[:, 1::2]
+    weight = np.prod(_grid_coords([w] * (2 * n_modes)), axis=1)
     xi = np.asarray(xi, dtype=complex)
     total = 0.0 + 0.0j
     for start in range(0, eta.shape[0], chunk):
@@ -435,6 +425,15 @@ def _factored_sum(coords, axes, const, bra, form):
     return values
 
 
+def _grid_coords(axes):
+    """Rows of the cartesian product of ``axes``, each column one broadcast axis."""
+    d = len(axes)
+    coords = np.empty(tuple(axis.size for axis in axes) + (d,))
+    for i, axis in enumerate(axes):
+        coords[..., i] = axis.reshape((-1,) + (1,) * (d - 1 - i))
+    return coords.reshape(-1, d)
+
+
 def wigner_grid(state: CoherentMixture, bundle: PropagatorBundle, ranges, points: int):
     """Evaluate the Wigner function on a cartesian re/im grid per mode.
 
@@ -457,9 +456,7 @@ def wigner_grid(state: CoherentMixture, bundle: PropagatorBundle, ranges, points
     for re_min, re_max, im_min, im_max in ranges:
         axes.append(np.linspace(re_min, re_max, points))
         axes.append(np.linspace(im_min, im_max, points))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    del mesh  # as large as coords: not kept alive through the pair sum
+    coords = _grid_coords(axes)
     det, const, bra, form = _gaussian_terms(state, bundle, bundle.wigner_width)
     total = _factored_sum(coords, axes, const, bra, form)
     if total is None:

@@ -226,27 +226,25 @@ def profile_overlap(p: Profile, q: Profile) -> float:
     return float(min(1.0, cross / np.sqrt(norm)))
 
 
-def _cross_damping(res: ReservoirSpec, freqs: np.ndarray, overlap: np.ndarray) -> np.ndarray:
-    """Cross rates g[m, k, l] = gamma_mk(freqs[l]) with exact diagonal."""
-    n = res.n
-    gam = res.damping_at(freqs)  # (n, L)
-    cross = np.sqrt(gam[:, None, :] * gam[None, :, :]) * overlap[:, :, None]
-    idx = np.arange(n)
-    cross[idx, idx, :] = gam  # avoid sqrt(x*x) round-off on the diagonal
-    return cross
+def _assemble(
+    res: ReservoirSpec, freqs: np.ndarray, c: np.ndarray, overlap: np.ndarray | None = None
+) -> RateMatrices:
+    """Rates ``N sum_{l, k} gamma_mk(freqs[l]) C[l, k] C[l, n]`` from two N x N products.
 
-
-def _assemble(cross: np.ndarray, cross_diffusion: np.ndarray, modes: NormalModes) -> RateMatrices:
-    # damping[m, n] = N sum_{l, k} cross[m, k](w_l) C[l, k] C[l, n]; the inverse
-    # transform is the transpose, so both factors are rows of the transform.
-    # Contracting k first and then l costs O(N^3) instead of O(N^4).
-    n = cross.shape[0]
-    c = modes.transform
-
-    def contract(rates):
-        return n * (np.einsum("mkl,lk->ml", rates, c) @ c)
-
-    return RateMatrices(damping=contract(cross), diffusion=contract(cross_diffusion))
+    The cross rate is ``gamma_mk = gamma_m`` on the diagonal and
+    ``sqrt(gamma_m gamma_k) o_mk`` off it (``o`` the profile overlap, none for
+    distinct reservoirs), so the inner sum over k is the (m, l) matrix
+    ``rows = gamma * C^T + sqrt(gamma) * (o_off @ (sqrt(gamma) * C^T))``.
+    Diffusion carries each reservoir's Bose factor at ``freqs[l]``.
+    """
+    gam = res.damping_at(freqs)  # (m, l)
+    rows = gam * c.T
+    if overlap is not None:
+        off = overlap - np.diag(np.diag(overlap))
+        root = np.sqrt(gam)
+        rows += root * (off @ (root * c.T))
+    occ = res.occupation_at(freqs)
+    return RateMatrices(damping=res.n * (rows @ c), diffusion=res.n * ((rows * occ) @ c))
 
 
 def rates_distinct(res: ReservoirSpec, modes: NormalModes) -> RateMatrices:
@@ -257,12 +255,7 @@ def rates_distinct(res: ReservoirSpec, modes: NormalModes) -> RateMatrices:
     identical white-noise reservoirs the damping collapses to ``N*gamma*I``
     by orthogonality, and diffusion vanishes at zero temperature.
     """
-    freqs = modes.frequencies
-    identity = np.eye(res.n)
-    cross = _cross_damping(res, freqs, identity)
-    occ = res.occupation_at(freqs)  # (n, L), per-reservoir temperature
-    cross_diffusion = cross * occ[:, None, :]
-    return _assemble(cross, cross_diffusion, modes)
+    return _assemble(res, modes.frequencies, modes.transform)
 
 
 def rates_weak(res: ReservoirSpec, spec: NetworkSpec) -> RateMatrices:
@@ -272,12 +265,7 @@ def rates_weak(res: ReservoirSpec, spec: NetworkSpec) -> RateMatrices:
     """
     if res.n != spec.n:
         raise ValidationError("reservoir and network sizes disagree")
-    n = spec.n
-    gam = np.array([p.rate(w) for p, w in zip(res.profiles, spec.omega)], dtype=float)
-    occ = np.array(
-        [mean_occupation(t, w) for t, w in zip(res.temperatures, spec.omega)], dtype=float
-    )
-    return RateMatrices(damping=n * np.diag(gam), diffusion=n * np.diag(gam * occ))
+    return _assemble(res, spec.omega, np.eye(spec.n))
 
 
 def rates_common(res: ReservoirSpec, modes: NormalModes) -> RateMatrices:
@@ -301,8 +289,4 @@ def rates_common(res: ReservoirSpec, modes: NormalModes) -> RateMatrices:
                 overlap[i, j] = overlap[j, i] = profile_overlap(
                     res.profiles[i], res.profiles[j]
                 )
-    freqs = modes.frequencies
-    cross = _cross_damping(res, freqs, overlap)
-    occ = mean_occupation(res.temperatures[0], freqs)  # (L,), shared bath
-    cross_diffusion = cross * np.atleast_1d(occ)[None, None, :]
-    return _assemble(cross, cross_diffusion, modes)
+    return _assemble(res, modes.frequencies, modes.transform, overlap)

@@ -181,6 +181,56 @@ class TestValidation:
             assert f"config error: {field}:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "node, field",
+        [
+            ({"n_max": "ten"}, "oracle.n_max"),
+            ({"n_max": 2.7}, "oracle.n_max"),
+            ({"n_max": 0}, "oracle.n_max"),
+            ({"n_max": True}, "oracle.n_max"),
+            ([1], "oracle"),
+            ("big", "oracle"),
+        ],
+    )
+    def test_malformed_oracle_rejected_before_any_output(self, node, field, tmp_path, capsys):
+        config = _base_config(outputs=["tau_report", "oracle_compare"])
+        config["oracle"] = node
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("times.start", "zero"),
+            ("times.stop", [40.0]),
+            ("network.omega", ["x"]),
+            ("network.omega", {"re": 1.0}),
+            ("network.coupling", [["x"]]),
+            ("reservoirs.temperature", "hot"),
+            ("reservoirs.temperature", [[0.5], [0.5, 0.5]]),
+            ("reservoirs.overlap", [["x"]]),
+            ("state.r", "one"),
+            ("state.s", [0]),
+            ("state.sign", "minus"),
+        ],
+    )
+    def test_non_numeric_field_named(self, path, value, tmp_path, capsys):
+        config = _base_config()
+        parent, key = path.rsplit(".", 1)
+        cli._get(config, parent)[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            assert f"config error: {path}:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_tau_report_values(self, tmp_path):

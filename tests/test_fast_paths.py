@@ -11,6 +11,7 @@ work the fast paths skip.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 
 import oscnet as osc
-from oscnet import metrics, propagation, reservoirs, stationary
+from oscnet import metrics, propagation, stationary
 from oscnet.errors import NoBracket, RootNotConverged, ValidationError
 
 from conftest import white_model
@@ -53,6 +54,17 @@ def _lorentzian_model(rng, n, temperature=None):
     return osc.build_model(net, _lorentzian_reservoirs(rng, n, temperature=temperature))
 
 
+def _cross_damping(res, freqs, overlap):
+    # The (N, N, L) cross-rate tensor g[m, k, l] = gamma_mk(freqs[l]) with
+    # exact diagonal, which the rate assembly used to contract.
+    n = res.n
+    gam = res.damping_at(freqs)
+    cross = np.sqrt(gam[:, None, :] * gam[None, :, :]) * overlap[:, :, None]
+    idx = np.arange(n)
+    cross[idx, idx, :] = gam
+    return cross
+
+
 def _einsum_rates(cross, cross_diffusion, modes):
     # The O(N^4) three-operand contraction the two-step assembly replaced.
     n = cross.shape[0]
@@ -75,7 +87,7 @@ class TestRateAssembly:
         net = _random_network(rng, n)
         res = _lorentzian_reservoirs(rng, n)
         modes = osc.normal_modes(osc.build_hamiltonian(net))
-        cross = reservoirs._cross_damping(res, modes.frequencies, np.eye(n))
+        cross = _cross_damping(res, modes.frequencies, np.eye(n))
         cross_diffusion = cross * res.occupation_at(modes.frequencies)[:, None, :]
         damping, diffusion = _einsum_rates(cross, cross_diffusion, modes)
         rates = osc.rates_distinct(res, modes)
@@ -90,13 +102,36 @@ class TestRateAssembly:
         net = _random_network(rng, n)
         res = _lorentzian_reservoirs(rng, n, common=True, overlap=overlap, temperature=0.7)
         modes = osc.normal_modes(osc.build_hamiltonian(net))
-        cross = reservoirs._cross_damping(res, modes.frequencies, overlap)
+        cross = _cross_damping(res, modes.frequencies, overlap)
         occ = osc.mean_occupation(0.7, modes.frequencies)
         damping, diffusion = _einsum_rates(cross, cross * occ[None, None, :], modes)
         rates = osc.rates_common(res, modes)
         assert np.max(np.abs(rates.damping - np.diag(np.diag(rates.damping)))) > 0
         _assert_rel(rates.damping, damping, 1e-13)
         _assert_rel(rates.diffusion, diffusion, 1e-13)
+
+    def test_weak_is_diagonal_at_natural_frequencies(self, rng):
+        n = 12
+        net = _random_network(rng, n)
+        res = _lorentzian_reservoirs(rng, n)
+        gam = np.array([p.rate(w) for p, w in zip(res.profiles, net.omega)])
+        occ = np.array([osc.mean_occupation(t, w) for t, w in zip(res.temperatures, net.omega)])
+        rates = osc.rates_weak(res, net)
+        assert_allclose(rates.damping, n * np.diag(gam), rtol=1e-15, atol=0)
+        assert_allclose(rates.diffusion, n * np.diag(gam * occ), rtol=1e-15, atol=0)
+
+    def test_distinct_memory_is_quadratic(self, rng):
+        # N=200: an (N, N, N) cross-rate tensor alone would take 64 MB.
+        n = 200
+        modes = osc.normal_modes(osc.build_hamiltonian(_random_network(rng, n)))
+        res = _lorentzian_reservoirs(rng, n)
+        tracemalloc.start()
+        try:
+            osc.rates_distinct(res, modes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def _rotated_exponent(delta, bundle):

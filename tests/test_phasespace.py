@@ -509,6 +509,21 @@ class TestWignerGrid:
         direct = osc.wigner(ring, xi, bundle)
         assert np.max(np.abs(values[some] - direct)) <= 1e-12 * np.max(np.abs(values))
 
+    def test_grid_coords_are_meshgrid_in_one_array(self):
+        # A two-mode 21^4 grid: meshgrid plus stack peaks at twice the coords.
+        axes = [np.linspace(lo, -lo, 21) for lo in (-2.5, -2.0, -1.5, -3.0)]
+        tracemalloc.start()
+        try:
+            coords = phasespace._grid_coords(axes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mesh = np.meshgrid(*axes, indexing="ij")
+        expected = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        assert coords.shape == expected.shape
+        assert coords.tobytes() == expected.tobytes()
+        assert peak <= 1.2 * coords.nbytes
+
 
 class TestMixedStates:
     def test_two_branch_mixture_against_oracle(self):
