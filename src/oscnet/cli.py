@@ -13,12 +13,15 @@ sequentially in process; ``--serial`` is accepted and has no effect.  Every
 file starts with a header block carrying the config hash and package version;
 CSV rows are streamed to a temporary file in blocks and renamed into place.
 
-``run`` and ``sweep`` pin every mapped OpenBLAS to one thread while they run
-and restore the earlier count afterwards: their work is many small dense
+``run`` and ``sweep`` use one BLAS thread: their work is many small dense
 eigensolves and products, where the thread pool's hand-offs cost more than
-the flops.  Setting ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
-``OMP_NUM_THREADS`` turns the pin off.  ``dcoef`` and ``entropy_curve`` share
-one pass over the times, building each time's propagator bundle once.
+the flops.  The command line (``oscnet.__main__``) sets
+``OPENBLAS_NUM_THREADS=1`` before numpy loads; called in process, ``run``
+and ``sweep`` pin every mapped OpenBLAS to one thread while they run and
+restore the earlier count afterwards.  Setting ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` leaves the count to the user.
+``dcoef`` and ``entropy_curve`` share one pass over the times, building each
+time's propagator bundle once.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _BLAS_THREAD_VARIABLES, __version__
 from .errors import ConfigError, OscnetError
 from .metrics import decoherence_report, linear_entropy
 from .network import NetworkSpec
@@ -163,7 +166,9 @@ def _parse_reservoirs(config, n) -> ReservoirSpec:
     overlap = _get(config, "reservoirs.overlap")
     if overlap is not None:
         overlap = _floats(overlap, "reservoirs.overlap")
-    common = bool(_get(config, "reservoirs.common", False))
+    common = _get(config, "reservoirs.common", False)
+    if not isinstance(common, bool):
+        raise ConfigError("reservoirs.common", "expected true or false")
     if common and np.any(temps != temps[0]):
         raise ConfigError(
             "reservoirs.temperature", "a common reservoir has a single temperature"
@@ -194,26 +199,31 @@ def _parse_state(config, n) -> CoherentMixture:
             raise ConfigError(field, str(exc)) from exc
     if kind == "coherent":
         branches_node = _get(config, "state.branches", required=True)
+        if not isinstance(branches_node, list):
+            raise ConfigError("state.branches", "expected a list of branch objects")
         branches = []
         for i, b in enumerate(branches_node):
+            branch = f"state.branches[{i}]"
+            if not isinstance(b, dict):
+                raise ConfigError(branch, "expected an object")
             comps = b.get("components", [])
+            if not isinstance(comps, list):
+                raise ConfigError(f"{branch}.components", "expected a list")
+            weight = _number(float, b.get("weight", 1.0), f"{branch}.weight")
             coeffs = []
             vectors = []
             for j, c in enumerate(comps):
-                where = f"state.branches[{i}].components[{j}]"
+                where = f"{branch}.components[{j}]"
                 if not isinstance(c, dict) or "amplitude" not in c or "beta" not in c:
                     raise ConfigError(where, "needs 'amplitude' and 'beta' fields")
                 coeffs.append(_complex_field(c["amplitude"], f"{where}.amplitude"))
-                vec = [_complex_field(z, f"{where}.beta") for z in c["beta"]]
-                if len(vec) != n:
+                if not isinstance(c["beta"], list) or len(c["beta"]) != n:
                     raise ConfigError(f"{where}.beta", f"expected {n} modes")
-                vectors.append(vec)
+                vectors.append([_complex_field(z, f"{where}.beta") for z in c["beta"]])
             try:
-                branches.append(
-                    coherent_superposition(coeffs, vectors, b.get("weight", 1.0))
-                )
+                branches.append(coherent_superposition(coeffs, vectors, weight))
             except OscnetError as exc:
-                raise ConfigError(f"state.branches[{i}]", str(exc)) from exc
+                raise ConfigError(branch, str(exc)) from exc
         try:
             return coherent_mixture(branches)
         except OscnetError as exc:
@@ -413,31 +423,44 @@ def _wigner_table(config, state, model: Model, times):
     for m in range(model.network.n):
         columns += [f"re_xi{m + 1}", f"im_xi{m + 1}"]
     columns.append("wigner")
-    return columns, _grid_blocks(coords, values)
+    return columns, _grid_blocks(coords, values, points)
 
 
-def _grid_blocks(coords, values):
+def _grid_blocks(coords, values, points):
     """Text blocks of the Wigner table, each coordinate formatted once.
 
-    A grid column takes only ``points`` distinct values, so each distinct
-    value (by bit pattern, which keeps -0.0 apart from 0.0) is formatted
-    once and looked up per block; only the Wigner values are formatted per
-    row.  The text never covers more than one block of rows.
+    ``coords`` is the cartesian product of 2N axes of ``points`` values, the
+    last varying fastest, so axis j is every ``points**(2N-1-j)``-th entry
+    of column j and is read from there.  Each run of ``points`` rows shares
+    the text of its first 2N-1 coordinates; a block builds those prefixes
+    for its own rows only, joins them with the last axis into one format
+    string and formats its Wigner values with a single ``%``.  Blocks holding
+    an infinity format it through ``_format_value``.  The text never covers
+    more than one block of rows.
     """
-    bits = coords.view(np.int64)
-    axes = []
-    for j in range(coords.shape[1]):
-        keys = np.unique(bits[:, j])
-        text = np.array([_format_value(v) for v in keys.view(float).tolist()], dtype=object)
-        axes.append((keys, text))
-    for start in range(0, values.size, _CSV_BLOCK_ROWS):
-        rows = slice(start, start + _CSV_BLOCK_ROWS)
-        fields = [
-            text[np.searchsorted(keys, bits[rows, j])].tolist()
-            for j, (keys, text) in enumerate(axes)
+    dims = coords.shape[1]
+    axes = [
+        [
+            _format_value(v)
+            for v in coords[: points ** (dims - j) : points ** (dims - 1 - j), j].tolist()
         ]
-        fields.append(map(_format_value, values[rows].tolist()))
-        yield "".join(",".join(row) + "\n" for row in zip(*fields))
+        for j in range(dims)
+    ]
+    tails = [f"{text},%r\n" for text in axes[-1]]
+    strides = [points ** (dims - 2 - j) for j in range(dims - 1)]
+    for start in range(0, values.size, _CSV_BLOCK_ROWS):
+        block = values[start : start + _CSV_BLOCK_ROWS]
+        first, last = start // points, (start + block.size - 1) // points
+        prefixes = [
+            "".join(axes[j][q // stride % points] + "," for j, stride in enumerate(strides))
+            for q in range(first, last + 1)
+        ]
+        skip = start - first * points
+        fmt = "".join([p + t for p in prefixes for t in tails][skip : skip + block.size])
+        if np.isinf(block).any():
+            yield fmt.replace("%r", "%s") % tuple(map(_format_value, block.tolist()))
+        else:
+            yield fmt % tuple(block.tolist())
 
 
 def _default_eta_grid(n):
@@ -496,27 +519,27 @@ def _oracle_table(config, state, model: Model, times):
 # ---------------------------------------------------------------------------
 # Commands
 
-# Any of these, when set, leaves the BLAS thread count to the user.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with every mapped OpenBLAS on one thread, then restore.
 
-    A command is a chain of small dense problems (N up to a few hundred), on
-    which OpenBLAS's thread pool costs more in hand-offs than it gains.  Every
-    OpenBLAS mapped on entry is found in /proc/self/maps and set through
-    ``openblas_set_num_threads_local``, which returns the count it replaces
-    (in the pthreads builds the wheels ship, that count is process-wide).  A
-    Gaussian run uses numpy alone, so numpy's copy is the one mapped and the
-    pin covers it, as it does for the Fock oracle, which uses only
-    ``scipy.sparse``.  scipy's wheel ships its own OpenBLAS, which is mapped
-    later, inside the body, and only by profile overlaps (``quad``) or the
-    Sylvester fallback; the maps are not scanned again, so that copy keeps
-    its own thread count.  Does nothing when a thread-count variable is set,
-    without /proc, or when no mapped library has the symbol (MKL,
-    Accelerate).
+    This serves in-process callers of ``run_config`` and ``run_sweep``
+    (tests, the bench tracer, library users).  The command line sets
+    ``OPENBLAS_NUM_THREADS=1`` before numpy loads (``oscnet.__main__``), which
+    also covers scipy's OpenBLAS and starts no idle worker, so under the CLI
+    this does nothing.  A command is a chain of small dense problems (N up to
+    a few hundred), on which OpenBLAS's thread pool costs more in hand-offs
+    than it gains.  Every OpenBLAS mapped on entry is found in
+    /proc/self/maps and set through ``openblas_set_num_threads_local``, which
+    returns the count it replaces (in the pthreads builds the wheels ship,
+    that count is process-wide).  A Gaussian run uses numpy alone, so numpy's
+    copy is the one mapped and the pin covers it, as it does for the Fock
+    oracle, which uses only ``scipy.sparse``.  scipy's wheel ships its own
+    OpenBLAS, which is mapped later, inside the body, and only by profile
+    overlaps (``quad``) or the Sylvester fallback; the maps are not scanned
+    again, so that copy keeps its own thread count.  Does nothing when one
+    of ``oscnet._BLAS_THREAD_VARIABLES`` is set, without /proc, or when no
+    mapped library has the symbol (MKL, Accelerate).
     """
     setters = []
     if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):

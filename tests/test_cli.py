@@ -1,6 +1,8 @@
 import ctypes
+import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,10 @@ def _base_config(**overrides):
     }
     config.update(overrides)
     return config
+
+
+# A valid one-mode coherent branch: one component at amplitude 0.5.
+_BRANCH = {"weight": 1.0, "components": [{"amplitude": 1.0, "beta": [0.5]}]}
 
 
 def _run_cli(*args):
@@ -229,6 +235,43 @@ class TestValidation:
         for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
             assert cli.main(argv) == 2
             assert f"config error: {path}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "branches, field",
+        [
+            (3, "state.branches"),
+            ([[1]], "state.branches[0]"),
+            ([_BRANCH, "b"], "state.branches[1]"),
+            ([{"components": 3}], "state.branches[0].components"),
+            ([{**_BRANCH, "weight": "x"}], "state.branches[0].weight"),
+            ([{**_BRANCH, "weight": [1.0]}], "state.branches[0].weight"),
+            (
+                [{"components": [{"amplitude": 1.0, "beta": 0.5}]}],
+                "state.branches[0].components[0].beta",
+            ),
+        ],
+    )
+    def test_malformed_coherent_branch_named(self, branches, field, tmp_path, capsys):
+        config = _base_config(state={"kind": "coherent", "branches": branches})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["no", "false", 1, None])
+    def test_common_flag_must_be_boolean(self, value, tmp_path, capsys):
+        config = _base_config()
+        config["reservoirs"]["common"] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            assert "config error: reservoirs.common:" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -501,13 +544,17 @@ class TestStartup:
             f"written = run_config({config!r}, Path({str(tmp_path / 'out')!r}))\n"
             "print(sorted(written))\n"
             "print([m for m in sys.modules if m.startswith('scipy')])\n"
+            "print('numpy.ma' in sys.modules)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        outputs, loaded = proc.stdout.strip().splitlines()
+        outputs, loaded, masked = proc.stdout.strip().splitlines()
         assert outputs == repr(sorted(config["outputs"]))
         assert loaded == "[]"
+        # The Wigner CSV writer reads its axes by stride: no np.unique, whose
+        # import of numpy.ma costs every run about 14 ms.
+        assert masked == "False"
 
     def test_oracle_run_loads_only_scipy_sparse(self, tmp_path):
         # The Fock oracle builds its generator with scipy.sparse and steps it
@@ -536,6 +583,136 @@ class TestStartup:
         assert sparse_loaded == "True"
         assert loaded == "[]"
         assert (tmp_path / "out" / "oracle_compare.csv").exists()
+
+
+# Every name ``oscnet`` exported before its exports became lazy, by defining
+# module, plus the submodules themselves.
+_EXPORTS = {
+    "errors": [
+        "ConfigError", "CutoffOverflow", "DefectiveMatrix", "NoBracket",
+        "NonDissipativeMode", "NonPositiveNormalMode", "NullState", "OscnetError",
+        "QuadratureNotConverged", "RootNotConverged", "SingularSystem",
+        "SingularWidth", "ValidationError",
+    ],
+    "network": [
+        "DissipativeMatrix", "NetworkSpec", "NormalModes", "build_hamiltonian",
+        "coupling_regime", "degenerate_symmetric_network", "dissipative_matrix",
+        "normal_modes",
+    ],
+    "reservoirs": [
+        "GaussianBand", "Lorentzian", "RateMatrices", "ReservoirSpec", "WhiteNoise",
+        "mean_occupation", "profile_overlap", "rates_common", "rates_distinct",
+        "rates_weak", "temperature_for_occupation",
+    ],
+    "stationary": [
+        "StationaryWidth", "kron_sum", "lyapunov_residual", "solve_pi_eigen",
+        "solve_pi_vec", "stationary_width",
+    ],
+    "propagation": [
+        "Model", "Propagator", "PropagatorBundle", "build_model", "centroid",
+        "eta_flow", "noise_width", "rotate_frame", "transition_matrix",
+    ],
+    "states": [
+        "CoherentBranch", "CoherentComponent", "CoherentMixture", "FockBranch",
+        "FockMixture", "build_cat_family", "coherent_mixture", "coherent_overlap",
+        "coherent_superposition", "fock_mixture", "fock_state_ring",
+        "single_coherent_state",
+    ],
+    "phasespace": [
+        "char_function", "char_function_fock", "moments", "p_function", "wigner",
+        "wigner_elements", "wigner_from_char", "wigner_grid",
+    ],
+    "metrics": [
+        "DecoherenceReport", "concurrence", "decay_function", "decoherence_report",
+        "decoherence_time", "directional_diffusion_times", "interference_decay_time",
+        "linear_entropy", "mean_diffusion_time",
+    ],
+    "oracle": [
+        "FockSpace", "TruncatedDensityMatrix", "density_from_coherent",
+        "density_from_fock", "evolve_master", "expect_lowering",
+        "expect_number_matrix", "liouvillian_apply", "oracle_char",
+        "oracle_partial_trace", "oracle_purity", "select_cutoff",
+    ],
+}
+
+
+class TestLazyPackage:
+    def test_import_loads_no_numpy(self):
+        code = "import sys, oscnet; print('numpy' in sys.modules, oscnet.__version__)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == ["False", "0.1.0"]
+
+    def test_exports_resolve_to_defining_module(self):
+        for module, names in _EXPORTS.items():
+            defining = importlib.import_module(f"oscnet.{module}")
+            assert getattr(osc, module) is defining
+            for name in names:
+                assert getattr(osc, name) is getattr(defining, name), name
+
+    def test_star_import_gives_the_same_names(self):
+        namespace = {}
+        exec("from oscnet import *", namespace)
+        del namespace["__builtins__"]
+        expected = {*_EXPORTS, *(name for names in _EXPORTS.values() for name in names)}
+        assert set(namespace) == expected
+        assert set(osc.__all__) == expected
+        assert expected <= set(dir(osc))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            osc.no_such_name
+        assert not hasattr(osc, "__wrapped__")
+
+
+class TestCommandLineThreads:
+    # ``python -m oscnet validate`` in a fresh interpreter, then the number of
+    # threads alive and the thread variables it ends with.
+    CODE = (
+        "import os, runpy, sys\n"
+        "sys.argv = ['oscnet', 'validate', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('oscnet', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "names = ('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', 'OMP_NUM_THREADS')\n"
+        "print(len(os.listdir('/proc/self/task')), [os.environ.get(n) for n in names])\n"
+    )
+
+    @pytest.fixture
+    def config_path(self, tmp_path):
+        if not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs /proc and more than one CPU")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_base_config()))
+        return path
+
+    @staticmethod
+    def _run(code, path, **variables):
+        env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARIABLES}
+        env.update(variables)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_cli_starts_one_blas_thread(self, config_path):
+        # Importing the library first keeps OpenBLAS's default, an extra
+        # worker per CPU; without one the check below would prove nothing.
+        control = "import oscnet.cli\n" + self.CODE
+        if self._run(control, config_path).startswith("1 "):
+            pytest.skip("numpy's BLAS starts no worker thread here")
+        assert self._run(self.CODE, config_path) == "1 ['1', None, None]"
+
+    @pytest.mark.parametrize(
+        "name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"]
+    )
+    def test_user_thread_variable_left_alone(self, name, config_path):
+        values = [None, None, None]
+        values[cli._BLAS_THREAD_VARIABLES.index(name)] = "2"
+        assert self._run(self.CODE, config_path, **{name: "2"}) == f"2 {values}"
 
 
 class TestSweep:
