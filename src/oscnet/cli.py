@@ -84,25 +84,33 @@ def _get(config, path, default=None, required=False):
 
 def _complex_field(value, path):
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+        value = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
         try:
-            return complex(float(value[0]), float(value[1]))
+            value = complex(float(value[0]), float(value[1]))
         except (TypeError, ValueError):
             pass
-    raise ConfigError(path, "expected a number or [re, im] pair")
+    if isinstance(value, complex) and math.isfinite(value.real) and math.isfinite(value.imag):
+        return value
+    raise ConfigError(path, "expected a finite number or [re, im] pair")
 
 
 def _number(convert, value, path):
-    """``convert(value)``, or a ConfigError naming ``path``."""
+    """``convert(value)`` when it is finite, or a ConfigError naming ``path``."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
+        result = convert(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(path, "expected a number") from None
+    if isinstance(result, float) and not math.isfinite(result):
+        raise ConfigError(path, "expected finite numbers")
+    return result
 
 
 def _floats(value, path):
-    return _number(lambda v: np.asarray(v, dtype=float), value, path)
+    values = _number(lambda v: np.asarray(v, dtype=float), value, path)
+    if not np.isfinite(values).all():
+        raise ConfigError(path, "expected finite numbers")
+    return values
 
 
 def _per_mode(value, path, n):
@@ -143,11 +151,14 @@ def _parse_profile(node, path):
     profile = _PROFILES.get(kind) if isinstance(kind, str) else None
     if profile is None:
         raise ConfigError(f"{path}.kind", f"unknown profile kind {kind!r}")
+    fields = dataclasses.fields(profile)
     try:
-        return profile(*(float(node[f.name]) for f in dataclasses.fields(profile)))
+        values = [_number(float, node[f.name], f"{path}.{f.name}") for f in fields]
     except KeyError as exc:
         raise ConfigError(path, f"missing profile field {exc}") from exc
-    except (TypeError, ValueError, OscnetError) as exc:
+    try:
+        return profile(*values)
+    except OscnetError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -157,6 +168,8 @@ def _parse_reservoirs(config, n) -> ReservoirSpec:
     profile = _get(config, "reservoirs.profile", required=True)
     if isinstance(profile, dict):
         profiles = [_parse_profile(profile, "reservoirs.profile")] * n
+    elif not isinstance(profile, list):
+        raise ConfigError("reservoirs.profile", "expected an object or a list of objects")
     else:
         if len(profile) != n:
             raise ConfigError("reservoirs.profile", f"expected {n} entries")
@@ -236,10 +249,9 @@ def _parse_times(config) -> np.ndarray:
     if not isinstance(node, dict):
         raise ConfigError("times", "expected an object with 'list' or start/stop/steps")
     if "list" in node:
-        try:
-            times = np.asarray([float(t) for t in node["list"]], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("times.list", "expected a list of numbers") from None
+        times = _floats(node["list"], "times.list")
+        if times.ndim != 1:
+            raise ConfigError("times.list", "expected a list of numbers")
     else:
         start = _number(float, node.get("start", 0.0), "times.start")
         stop = _number(float, node.get("stop", 0.0), "times.stop")
@@ -294,6 +306,8 @@ def _parse_oracle(config):
 
 def _parse_outputs(config):
     outputs = _get(config, "outputs", ["tau_report"])
+    if not isinstance(outputs, list):
+        raise ConfigError("outputs", "expected a list of output names")
     for out in outputs:
         if out not in OUTPUT_KINDS:
             raise ConfigError("outputs", f"unknown output {out!r}")
@@ -532,14 +546,14 @@ def _one_blas_thread():
     than it gains.  Every OpenBLAS mapped on entry is found in
     /proc/self/maps and set through ``openblas_set_num_threads_local``, which
     returns the count it replaces (in the pthreads builds the wheels ship,
-    that count is process-wide).  A Gaussian run uses numpy alone, so numpy's
-    copy is the one mapped and the pin covers it, as it does for the Fock
-    oracle, which uses only ``scipy.sparse``.  scipy's wheel ships its own
-    OpenBLAS, which is mapped later, inside the body, and only by profile
-    overlaps (``quad``) or the Sylvester fallback; the maps are not scanned
-    again, so that copy keeps its own thread count.  Does nothing when one
-    of ``oscnet._BLAS_THREAD_VARIABLES`` is set, without /proc, or when no
-    mapped library has the symbol (MKL, Accelerate).
+    that count is process-wide).  A Gaussian run and the Fock oracle use
+    numpy alone, so numpy's copy is the one mapped and the pin covers it.
+    scipy's wheel ships its own OpenBLAS, which is mapped later, inside the
+    body, and only by profile overlaps (``quad``) or the Sylvester fallback;
+    the maps are not scanned again, so that copy keeps its own thread count.
+    Does nothing when one of ``oscnet._BLAS_THREAD_VARIABLES`` is set,
+    without /proc, or when no mapped library has the symbol (MKL,
+    Accelerate).
     """
     setters = []
     if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):

@@ -1,22 +1,26 @@
 """Brute-force master-equation oracle on a truncated Fock space.
 
 Ground truth for the analytic phase-space machinery at small mode counts.
-Density matrices are dense.  The master-equation generator is one sparse
-superoperator on the row-major vec of rho, built once from the per-mode
-ladder operators.  It does not depend on time, so the evolution is its exact
-exponential action exp(t L) rho0, evaluated to double precision by a port of
-Al-Mohy & Higham's scaled Taylor algorithm (the one behind scipy's
-``expm_multiply``); ``scipy.sparse`` is the only scipy module the oracle
-loads.  The normal-ordered characteristic function and the moments are
-traces of products of per-mode operators, contracted one mode axis at a
+Density matrices are dense.  The master-equation generator is applied
+matrix-free, with numpy alone: a diagonal plus one slice term per hop and
+jump, each a square-root ladder factor times a shifted block of rho, summed
+as ``X + X^H`` on Hermitian rho.  It does not depend on time, so the
+evolution is its exact exponential action exp(t L) rho0, taken in the
+rotating frame of the total excitation number (which every term conserves
+in difference, so the frame is exact and cuts the generator's norm) and
+evaluated to double precision by a port of Al-Mohy & Higham's scaled Taylor
+algorithm (the one behind scipy's ``expm_multiply``); the oracle loads no
+scipy module.  The normal-ordered characteristic function and the moments
+are traces of products of per-mode operators, contracted one mode axis at a
 time.  The oracle works in the Fock basis only and shares no formula with
 the Gaussian phase-space code it checks.
 
 Every array the oracle keeps scales with the Fock dimension ``dim =
 (n_max + 1)**n_modes``: the dense mode operators take ``2 n dim^2`` complex
-entries and the generator at most ``(1 + 4 n^2) dim^2`` stored entries.
-Sizes whose predicted bytes exceed ``_BYTE_LIMIT`` (1 GiB) are refused with a
-:class:`ValidationError` before anything is allocated.
+entries and the evolution's working set ``_WORK_ARRAYS`` dim x dim complex
+arrays, besides the snapshots it returns.  Sizes whose predicted bytes
+exceed ``_BYTE_LIMIT`` (1 GiB) are refused with a :class:`ValidationError`
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -48,11 +52,11 @@ __all__ = [
 _TOP_LEVEL_LIMIT = 1e-6
 _TAIL_LIMIT = 1e-8
 # Largest predicted size of one oracle structure (dense mode operators, or the
-# sparse generator); larger truncated spaces are refused up front.
+# evolution's working set); larger truncated spaces are refused up front.
 _BYTE_LIMIT = 1 << 30
-# Bytes per stored generator entry: a complex value and a (worst-case 64-bit)
-# column index.
-_ENTRY_BYTES = 16 + 8
+# dim x dim complex arrays alive at once while evolve_master runs, besides the
+# snapshots it returns (tracemalloc reads 6.2 at dim 343).
+_WORK_ARRAYS = 8
 
 
 def _check_bytes(what: str, dim: int, predicted: int) -> None:
@@ -159,13 +163,11 @@ class TruncatedDensityMatrix:
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
-        scale = max(1.0, float(np.max(np.abs(rho))))
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10 * scale:
-            raise ValidationError("density matrix is not Hermitian to tolerance")
+        hermitian = _hermitian_part(rho, len(rho))
         trace = float(np.trace(rho).real)
         if abs(trace - 1.0) > 1e-8:
             raise ValidationError(f"trace drifted to {trace}")
-        eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+        eigs = np.linalg.eigvalsh(hermitian)
         if eigs[0] < -1e-8:
             raise ValidationError(f"negative eigenvalue {eigs[0]:.3g}")
         object.__setattr__(self, "rho", rho)
@@ -196,56 +198,157 @@ def density_from_fock(space: FockSpace, state: FockMixture) -> np.ndarray:
     return rho
 
 
-def _generator(space: FockSpace, hamiltonian, damping, diffusion) -> scipy.sparse.csr_array:
-    """Master-equation generator as a sparse superoperator on the row-major vec of rho.
+def _hermitian_part(rho, dim: int) -> np.ndarray:
+    """(rho + rho^H) / 2, once rho is dim x dim and Hermitian to 1e-10 of its scale."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise ValidationError(f"density matrix must be {dim} x {dim}")
+    scale = max(1.0, float(np.max(np.abs(rho))))
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10 * scale:
+        raise ValidationError("density matrix is not Hermitian to tolerance")
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _term(n: int, coefficient, parts: dict):
+    """``(dst, src, factor)`` of one ladder term on the ``(levels,)*n + (dim,)`` view.
+
+    ``parts`` maps a view axis to the ``(dst, src, root)`` slices and
+    square-root factors of the ladder acting along it; the factor is their
+    product times ``coefficient``, shaped to broadcast over the slices.
+    """
+    dst = [slice(None)] * (n + 1)
+    src = list(dst)
+    factor = complex(coefficient)  # complex factors spare a cast in every product
+    for axis, (to, frm, root) in parts.items():
+        dst[axis], src[axis] = to, frm
+        shape = [1] * (n + 1)
+        shape[axis] = root.size
+        factor = factor * root.reshape(shape)
+    return tuple(dst), tuple(src), factor
+
+
+class _Generator:
+    """Master-equation generator as a diagonal plus ladder terms on rho.
 
     ``d rho/dt = L rho + rho R + sum_mk w_mk a_k rho a_m^dag + v_mk a_k^dag rho a_m``
-    with ``L = -iH - Q - G`` and ``R = iH - Q' - G'``: Q holds the loss
-    weights (damping + diffusion)/2 on ``a_m^dag a_k``, G the gain weights
-    diffusion/2 on ``a_m a_k^dag``, primes transpose the weights, and w, v are
-    the symmetrized loss and gain weights.  Each term is a Kronecker product
-    through ``vec(A rho B) = (A kron B^T) vec(rho)``.
-    """
-    import scipy.sparse
+    with ``L = -iH - Q - G`` and ``R = L^H``: Q holds the loss weights
+    (damping + diffusion)/2 on ``a_m^dag a_k``, G the gain weights
+    diffusion/2 on ``a_m a_k^dag``, and w, v are the symmetrized loss and gain
+    weights.  On a Hermitian rho the right-hand side is ``X + X^H`` with
+    ``X = L rho + J(rho)/2``, J the jump terms.  X is stored as a diagonal on
+    the row index plus one ``(dst, src, factor)`` term per hop ``a_p^dag a_q``
+    of L and per jump, on rho viewed as ``(levels,)*n + (dim,)``: rows split
+    into mode axes, columns flat.  A row ladder slices one mode axis; a column
+    ladder of mode m shifts the flat column index by ``levels**(n-1-m)``, its
+    square-root factor zero where the shift would leave the box, so every
+    inner loop runs over whole rows.  Of the jumps, which pair up as
+    Hermitian conjugates, X keeps ``m <= k`` (halving ``m = k``).
 
-    hamiltonian = np.asarray(hamiltonian, dtype=complex)
-    damping = np.asarray(damping, dtype=float)
-    diffusion = np.asarray(diffusion, dtype=float)
-    n = space.n_modes
-    if hamiltonian.shape != (n, n):
-        raise ValidationError("hamiltonian matrix has the wrong shape")
-    if damping.shape != (n, n) or diffusion.shape != (n, n):
-        raise ValidationError("rate matrices have the wrong shape")
-    dim = space.dim
-    _check_bytes("sparse generator", dim, (1 + 4 * n * n) * dim**2 * _ENTRY_BYTES)
-    lowering = [scipy.sparse.csr_array(op) for op in space.lowering]
-    raising = [scipy.sparse.csr_array(op) for op in space.raising]
-    loss = 0.5 * (damping + diffusion)
-    gain = 0.5 * diffusion
-    loss_weights = loss + loss.T  # a_k rho adag_m coefficient, symmetrized
-    gain_weights = gain + gain.T
-    left = scipy.sparse.csr_array((dim, dim), dtype=complex)
-    right = scipy.sparse.csr_array((dim, dim), dtype=complex)
-    generator = scipy.sparse.csr_array((dim * dim, dim * dim), dtype=complex)
-    for m in range(n):
-        for k in range(n):
-            hop = raising[m] @ lowering[k]
-            fill = lowering[m] @ raising[k]
-            left = left - (1j * hamiltonian[m, k] + loss[m, k]) * hop - gain[m, k] * fill
-            right = right + (1j * hamiltonian[m, k] - loss[k, m]) * hop - gain[k, m] * fill
-            if loss_weights[m, k] != 0:
-                generator = generator + loss_weights[m, k] * scipy.sparse.kron(
-                    lowering[k], raising[m].T, format="csr"
-                )
-            if gain_weights[m, k] != 0:
-                generator = generator + gain_weights[m, k] * scipy.sparse.kron(
-                    raising[k], lowering[m].T, format="csr"
-                )
-    eye = scipy.sparse.eye_array(dim, format="csr")
-    generator = generator + scipy.sparse.kron(left, eye, format="csr")
-    generator = generator + scipy.sparse.kron(eye, right.T, format="csr")
-    generator.eliminate_zeros()
-    return generator
+    With ``shifted``, the generator is moved to the rotating frame of the
+    total number N at ``omega`` = mean of diag(H), adding ``i omega [N, .]``
+    (every term keeps ``n(i) - n(j)``, so this commutes with L), and shifted
+    by ``-mu`` with ``mu = tr L / dim^2``; :meth:`unrotate` restores the lab
+    frame.
+    """
+
+    def __init__(self, space: FockSpace, hamiltonian, damping, diffusion, shifted=False):
+        hamiltonian = np.asarray(hamiltonian, dtype=complex)
+        damping = np.asarray(damping, dtype=float)
+        diffusion = np.asarray(diffusion, dtype=float)
+        n, levels, dim = space.n_modes, space.levels, space.dim
+        if hamiltonian.shape != (n, n):
+            raise ValidationError("hamiltonian matrix has the wrong shape")
+        if damping.shape != (n, n) or diffusion.shape != (n, n):
+            raise ValidationError("rate matrices have the wrong shape")
+        scale = max(1.0, float(np.max(np.abs(hamiltonian))))
+        if not np.max(np.abs(hamiltonian - hamiltonian.conj().T)) <= 1e-12 * scale:
+            raise ValidationError("hamiltonian matrix is not Hermitian")
+        _check_bytes("generator working set", dim, _WORK_ARRAYS * dim**2 * 16)
+        self.dim = dim
+        self._view = (levels,) * n + (dim,)
+        occupations = np.indices((levels,) * n).reshape(n, dim)
+        loss = 0.5 * (damping + diffusion)
+        gain = 0.5 * diffusion
+        loss_weights = loss + loss.T
+        gain_weights = gain + gain.T
+        below, above = slice(0, space.n_max), slice(1, levels)
+        root = np.sqrt(np.arange(1.0, levels))
+        lower, lift = (below, above, root), (above, below, root)
+        diagonal = np.zeros(dim, dtype=complex)
+        self._terms = []
+        for m in range(n):
+            occ = occupations[m]
+            # a_m a_m^dag is n + 1 below the cutoff level and 0 on it.
+            diagonal -= (1j * hamiltonian[m, m] + loss[m, m]) * occ
+            diagonal -= gain[m, m] * (occ + 1.0) * (occ < space.n_max)
+            for k in range(n):
+                hop = -(1j * hamiltonian[m, k] + loss[m, k]) - gain[k, m]
+                if k != m and hop != 0:
+                    self._terms.append(_term(n, hop, {m: lift, k: lower}))
+            # rho a_m^dag (and rho a_m) on the flat column index.
+            shift = levels ** (n - 1 - m)
+            col_root = np.sqrt(occ[: dim - shift] + 1.0) * (occ[: dim - shift] < space.n_max)
+            col_lower = (slice(0, dim - shift), slice(shift, dim), col_root)
+            col_lift = (slice(shift, dim), slice(0, dim - shift), col_root)
+            for k in range(m, n):
+                half = 0.5 if k == m else 1.0
+                if loss_weights[m, k] != 0:
+                    self._terms.append(
+                        _term(n, half * loss_weights[m, k], {k: lower, n: col_lower})
+                    )
+                if gain_weights[m, k] != 0:
+                    self._terms.append(
+                        _term(n, half * gain_weights[m, k], {k: lift, n: col_lift})
+                    )
+        self.omega = self.mu = 0.0
+        self._number = occupations.sum(axis=0)
+        if shifted:
+            self.omega = float(np.mean(hamiltonian.diagonal().real))
+            diagonal += 1j * self.omega * self._number
+            self.mu = 2.0 * float(np.mean(diagonal.real))
+            diagonal -= 0.5 * self.mu
+        self._diagonal = diagonal
+        # Work arrays kept between products: fresh ones of this size cost page
+        # faults on every product.  Each term writes its part into scratch.
+        self._x = np.empty((dim, dim), dtype=complex)
+        scratch = np.empty(dim * dim, dtype=complex)
+        view = self._x.reshape(self._view)
+        self._terms = [
+            (dst, src, factor, scratch[: view[src].size].reshape(view[src].shape))
+            for dst, src, factor in self._terms
+        ]
+
+    def __matmul__(self, vec: np.ndarray) -> np.ndarray:
+        rho = vec.reshape(self.dim, self.dim)
+        x = np.multiply(self._diagonal[:, None], rho, out=self._x)
+        xs, rhos = x.reshape(self._view), rho.reshape(self._view)
+        for dst, src, factor, scratch in self._terms:
+            target = xs[dst]
+            np.add(target, np.multiply(rhos[src], factor, out=scratch), out=target)
+        out = x.T.copy()
+        np.conjugate(out, out=out)
+        out += x
+        return out.reshape(-1)
+
+    def norm(self) -> float:
+        """Exact 1-norm: largest column sum of |entries| of the full operator.
+
+        No two terms (nor a term and its Hermitian mirror) write the same
+        (output, input) pair, so a column's sum is |diagonal| plus each term's
+        |factor| at its source, plus the same for the mirrors, which is the
+        transpose.
+        """
+        sums = np.zeros(self._view)
+        for _, src, factor, _ in self._terms:
+            sums[src] += np.abs(factor)
+        sums = sums.reshape(self.dim, self.dim)
+        diagonal = np.abs(self._diagonal[:, None] + self._diagonal.conj())
+        return float(np.max(diagonal + sums + sums.T))
+
+    def unrotate(self, vec: np.ndarray, t: float) -> np.ndarray:
+        """Lab-frame rho from the rotating-frame vec at time t."""
+        phase = np.exp(-1j * self.omega * t * self._number)
+        return phase[:, None] * vec.reshape(self.dim, self.dim) * phase.conj()
 
 
 def liouvillian_apply(
@@ -254,12 +357,11 @@ def liouvillian_apply(
     """One application of the master-equation generator to a density matrix.
 
     Commutator part plus loss channels weighted by (damping + diffusion)/2 and
-    gain channels weighted by diffusion/2; trace-free by construction.
+    gain channels weighted by diffusion/2; trace-free by construction.  rho
+    must be Hermitian (to 1e-10); its Hermitian part is used.
     """
-    generator = _generator(space, hamiltonian, damping, diffusion)
-    return (generator @ np.asarray(rho, dtype=complex).reshape(-1)).reshape(
-        space.dim, space.dim
-    )
+    generator = _Generator(space, hamiltonian, damping, diffusion)
+    return (generator @ _hermitian_part(rho, space.dim).reshape(-1)).reshape(space.dim, space.dim)
 
 
 # theta_m for double precision: the largest 1-norm of one step's h*A for which
@@ -288,22 +390,6 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
         if best_m is None or m * s < best_m * best_s:
             best_m, best_s = m, s
     return best_m, best_s
-
-
-def _shifted_generator(space: FockSpace, hamiltonian, damping, diffusion):
-    """``(L - mu I, mu, ||L - mu I||_1)`` for the generator L and ``mu = tr L / size``.
-
-    The shift lowers the norm that sets the Taylor step count.  L itself is
-    dropped once the shifted copy exists, so the peak memory stays that of
-    building L.
-    """
-    import scipy.sparse
-
-    generator = _generator(space, hamiltonian, damping, diffusion)
-    size = generator.shape[0]
-    mu = generator.trace() / float(size)
-    generator = generator - mu * scipy.sparse.eye_array(size, dtype=complex, format="csr")
-    return generator, mu, float(np.max(abs(generator).sum(axis=0)))
 
 
 def _expm_action(shifted, mu: complex, norm: float, vec: np.ndarray, t: float) -> np.ndarray:
@@ -343,28 +429,36 @@ def evolve_master(
 ) -> list[TruncatedDensityMatrix]:
     """Exact propagator action of the master equation over a time grid.
 
-    The generator L is time independent, so rho(t) = exp(t L) rho0; it is
-    applied from 0 to each grid time in turn by :func:`_expm_action`, on
-    L - mu I with mu = tr L / dim^2, to double-precision accuracy.  ``rtol``
-    and ``atol`` are unused, kept so existing calls still work.  The
-    trajectory is never renormalized; trace drift shows up in the validated
-    snapshots (and fails them loudly past 1e-8).  Raises
-    :class:`CutoffOverflow` if any mode's cutoff level accumulates more than
-    1e-6 probability at a grid time.
+    The generator L is time independent, so rho(t) = exp(t L) rho0.  Every
+    term of L keeps n(i) - n(j) for an element rho_ij, so exp(t L) is the
+    phase exp(-i omega t (n(i) - n(j))) times exp(t L') for L' = L +
+    i omega [N, .] in the rotating frame of the total number N, at omega =
+    mean of diag(H); L' has a far smaller norm.  exp(t L') is applied from 0
+    to each grid time in turn by :func:`_expm_action`, on L' - mu I with mu =
+    tr L / dim^2, to double-precision accuracy.  rho0 must be Hermitian (to
+    1e-10); its Hermitian part is evolved, and a grid time 0 returns rho0.  ``rtol`` and ``atol`` are unused,
+    kept so existing calls still work.  The trajectory is never renormalized;
+    trace drift shows up in the validated snapshots (and fails them loudly
+    past 1e-8).  Raises :class:`CutoffOverflow` if any mode's cutoff level
+    accumulates more than 1e-6 probability at a grid time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValidationError("time grid must be increasing")
     if t_grid[0] < 0:
         raise ValidationError("times must be >= 0")
-    shifted, mu, norm = _shifted_generator(space, hamiltonian, damping, diffusion)
-    vec = np.asarray(rho0, dtype=complex).reshape(-1)
+    generator = _Generator(space, hamiltonian, damping, diffusion, shifted=True)
+    norm = generator.norm()
+    vec = _hermitian_part(rho0, space.dim).reshape(-1)
     states = []
     previous = 0.0
     for t in t_grid:
-        vec = _expm_action(shifted, mu, norm, vec, float(t) - previous)
-        previous = float(t)
-        rho = vec.reshape(space.dim, space.dim)
+        if t == 0:  # exp(0 L) rho0 is rho0 as given
+            rho = np.array(rho0, dtype=complex)
+        else:
+            vec = _expm_action(generator, generator.mu, norm, vec, float(t) - previous)
+            previous = float(t)
+            rho = generator.unrotate(vec, float(t))
         if space.top_level_population(rho) > _TOP_LEVEL_LIMIT:
             raise CutoffOverflow(
                 f"cutoff level holds > {_TOP_LEVEL_LIMIT} probability at t = {t}"

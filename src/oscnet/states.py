@@ -135,7 +135,7 @@ def coherent_mixture(branches: Sequence[CoherentBranch]) -> CoherentMixture:
     total = sum(b.probability for b in branches)
     if any(b.probability < 0 for b in branches):
         raise ValidationError("branch probabilities must be >= 0")
-    if abs(total - 1.0) > _WEIGHT_TOL:
+    if not abs(total - 1.0) <= _WEIGHT_TOL:  # NaN fails too
         raise ValidationError(f"branch probabilities sum to {total}, expected 1")
     sizes = {b.components[0].amplitudes.size for b in branches}
     if len(sizes) != 1:
@@ -214,7 +214,7 @@ def fock_mixture(branches: Sequence[tuple[float, Mapping]]) -> FockMixture:
     if not branches:
         raise ValidationError("mixture needs at least one branch")
     total = sum(p for p, _ in branches)
-    if abs(total - 1.0) > _WEIGHT_TOL:
+    if not abs(total - 1.0) <= _WEIGHT_TOL:  # NaN fails too
         raise ValidationError(f"branch probabilities sum to {total}, expected 1")
     built = []
     lengths = set()

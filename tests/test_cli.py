@@ -238,6 +238,57 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("reservoirs.temperature", math.nan),
+            ("reservoirs.temperature", [0.5, math.inf]),
+            ("network.coupling", math.nan),
+            ("network.omega", -math.inf),
+            ("reservoirs.profile.gamma", math.nan),
+            ("times.start", math.nan),
+            ("times.stop", math.inf),
+            ("state.alpha", math.nan),
+            ("state.alpha", [0.5, math.inf]),
+        ],
+    )
+    def test_non_finite_field_named(self, path, value, tmp_path, capsys):
+        # json writes these as the NaN / Infinity literals Python's json reads.
+        config = _base_config()
+        parent, key = path.rsplit(".", 1)
+        cli._get(config, parent)[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            assert f"config error: {path}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"reservoirs": {"temperature": 0.5, "profile": 3}}, "reservoirs.profile"),
+            ({"reservoirs": {"temperature": 0.5, "profile": "white"}}, "reservoirs.profile"),
+            ({"outputs": 5}, "outputs"),
+            ({"outputs": "tau_report"}, "outputs"),
+            ({"times": {"list": [0.0, math.inf]}}, "times.list"),
+            ({"times": {"list": 5}}, "times.list"),
+            (
+                {"state": {"kind": "coherent", "branches": [{**_BRANCH, "weight": math.nan}]}},
+                "state.branches[0].weight",
+            ),
+        ],
+    )
+    def test_malformed_node_named(self, overrides, field, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_base_config(**overrides)))
+        out = tmp_path / "out"
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "branches, field",
         [
             (3, "state.branches"),
@@ -556,9 +607,9 @@ class TestStartup:
         # import of numpy.ma costs every run about 14 ms.
         assert masked == "False"
 
-    def test_oracle_run_loads_only_scipy_sparse(self, tmp_path):
-        # The Fock oracle builds its generator with scipy.sparse and steps it
-        # with its own Taylor action: no integrator, no sparse or dense linalg.
+    def test_oracle_run_loads_no_scipy(self, tmp_path):
+        # The Fock oracle applies its generator with numpy slices and steps it
+        # with its own Taylor action: no scipy module at all.
         config = _base_config(
             network={"n": 2, "omega": 1.0, "coupling": 0.2},
             reservoirs={"temperature": 0.4, "profile": {"kind": "white", "gamma": 0.05}},
@@ -567,21 +618,17 @@ class TestStartup:
             outputs=["oracle_compare"],
             oracle={"n_max": 8},
         )
-        heavy = ("scipy.integrate", "scipy.sparse.linalg", "scipy.linalg")
         code = (
             "import sys\n"
             "from pathlib import Path\n"
             "from oscnet.cli import run_config\n"
             f"run_config({config!r}, Path({str(tmp_path / 'out')!r}))\n"
-            "print('scipy.sparse' in sys.modules)\n"
-            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        sparse_loaded, loaded = proc.stdout.strip().splitlines()
-        assert sparse_loaded == "True"
-        assert loaded == "[]"
+        assert proc.stdout.strip() == "[]"
         assert (tmp_path / "out" / "oracle_compare.csv").exists()
 
 

@@ -1,15 +1,20 @@
-"""Equivalence and limit tests for the sparse Fock-space oracle.
+"""Equivalence and limit tests for the fast Fock-space oracle.
 
-The sparse generator and the per-mode characteristic function are checked
-against the dense formulas they replaced, written out here as the reference:
-the dense Lindblad right-hand side built from dim x dim ladder operators, and
-the dim x dim displacement polynomials.  The propagator action is checked
-against scipy's ``expm_multiply``, whose algorithm it ports, and against the
-dense exponential of the generator.  The 3-mode check compares the Gaussian
-solution with the oracle at a size the dense integrator could not reach in
-test time.
+The oracle's generator (a diagonal plus ladder slice terms, applied as
+``X + X^H``) and the per-mode characteristic function are checked against
+the formulas they replaced, written out here as references: the sparse
+Kronecker-product superoperator (``_generator``, scipy.sparse), the dense
+Lindblad right-hand side built from dim x dim ladder operators, and the dim x
+dim displacement polynomials.  The propagator action, taken in the rotating
+frame of the total number, is checked against scipy's ``expm_multiply`` of
+the reference generator, whose algorithm it ports, and against the dense
+exponential.  The 3-mode check compares the Gaussian solution with the oracle
+at a size the dense integrator could not reach in test time.
 """
 
+from __future__ import annotations
+
+import tracemalloc
 import types
 
 import numpy as np
@@ -22,6 +27,77 @@ from oscnet.cli import parse_config
 from oscnet.errors import OscnetError, ValidationError
 
 from conftest import white_model
+
+
+# Bytes per stored reference entry: a complex value and a (worst-case 64-bit)
+# column index.
+_ENTRY_BYTES = 16 + 8
+
+
+def _generator(space, hamiltonian, damping, diffusion) -> scipy.sparse.csr_array:
+    """Master-equation generator as a sparse superoperator on the row-major vec of rho.
+
+    ``d rho/dt = L rho + rho R + sum_mk w_mk a_k rho a_m^dag + v_mk a_k^dag rho a_m``
+    with ``L = -iH - Q - G`` and ``R = iH - Q' - G'``: Q holds the loss
+    weights (damping + diffusion)/2 on ``a_m^dag a_k``, G the gain weights
+    diffusion/2 on ``a_m a_k^dag``, primes transpose the weights, and w, v are
+    the symmetrized loss and gain weights.  Each term is a Kronecker product
+    through ``vec(A rho B) = (A kron B^T) vec(rho)``.
+    """
+    import scipy.sparse
+
+    hamiltonian = np.asarray(hamiltonian, dtype=complex)
+    damping = np.asarray(damping, dtype=float)
+    diffusion = np.asarray(diffusion, dtype=float)
+    n = space.n_modes
+    if hamiltonian.shape != (n, n):
+        raise ValidationError("hamiltonian matrix has the wrong shape")
+    if damping.shape != (n, n) or diffusion.shape != (n, n):
+        raise ValidationError("rate matrices have the wrong shape")
+    dim = space.dim
+    oracle._check_bytes("sparse generator", dim, (1 + 4 * n * n) * dim**2 * _ENTRY_BYTES)
+    lowering = [scipy.sparse.csr_array(op) for op in space.lowering]
+    raising = [scipy.sparse.csr_array(op) for op in space.raising]
+    loss = 0.5 * (damping + diffusion)
+    gain = 0.5 * diffusion
+    loss_weights = loss + loss.T  # a_k rho adag_m coefficient, symmetrized
+    gain_weights = gain + gain.T
+    left = scipy.sparse.csr_array((dim, dim), dtype=complex)
+    right = scipy.sparse.csr_array((dim, dim), dtype=complex)
+    generator = scipy.sparse.csr_array((dim * dim, dim * dim), dtype=complex)
+    for m in range(n):
+        for k in range(n):
+            hop = raising[m] @ lowering[k]
+            fill = lowering[m] @ raising[k]
+            left = left - (1j * hamiltonian[m, k] + loss[m, k]) * hop - gain[m, k] * fill
+            right = right + (1j * hamiltonian[m, k] - loss[k, m]) * hop - gain[k, m] * fill
+            if loss_weights[m, k] != 0:
+                generator = generator + loss_weights[m, k] * scipy.sparse.kron(
+                    lowering[k], raising[m].T, format="csr"
+                )
+            if gain_weights[m, k] != 0:
+                generator = generator + gain_weights[m, k] * scipy.sparse.kron(
+                    raising[k], lowering[m].T, format="csr"
+                )
+    eye = scipy.sparse.eye_array(dim, format="csr")
+    generator = generator + scipy.sparse.kron(left, eye, format="csr")
+    generator = generator + scipy.sparse.kron(eye, right.T, format="csr")
+    generator.eliminate_zeros()
+    return generator
+
+
+def _rotating_reference(space, rates):
+    # The reference generator moved to the rotating frame of the total number
+    # and shifted by its mean diagonal, as the oracle evolves it.
+    import scipy.sparse
+
+    generator = _generator(space, *rates)
+    number = np.indices((space.levels,) * space.n_modes).sum(axis=0).reshape(-1)
+    omega = np.mean(np.diag(rates[0]).real)
+    frame = 1j * omega * (number[:, None] - number[None, :]).reshape(-1)
+    size = generator.shape[0]
+    mu = generator.trace() / size
+    return generator + scipy.sparse.diags_array(frame - mu)
 
 
 class _DenseLindblad:
@@ -133,15 +209,54 @@ def test_generator_matches_dense_lindblad(rng, n_modes, n_max):
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+def _hermitian_basis(dim):
+    # E_ii, E_ij + E_ji and i (E_ij - E_ji): a basis of the Hermitian matrices.
+    for i in range(dim):
+        for j in range(i, dim):
+            basis = np.zeros((dim, dim), dtype=complex)
+            basis[i, j] = basis[j, i] = 1.0
+            yield basis
+            if i != j:
+                basis = np.zeros((dim, dim), dtype=complex)
+                basis[i, j], basis[j, i] = 1j, -1j
+                yield basis
+
+
 def test_generator_trace_free_and_hermiticity_preserving(rng):
     space = osc.FockSpace(3, 2)
     h, damping, diffusion = _random_rates(rng, 3)
-    generator = oracle._generator(space, h, damping, diffusion)
-    trace_row = np.eye(space.dim).reshape(-1)
-    assert np.max(np.abs(generator.T @ trace_row)) < 1e-13
+    count = 0
+    for basis in _hermitian_basis(space.dim):
+        out = osc.liouvillian_apply(basis, h, damping, diffusion, space)
+        assert abs(np.trace(out)) < 1e-13
+        assert np.array_equal(out, out.conj().T)
+        count += 1
+    assert count == space.dim**2
+
+
+def test_non_hermitian_input_rejected(rng):
+    space = osc.FockSpace(2, 3)
+    h, damping, diffusion = _random_rates(rng, 2)
     rho = _random_density(rng, space.dim)
-    out = osc.liouvillian_apply(rho, h, damping, diffusion, space)
-    assert np.max(np.abs(out - out.conj().T)) <= 1e-13 * np.max(np.abs(out))
+    rho[0, 1] += 1e-6
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        osc.liouvillian_apply(rho, h, damping, diffusion, space)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        osc.evolve_master(rho, h, damping, diffusion, [1.0], space)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        osc.evolve_master(_random_density(rng, space.dim), h + 0.1j, damping, diffusion,
+                          [1.0], space)
+
+
+@pytest.mark.parametrize("n_modes, n_max", SIZES)
+@pytest.mark.parametrize("shifted", [False, True])
+def test_norm_equals_reference_one_norm(rng, n_modes, n_max, shifted):
+    space = osc.FockSpace(n_modes, n_max)
+    rates = _random_rates(rng, n_modes)
+    reference = _rotating_reference(space, rates) if shifted else _generator(space, *rates)
+    expected = np.max(abs(reference).sum(axis=0))
+    got = oracle._Generator(space, *rates, shifted=shifted).norm()
+    assert abs(got - expected) <= 1e-14 * expected
 
 
 @pytest.mark.filterwarnings("ignore:characteristic-function displacement")
@@ -179,13 +294,41 @@ def test_oversized_space_raises_typed_error():
 
 
 def test_oversized_generator_refused_before_allocation():
-    # Dense operators of this space would fit the limit, the generator would
-    # not; a stand-in space shows the check runs before anything is built.
-    space = types.SimpleNamespace(n_modes=2, n_max=44, levels=45, dim=45**2)
+    # Dense operators of this space would fit the limit, the evolution's
+    # working set would not; a stand-in space shows the check runs before
+    # anything is built.
+    space = types.SimpleNamespace(n_modes=2, n_max=59, levels=60, dim=60**2)
     assert 4 * space.dim**2 * 16 < oracle._BYTE_LIMIT
+    assert oracle._WORK_ARRAYS * space.dim**2 * 16 > oracle._BYTE_LIMIT
     rates = np.zeros((2, 2))
-    with pytest.raises(ValidationError, match="sparse generator for Fock dimension 2025"):
-        osc.evolve_master(None, np.eye(2), rates, rates, [0.0, 1.0], space)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="working set for Fock dimension 3600"):
+            osc.evolve_master(None, np.eye(2), rates, rates, [0.0, 1.0], space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_working_set_within_prediction():
+    # 3 modes at n_max = 6 (dim 343): the peak, less the snapshots handed
+    # back, stays under the working set the byte check predicts.
+    model = white_model(n=3, coupling=0.1, gamma=0.05, nbar=0.1)
+    space = osc.FockSpace(3, 6)
+    rho0 = osc.density_from_coherent(space, osc.build_cat_family(3, 1, 0, 0.3))
+    tracemalloc.start()
+    try:
+        snaps = osc.evolve_master(
+            rho0, model.hamiltonian, model.rates.damping, model.rates.diffusion,
+            [0.5, 1.0], space,
+        )
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(snaps) == 2
+    assert kept >= 2 * space.dim**2 * 16
+    assert peak - kept <= oracle._WORK_ARRAYS * space.dim**2 * 16
 
 
 def test_three_mode_gaussian_solution_matches_oracle():
@@ -219,8 +362,9 @@ def test_action_matches_expm_multiply(rng, n_modes, n_max, t):
     space = osc.FockSpace(n_modes, n_max)
     rates = _random_rates(rng, n_modes)
     vec = _random_density(rng, space.dim).reshape(-1)
-    got = oracle._expm_action(*oracle._shifted_generator(space, *rates), vec, t)
-    generator = oracle._generator(space, *rates)
+    op = oracle._Generator(space, *rates, shifted=True)
+    got = op.unrotate(oracle._expm_action(op, op.mu, op.norm(), vec, t), t).reshape(-1)
+    generator = _generator(space, *rates)
     expected = expm_multiply(generator, vec, start=0.0, stop=t, num=2, endpoint=True)[1]
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -248,19 +392,19 @@ def test_evolution_equals_expm_multiply_on_benchmark_run():
 
     space, rho0, rates, times = _oracle_check_setup()
     snaps = osc.evolve_master(rho0, *rates, times, space)
-    generator = oracle._generator(space, *rates)
+    generator = _generator(space, *rates)
     expected = expm_multiply(
         generator, rho0.reshape(-1), start=0.0, stop=times[-1], num=times.size,
         endpoint=True,
     )
     for snap, ref in zip(snaps, expected):
-        assert np.array_equal(snap.rho.reshape(-1), ref)
+        assert np.max(np.abs(snap.rho.reshape(-1) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _dense_evolution(rho0, rates, times, space):
     from scipy.linalg import expm
 
-    dense = oracle._generator(space, *rates).toarray()
+    dense = _generator(space, *rates).toarray()
     return [(expm(dense * t) @ rho0.reshape(-1)).reshape(space.dim, space.dim) for t in times]
 
 

@@ -68,6 +68,13 @@ class TestMixtures:
         with pytest.raises(ValidationError):
             osc.coherent_mixture([good])
 
+    def test_nan_weight_rejected(self):
+        nan = osc.coherent_superposition([1.0], [[0.2]], probability=float("nan"))
+        with pytest.raises(ValidationError, match="sum to nan"):
+            osc.coherent_mixture([nan])
+        with pytest.raises(ValidationError, match="sum to nan"):
+            osc.fock_mixture([(float("nan"), {(1,): 1.0})])
+
     def test_mode_count_must_match(self):
         a = osc.coherent_superposition([1.0], [[0.2]], probability=0.5)
         b = osc.coherent_superposition([1.0], [[0.2, 0.1]], probability=0.5)
