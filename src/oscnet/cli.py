@@ -45,6 +45,7 @@ from .errors import ConfigError, OscnetError
 from .metrics import decoherence_report, linear_entropy
 from .network import NetworkSpec
 from .oracle import (
+    _BYTE_LIMIT,
     FockSpace,
     density_from_coherent,
     evolve_master,
@@ -264,13 +265,25 @@ def _parse_times(config) -> np.ndarray:
     return times
 
 
-def _parse_wigner_grid(config, n, times):
-    """The grid's (points, ranges, time index), defaults filled in."""
+def _parse_wigner_grid(config, n, times, requested=True):
+    """The grid's (points, ranges, time index), defaults filled in.
+
+    A ``requested`` grid whose coords and values, points^(2n) rows of 2n + 1
+    float64, would exceed the oracle's byte limit is refused here, before
+    ``run`` writes anything.
+    """
     node = _get(config, "wigner_grid")
     node = {} if node is None else node
     if not isinstance(node, dict):
         raise ConfigError("wigner_grid", "expected an object")
     points = _positive_int(node.get("points", 41), "wigner_grid.points")
+    predicted = 8 * (2 * n + 1) * points ** (2 * n) if requested else 0
+    if predicted > _BYTE_LIMIT:
+        raise ConfigError(
+            "wigner_grid.points",
+            f"a grid of {points}^{2 * n} points would take {predicted} bytes, "
+            f"above the limit of {_BYTE_LIMIT} bytes",
+        )
     ranges = node.get("ranges", [[-3.0, 3.0, -3.0, 3.0]] * n)
     if not isinstance(ranges, (list, tuple)) or len(ranges) != n:
         raise ConfigError("wigner_grid.ranges", f"expected {n} range tuples")
@@ -325,9 +338,9 @@ def parse_config(config: dict):
         raise ConfigError("regime", f"expected auto|weak|strong, got {regime!r}")
     state = _parse_state(config, network.n)
     times = _parse_times(config)
-    _parse_wigner_grid(config, network.n, times)
-    _parse_oracle(config)
     outputs = _parse_outputs(config)
+    _parse_wigner_grid(config, network.n, times, "wigner_grid" in outputs)
+    _parse_oracle(config)
     return network, reservoirs, regime, state, times, outputs
 
 

@@ -61,7 +61,7 @@ def directional_diffusion_times(diffusion: np.ndarray) -> np.ndarray:
     directions get ``inf``; the mean of 1 / time is 1 / mean_diffusion_time.
     """
     diffusion = np.asarray(diffusion)
-    _, rates = rotate_frame(diffusion + diffusion.T)
+    _, rates = rotate_frame(diffusion + diffusion.T, vectors=False)
     return np.array([1.0 / r if r > _FLAT_RATE else math.inf for r in rates])
 
 
@@ -232,11 +232,12 @@ def decoherence_time(tau_diff: float, tau_int: float) -> float:
 def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     """Linear entropy 1 - Tr rho^2 of the evolved mixture, in [0, 1).
 
-    With the centroids ``y = (U^T T beta^T)^T`` in the frame where the Wigner
-    width is ``diag(D)``, one K x K Gram matrix ``H[a, b] = sum_m y_am
-    conj(y_bm) / D_m`` gives the pair-sum kernel ``-(H[s, r] - H[s, p]
-    - H[q, r] + H[q, p])``, and the quadruple sum over component pairs
-    factorises exactly: ``det(D) Tr rho^2 = sum_{s, q} X[s, q] X[q, s]`` with
+    With the centroids ``C = T beta^T`` (N x K, column c_a per component)
+    and the Wigner width W, one K x K Gram matrix ``H[a, b] = c_a^T W^-1
+    conj(c_b)``, formed as ``C^T solve(W, conj(C))``, gives the pair-sum
+    kernel ``-(H[s, r] - H[s, p] - H[q, r] + H[q, p])``, and the quadruple
+    sum over component pairs factorises exactly: ``det(W) Tr rho^2 =
+    sum_{s, q} X[s, q] X[q, s]`` with
 
         log X[s, q] = lse_r(logw[r, s] - H[s, r] + H[q, r]),
 
@@ -248,17 +249,16 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     fits in ``phasespace._CHUNK_BYTES``, so memory stays bounded in the
     component count.
 
-    U and D come from the bundle's cached frame (``rotate_frame``).  A
-    Cholesky factor of W would give H and det W without an eigensolve, but
-    the frame is kept for now: the ``dcoef`` output computes it anyway, and
-    the benchmark's trace expects a ``rotate_frame`` span on every workload.
-    Equals 0 for any pure state at t = 0 and stays 0 without dissipation.
+    No eigenvectors are needed: log det W is the sum of the logs of the
+    bundle's cached diffusion coefficients (the eigenvalues of W, which the
+    ``dcoef`` output reads too), and det W is divided out inside the final
+    exponent.  Equals 0 for any pure state at t = 0 and stays 0 without
+    dissipation.
     """
     betas, logw = phasespace._flat_components(state)
-    coeffs = bundle.diffusion_coeffs
-    det = float(np.prod(coeffs))
-    moved = (bundle.rotation.T @ (bundle.transition @ betas.T)).T  # (K, N)
-    gram = (moved / coeffs) @ moved.conj().T  # H[a, b]
+    log_det = float(np.sum(np.log(bundle.diffusion_coeffs)))
+    moved = bundle.transition @ betas.T  # (N, K)
+    gram = moved.T @ np.linalg.solve(bundle.wigner_width, moved.conj())  # H[a, b]
     head = logw.T - gram  # (s, r): logw[r, s] - H[s, r]
     k = gram.shape[0]
     step = max(1, min(k, phasespace._CHUNK_BYTES // (16 * k * k)))
@@ -274,7 +274,7 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
         np.exp(exponents, out=exponents)
         with np.errstate(divide="ignore"):
             log_x[start : start + step] = np.log(exponents.sum(axis=-1)) + shift
-    purity = np.exp(log_x + log_x.T).sum().real / det
+    purity = np.exp(log_x + log_x.T - log_det).sum().real
     entropy = 1.0 - purity
     if entropy < 0 and entropy > -1e-10:
         entropy = 0.0

@@ -52,7 +52,8 @@ __all__ = [
 _TOP_LEVEL_LIMIT = 1e-6
 _TAIL_LIMIT = 1e-8
 # Largest predicted size of one oracle structure (dense mode operators, or the
-# evolution's working set); larger truncated spaces are refused up front.
+# evolution's working set); larger truncated spaces are refused up front.  The
+# CLI refuses a Wigner grid above the same limit.
 _BYTE_LIMIT = 1 << 30
 # dim x dim complex arrays alive at once while evolve_master runs, besides the
 # snapshots it returns (tracemalloc reads 6.2 at dim 343).

@@ -6,16 +6,18 @@ For each time the network state is summarized by a bundle holding
   coherent amplitudes to their centroids,
 * the accumulated noise width ``J(t) = P - conj(T) P T.T`` (zero at t = 0,
   tending to the stationary width P),
-* the Wigner width ``J(t) + I`` with its unitary diagonalization, whose
-  eigenvalues are the diffusion coefficients of the rotated frame.
+* the Wigner width ``J(t) + I``, whose eigenvalues are the diffusion
+  coefficients of the rotated frame and whose eigenvectors rotate into it.
 
-The rotated frame is lazy: a bundle diagonalizes its Wigner width (one call
-of :func:`rotate_frame`, cached) only when ``rotation`` or
-``diffusion_coeffs`` is first read, so callers that need only the transition
-and width matrices pay no eigensolve.  The width's slope Y + Y.T at t = 0
-and its limit's trace tr P + N need no bundle (see :mod:`oscnet.metrics`).
-Bundles at distinct times are independent and immutable; time grids are
-caller-supplied and nothing is interpolated.
+The coefficients and the rotation are lazy and cached apart:
+``diffusion_coeffs`` takes the spectrum alone (:func:`rotate_frame` with
+``vectors=False``, one eigenvalue solve) and ``rotation`` the full frame, so
+callers that need only the transition and width matrices pay no eigensolve,
+and the diffusion coefficients and the entropy pay none for eigenvectors.
+The width's slope Y + Y.T at t = 0 and its limit's trace tr P + N need no
+bundle (see :mod:`oscnet.metrics`).  Bundles at distinct times are
+independent and immutable; time grids are caller-supplied and nothing is
+interpolated.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ class PropagatorBundle:
 
     ``diffusion_coeffs`` are the eigenvalues of ``wigner_width`` sorted
     ascending, so the strongly diffusing collective mode (when one exists)
-    always sits at the last index.  ``rotation`` holds the matching
-    eigenvectors as columns.  Both are computed lazily, by a single cached
-    :func:`rotate_frame` call on first access of either; a bundle derived
+    always sits at the last index.  ``rotation`` holds the eigenvectors as
+    columns.  Each is computed on first access and cached on its own: the
+    coefficients by a spectrum-only :func:`rotate_frame` call, the rotation
+    by a full one (whose coefficients agree to rounding), so the
+    coefficients never depend on which was read first.  A bundle derived
     with ``dataclasses.replace`` diagonalizes its own width afresh.
     """
 
@@ -74,16 +78,12 @@ class PropagatorBundle:
         return self.transition.shape[0]
 
     @cached_property
-    def _frame(self):
-        return rotate_frame(self.wigner_width)
-
-    @property
     def rotation(self) -> np.ndarray:
-        return self._frame[0]
+        return rotate_frame(self.wigner_width)[0]
 
-    @property
+    @cached_property
     def diffusion_coeffs(self) -> np.ndarray:
-        return self._frame[1]
+        return rotate_frame(self.wigner_width, vectors=False)[1]
 
 
 def transition_matrix(dis: DissipativeMatrix, t: float) -> np.ndarray:
@@ -109,7 +109,7 @@ def eta_flow(transition: np.ndarray, eta0: np.ndarray) -> np.ndarray:
     return np.asarray(eta0, dtype=complex) @ transition.conj()
 
 
-def rotate_frame(wigner_width: np.ndarray):
+def rotate_frame(wigner_width: np.ndarray, vectors: bool = True):
     """Diagonalize the Wigner width: returns (rotation U, coefficients D).
 
     The width is Hermitized first to scrub float-level asymmetry, and a width
@@ -118,6 +118,9 @@ def rotate_frame(wigner_width: np.ndarray):
     permutation, not an arbitrary basis of a degenerate eigenspace).  U is
     unitary with ``U^dag @ width @ U = diag(D)`` and D sorted ascending;
     each column's first entry above 1e-12 in modulus is made real positive.
+    With ``vectors=False`` U is ``None`` and D comes from an eigenvalue-only
+    solve, equal to the full frame's D to rounding (bitwise on the diagonal
+    shortcut).
     """
     width = np.asarray(wigner_width, dtype=complex)
     width = 0.5 * (width + width.conj().T)
@@ -129,9 +132,11 @@ def rotate_frame(wigner_width: np.ndarray):
         # quantized sort keys so rounding-level ties keep the natural order
         keys = np.round(diag / (1e-12 * scale))
         order = np.argsort(keys, kind="stable")
-        return np.eye(n, dtype=complex)[:, order], diag[order]
-    coeffs, vectors = np.linalg.eigh(width)
-    return _fix_phases(vectors), coeffs
+        return (np.eye(n, dtype=complex)[:, order] if vectors else None), diag[order]
+    if not vectors:
+        return None, np.linalg.eigvalsh(width)
+    coeffs, rotation = np.linalg.eigh(width)
+    return _fix_phases(rotation), coeffs
 
 
 class Propagator:

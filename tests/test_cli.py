@@ -172,6 +172,7 @@ class TestValidation:
             ({"time_index": 1.0}, "wigner_grid.time_index"),
             ("grid", "wigner_grid"),
             ([], "wigner_grid"),
+            ({"points": 100000}, "wigner_grid.points"),  # 2.4e11 bytes of grid
         ],
     )
     def test_malformed_wigner_grid_rejected_before_any_output(
@@ -186,6 +187,19 @@ class TestValidation:
             assert cli.main(argv) == 2
             assert f"config error: {field}:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_wigner_grid_bytes_checked_only_when_requested(self, monkeypatch):
+        # One mode: coords and values take 8 * 3 * points^2 bytes.
+        assert cli._BYTE_LIMIT is osc.oracle._BYTE_LIMIT
+        config = _base_config(outputs=["wigner_grid"], wigner_grid={"points": 10})
+        monkeypatch.setattr(cli, "_BYTE_LIMIT", 8 * 3 * 10**2)
+        parse_config(config)
+        monkeypatch.setattr(cli, "_BYTE_LIMIT", 8 * 3 * 10**2 - 1)
+        with pytest.raises(ConfigError) as info:
+            parse_config(config)
+        assert info.value.path == "wigner_grid.points"
+        assert str(cli._BYTE_LIMIT) in info.value.message
+        parse_config(dict(config, outputs=["tau_report", "entropy_curve"]))
 
     @pytest.mark.parametrize(
         "node, field",

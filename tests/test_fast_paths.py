@@ -20,7 +20,7 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 
 import oscnet as osc
-from oscnet import metrics, propagation, stationary
+from oscnet import cli, metrics, propagation, stationary
 from oscnet.errors import NoBracket, RootNotConverged, ValidationError
 
 from conftest import white_model
@@ -219,7 +219,7 @@ def _count_calls(monkeypatch, owner, name):
     original = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
@@ -251,14 +251,67 @@ class TestLazyFrame:
         assert calls == []
 
     def test_frame_computed_once(self, monkeypatch):
+        # Reading the rotation costs one full frame call; rereading costs none.
         model = white_model(n=3, coupling=0.1, gamma=0.05, nbar=0.5)
         bundle = model.propagator.bundle(2.0)
-        expected_rotation, expected_coeffs = propagation.rotate_frame(bundle.wigner_width)
+        expected_rotation, _ = propagation.rotate_frame(bundle.wigner_width)
         calls = _count_calls(monkeypatch, propagation, "rotate_frame")
         for _ in range(3):
             assert np.array_equal(bundle.rotation, expected_rotation)
-            assert np.array_equal(bundle.diffusion_coeffs, expected_coeffs)
-        assert len(calls) == 1
+        assert calls == [{}]
+
+    def test_spectrum_computed_once(self, monkeypatch):
+        # The coefficients take one spectrum-only call of their own, whichever
+        # property is read first, and never take the frame's coefficients.
+        model = white_model(n=3, coupling=0.1, gamma=0.05, nbar=0.5)
+        width = model.propagator.bundle(2.0).wigner_width
+        assert np.max(np.abs(width - np.diag(np.diag(width)))) > 1e-3  # eigvalsh path
+        rotation, expected = propagation.rotate_frame(width, vectors=False)
+        assert rotation is None
+        _, frame_coeffs = propagation.rotate_frame(width)
+        calls = _count_calls(monkeypatch, propagation, "rotate_frame")
+        spectrum_first = model.propagator.bundle(2.0)
+        for _ in range(3):
+            assert np.array_equal(spectrum_first.diffusion_coeffs, expected)
+        assert calls == [{"vectors": False}]
+        spectrum_first.rotation
+        assert calls == [{"vectors": False}, {}]
+        frame_first = model.propagator.bundle(2.0)
+        frame_first.rotation
+        for bundle in (spectrum_first, frame_first):
+            assert np.array_equal(bundle.diffusion_coeffs, expected)
+            _assert_rel(bundle.diffusion_coeffs, frame_coeffs, 1e-13)
+        assert calls == [{"vectors": False}, {}, {}, {"vectors": False}]
+
+    def test_weak_regime_coefficients_bitwise_unchanged(self, monkeypatch):
+        # Identical baths in the weak regime keep the width diagonal, so the
+        # shortcut answers both modes with the same sorted diagonal.
+        model = white_model(n=4, coupling=0.1, gamma=0.05, nbar=0.5, regime="weak")
+        state = osc.build_cat_family(4, 2, 1, 1.0)
+        times = np.linspace(0.0, 40.0, 9)
+        frames = [propagation.rotate_frame(model.propagator.bundle(t).wigner_width) for t in times]
+        eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        columns, rows = cli._time_curves(state, model, times, ["dcoef"])["dcoef"]
+        assert eigvalsh == []
+        assert columns == ["t", "d1", "d2", "d3", "d4"]
+        for row, (_, coeffs) in zip(rows, frames):
+            assert np.array_equal(row[1:], coeffs)
+
+    def test_time_curves_take_no_eigenvectors(self, rng, monkeypatch):
+        # Per time, dcoef and the entropy share one eigenvalue solve and the
+        # entropy adds one linear solve; nothing asks for eigenvectors.
+        model = _sized_lorentzian_model(rng, 10)
+        state = osc.build_cat_family(10, 2, 1, 1.0)
+        times = np.linspace(0.5, 40.0, 12)
+        counts = {
+            name: _count_calls(monkeypatch, np.linalg, name)
+            for name in ("eigh", "eigvalsh", "solve")
+        }
+        tables = cli._time_curves(state, model, times, ["dcoef", "entropy_curve"])
+        assert counts["eigh"] == []
+        assert len(counts["eigvalsh"]) == len(counts["solve"]) == times.size
+        entropy = [row[1] for row in tables["entropy_curve"][1]]
+        assert 0.0 < min(entropy) and max(entropy) < 1.0
 
     def test_replaced_bundle_rotates_its_own_width(self):
         model = white_model(n=2, coupling=0.1, gamma=0.05, nbar=0.5)
@@ -468,6 +521,7 @@ class TestNumpyEigensolvers:
 
         dcoef, entropy = curves()
         monkeypatch.setattr(np.linalg, "eigh", scipy.linalg.eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", scipy.linalg.eigvalsh)
         monkeypatch.setattr(np.linalg, "eig", scipy.linalg.eig)
         scipy_dcoef, scipy_entropy = curves()
         _assert_rel(dcoef, scipy_dcoef, 1e-12)

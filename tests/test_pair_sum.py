@@ -2,7 +2,8 @@
 linear_entropy.
 
 The reference formulas below are the earlier evaluators, which built the full
-(points, K, K) exponent, or the K^4 purity kernel, at once; the kernels must
+(points, K, K) exponent, or the K^4 purity kernel, at once, or took the
+purity's Gram matrix in the eigenframe of the Wigner width; the kernels must
 reproduce them.
 """
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import oscnet as osc
-from oscnet import phasespace
+from oscnet import phasespace, propagation
 
 from conftest import two_branch_mixture, white_model, zero_coefficient_state
 
@@ -168,9 +169,9 @@ def test_ring64_memory_bounded(pair_model):
 def _old_linear_entropy(state, bundle):
     # The K^4 kernel that linear_entropy used before its Gram-matrix form.
     betas, weights = phasespace._pair_weights(state)
-    coeffs = bundle.diffusion_coeffs
+    rotation, coeffs = propagation.rotate_frame(bundle.wigner_width)
     det = float(np.prod(coeffs))
-    moved = (bundle.rotation.T @ (bundle.transition @ betas.T)).T  # (K, N)
+    moved = (rotation.T @ (bundle.transition @ betas.T)).T  # (K, N)
     diff = moved[:, None, :] - moved[None, :, :]  # (a, b, m) = y_a - y_b
     kernel = -np.einsum("abm,cdm,m->abcd", diff, diff.conj(), 1.0 / coeffs)
     purity = np.einsum("rs,pq,sqrp->", weights, weights, np.exp(kernel)).real / det
@@ -233,7 +234,7 @@ def test_ring144_purity_memory_bounded(pair_model):
     # 144 components: the K^4 kernel alone would take 6.9 GB.
     ring = osc.fock_state_ring([1, 1], radius=0.6, points=12)
     bundle = pair_model.propagator.bundle(2.0)
-    bundle.rotation  # build the cached frame outside the measurement
+    bundle.diffusion_coeffs  # build the cached spectrum outside the measurement
     tracemalloc.start()
     try:
         entropy = osc.linear_entropy(ring, bundle)
@@ -242,3 +243,82 @@ def test_ring144_purity_memory_bounded(pair_model):
         tracemalloc.stop()
     assert peak < 2 * phasespace._CHUNK_BYTES
     assert 0.0 < entropy < 1.0
+
+
+def _frame_linear_entropy(state, bundle):
+    # The log-space Gram kernel as linear_entropy computed it in the rotated
+    # frame, from U and D of one full rotate_frame call, unchunked.
+    betas, logw = phasespace._flat_components(state)
+    rotation, coeffs = propagation.rotate_frame(bundle.wigner_width)
+    det = float(np.prod(coeffs))
+    moved = (rotation.T @ (bundle.transition @ betas.T)).T  # (K, N)
+    gram = (moved / coeffs) @ moved.conj().T  # H[a, b]
+    exponents = (logw.T - gram)[:, None, :] + gram[None, :, :]
+    shift = exponents.real.max(axis=-1)
+    shift[np.isneginf(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        log_x = np.log(np.exp(exponents - shift[..., None]).sum(axis=-1)) + shift
+    purity = np.exp(log_x + log_x.T).sum().real / det
+    entropy = 1.0 - purity
+    if entropy < 0 and entropy > -1e-10:
+        entropy = 0.0
+    return float(entropy)
+
+
+def _lorentzian_model(rng, n, coupling):
+    upper = np.triu(rng.uniform(0.0, coupling, size=(n, n)), 1)
+    net = osc.NetworkSpec(omega=rng.uniform(0.9, 1.1, size=n), coupling=upper + upper.T)
+    profiles = tuple(
+        osc.Lorentzian(gamma, center, width)
+        for gamma, center, width in zip(
+            rng.uniform(0.01, 0.05, size=n),
+            rng.uniform(0.8, 1.2, size=n),
+            rng.uniform(0.3, 0.7, size=n),
+        )
+    )
+    res = osc.ReservoirSpec(temperatures=rng.uniform(0.3, 1.2, size=n), profiles=profiles)
+    return osc.build_model(net, res)
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+@pytest.mark.parametrize("baths", ["white", "lorentzian"])
+def test_purity_matches_frame_kernel(name, baths, pair_model, rng):
+    # Distinct Lorentzian baths make the width complex, so a Gram matrix
+    # formed with W^T in place of W would show here.
+    state = STATES[name]()
+    model = pair_model if baths == "white" else _lorentzian_model(rng, 2, 0.2)
+    imag = 0.0
+    for t in (0.0, 0.4, 1.3, 6.0, 40.0):
+        bundle = model.propagator.bundle(t)
+        imag = max(imag, np.max(np.abs(bundle.wigner_width.imag)))
+        expected = _frame_linear_entropy(state, bundle)
+        assert abs(osc.linear_entropy(state, bundle) - expected) <= 1e-12
+    assert (imag > 1e-3) == (baths == "lorentzian")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_large_cat_purity_matches_frame_kernel(n, pair_model):
+    model = white_model(n=1, gamma=0.25, nbar=0.5) if n == 1 else pair_model
+    cat = osc.build_cat_family(n, 1, 0, 20.0)
+    for t in (0.0, 0.01, 0.5, 2.0, 5.0, 20.0):
+        bundle = model.propagator.bundle(t)
+        expected = _frame_linear_entropy(cat, bundle)
+        assert abs(osc.linear_entropy(cat, bundle) - expected) <= 1e-12
+
+
+def test_distinct_lorentzian_n150_purity_matches_frame_kernel(rng):
+    # The bench's large network: distinct Lorentzian baths at N = 150, with a
+    # cat and a five-component superposition on every mode.
+    n = 150
+    model = _lorentzian_model(rng, n, 0.004)
+    amplitudes = 0.3 * (rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n)))
+    coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
+    states = (
+        osc.build_cat_family(n, 1, 1, 1.0),
+        osc.coherent_mixture([osc.coherent_superposition(coeffs, amplitudes)]),
+    )
+    for t in np.linspace(0.0, 40.0, 40):
+        bundle = model.propagator.bundle(t)
+        for state in states:
+            expected = _frame_linear_entropy(state, bundle)
+            assert abs(osc.linear_entropy(state, bundle) - expected) <= 1e-12, t
