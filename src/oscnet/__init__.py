@@ -30,6 +30,7 @@ _EXPORTS = {
         "NonPositiveNormalMode",
         "NullState",
         "OscnetError",
+        "PositivityLost",
         "QuadratureNotConverged",
         "RootNotConverged",
         "SingularSystem",

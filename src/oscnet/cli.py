@@ -523,9 +523,7 @@ def _oracle_table(config, state, model: Model, times):
     for snapshot in evolved:
         bundle = model.propagator.bundle(snapshot.t)
         chi_model = char_function(state, eta_pts, bundle)
-        chi_oracle = np.array(
-            [oracle_char(snapshot.rho, eta, space) for eta in eta_pts]
-        )
+        chi_oracle = oracle_char(snapshot.rho, eta_pts, space)
         first, second = moments(state, bundle)
         err_first = np.max(np.abs(first - expect_lowering(snapshot.rho, space)))
         err_second = np.max(np.abs(second - expect_number_matrix(snapshot.rho, space)))

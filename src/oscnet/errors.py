@@ -55,5 +55,10 @@ class CutoffOverflow(OscnetError):
     """Truncated Fock space is too small for the requested state or evolution."""
 
 
+class PositivityLost(OscnetError):
+    """The evolved density matrix gained a negative eigenvalue: the master
+    equation's rates do not keep every state positive."""
+
+
 class QuadratureNotConverged(OscnetError):
     """Doubling the quadrature nodes changed the result by more than the tolerance."""

@@ -10,17 +10,19 @@ rotating frame of the total excitation number (which every term conserves
 in difference, so the frame is exact and cuts the generator's norm) and
 evaluated to double precision by a port of Al-Mohy & Higham's scaled Taylor
 algorithm (the one behind scipy's ``expm_multiply``); the oracle loads no
-scipy module.  The normal-ordered characteristic function and the moments
-are traces of products of per-mode operators, contracted one mode axis at a
-time.  The oracle works in the Fock basis only and shares no formula with
-the Gaussian phase-space code it checks.
+scipy module.  The normal-ordered characteristic function is a trace of
+per-mode displacement factors in closed form, taken for a whole batch of
+displacements in one contraction of rho; the moments are sums over ladder
+index maps.  The oracle works in the Fock basis only and shares no formula
+with the Gaussian phase-space code it checks.
 
 Every array the oracle keeps scales with the Fock dimension ``dim =
-(n_max + 1)**n_modes``: the dense mode operators take ``2 n dim^2`` complex
-entries and the evolution's working set ``_WORK_ARRAYS`` dim x dim complex
-arrays, besides the snapshots it returns.  Sizes whose predicted bytes
-exceed ``_BYTE_LIMIT`` (1 GiB) are refused with a :class:`ValidationError`
-before anything is allocated.
+(n_max + 1)**n_modes``: the dense mode operators, built only when read, take
+``2 n dim^2`` complex entries and the evolution's working set
+``_WORK_ARRAYS`` dim x dim complex arrays, besides the snapshots it returns.  Sizes whose predicted bytes
+exceed ``_BYTE_LIMIT`` (1 GiB), and evolutions whose planned generator
+products exceed ``_PRODUCT_LIMIT``, are refused with a
+:class:`ValidationError` before anything is allocated or applied.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import CutoffOverflow, ValidationError
+from .errors import CutoffOverflow, PositivityLost, ValidationError
 from .states import CoherentMixture, FockMixture
 
 __all__ = [
@@ -58,6 +61,10 @@ _BYTE_LIMIT = 1 << 30
 # dim x dim complex arrays alive at once while evolve_master runs, besides the
 # snapshots it returns (tracemalloc reads 6.2 at dim 343).
 _WORK_ARRAYS = 8
+# Most generator products one evolve_master call may plan (a product takes
+# about 1 ms at dim 121 and 10 ms at dim 343); longer evolutions, and
+# generators whose 1-norm is not finite, are refused before the first one.
+_PRODUCT_LIMIT = 100_000
 
 
 def _check_bytes(what: str, dim: int, predicted: int) -> None:
@@ -84,7 +91,7 @@ def select_cutoff(max_abs_alpha: float, max_occupation: float) -> int:
 
 
 class FockSpace:
-    """Tensor-product truncated Fock space with cached mode operators."""
+    """Tensor-product truncated Fock space; dense mode operators on first use."""
 
     def __init__(self, n_modes: int, n_max: int):
         if n_modes < 1 or n_max < 1:
@@ -94,15 +101,27 @@ class FockSpace:
         self.levels = n_max + 1
         self.dim = self.levels**n_modes
         _check_bytes("dense mode operators", self.dim, 2 * n_modes * self.dim**2 * 16)
+
+    @cached_property
+    def lowering(self) -> list[np.ndarray]:
+        """Dense dim x dim lowering operator of each mode.
+
+        The oracle's own evolution and observables work from ladder slices
+        and index maps and never build these; they serve as references.
+        """
         low = _mode_lowering(self.levels)
         eye = np.eye(self.levels)
-        self.lowering = []
-        for m in range(n_modes):
+        operators = []
+        for m in range(self.n_modes):
             op = np.array([[1.0]])
-            for k in range(n_modes):
+            for k in range(self.n_modes):
                 op = np.kron(op, low if k == m else eye)
-            self.lowering.append(op.astype(complex))
-        self.raising = [op.conj().T for op in self.lowering]
+            operators.append(op.astype(complex))
+        return operators
+
+    @cached_property
+    def raising(self) -> list[np.ndarray]:
+        return [op.conj().T for op in self.lowering]
 
     def coherent_vector(self, amplitudes, tail_tol: float = _TAIL_LIMIT) -> np.ndarray:
         """Truncated multimode coherent state; rejects cutoffs losing too much mass."""
@@ -154,6 +173,14 @@ class FockSpace:
         return worst
 
 
+class _NegativeEigenvalue(ValidationError):
+    """A density matrix has an eigenvalue below -1e-8."""
+
+    def __init__(self, value: float):
+        self.value = float(value)
+        super().__init__(f"negative eigenvalue {value:.3g}")
+
+
 @dataclass(frozen=True)
 class TruncatedDensityMatrix:
     """Density matrix on the truncated space at one time, validated on build."""
@@ -168,9 +195,19 @@ class TruncatedDensityMatrix:
         trace = float(np.trace(rho).real)
         if abs(trace - 1.0) > 1e-8:
             raise ValidationError(f"trace drifted to {trace}")
-        eigs = np.linalg.eigvalsh(hermitian)
-        if eigs[0] < -1e-8:
-            raise ValidationError(f"negative eigenvalue {eigs[0]:.3g}")
+        # A Cholesky factor of H + (1e-8 - 1e-10) I exists only when every
+        # eigenvalue of H lies above -1e-8 by far more than rounding, and costs
+        # a third of eigvalsh at dim 121; otherwise the spectrum of H, with
+        # its diagonal restored, decides.
+        diagonal = hermitian.diagonal().copy()
+        hermitian.flat[:: len(rho) + 1] += 1e-8 - 1e-10
+        try:
+            np.linalg.cholesky(hermitian)
+        except np.linalg.LinAlgError:
+            np.fill_diagonal(hermitian, diagonal)
+            lowest = np.linalg.eigvalsh(hermitian)[0]
+            if lowest < -1e-8:
+                raise _NegativeEigenvalue(lowest) from None
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -379,18 +416,22 @@ _THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0**-53
+_DEGREES = np.array(list(_THETA))
+_THETAS = np.array(list(_THETA.values()))
 
 
-def _taylor_plan(norm: float) -> tuple[int, int]:
-    """Degree m and step count s minimising m*s with s = ceil(norm / theta_m)."""
+def _taylor_plan(norm: float) -> tuple[int, float]:
+    """Degree m and step count s minimising m*s with s = ceil(norm / theta_m).
+
+    s is a whole float, infinite (or nan) for a norm too large to plan; ties
+    go to the smallest m.
+    """
     if norm == 0:
-        return 0, 1
-    best_m = best_s = None
-    for m, theta in _THETA.items():
-        s = int(math.ceil(norm / theta))
-        if best_m is None or m * s < best_m * best_s:
-            best_m, best_s = m, s
-    return best_m, best_s
+        return 0, 1.0
+    with np.errstate(over="ignore"):
+        steps = np.ceil(norm / _THETAS)
+    best = int(np.argmin(_DEGREES * steps))
+    return int(_DEGREES[best]), float(steps[best])
 
 
 def _expm_action(shifted, mu: complex, norm: float, vec: np.ndarray, t: float) -> np.ndarray:
@@ -399,22 +440,25 @@ def _expm_action(shifted, mu: complex, norm: float, vec: np.ndarray, t: float) -
     Al-Mohy & Higham's algorithm 3.2 with ``norm`` the exact 1-norm of
     ``shifted``: s steps of t/s, each a Taylor sum of at most m terms, cut
     once two successive terms together fall below 2^-53 times the sum
-    (infinity norms), then scaled by exp(t mu / s).
+    (infinity norms), then scaled by exp(t mu / s).  Terms are scaled, summed
+    and measured in place; ``vec`` is not modified.
     """
     m_star, s = _taylor_plan(t * norm)
-    out = vec
-    eta = np.exp(t * mu / float(s))
-    for _ in range(s):
-        c1 = np.max(np.abs(vec))
+    out = vec.copy()
+    magnitude = np.empty(vec.shape)
+    eta = np.exp(t * mu / s)
+    for _ in range(int(s)):
+        c1 = np.abs(out, out=magnitude).max()
+        term = out
         for j in range(m_star):
-            vec = (t / float(s * (j + 1))) * (shifted @ vec)
-            c2 = np.max(np.abs(vec))
-            out = out + vec
-            if c1 + c2 <= _UNIT_ROUNDOFF * np.max(np.abs(out)):
+            term = shifted @ term
+            np.multiply(t / (s * (j + 1)), term, out=term)
+            c2 = np.abs(term, out=magnitude).max()
+            out += term
+            if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(out, out=magnitude).max():
                 break
             c1 = c2
-        out = eta * out
-        vec = out
+        np.multiply(eta, out, out=out)
     return out
 
 
@@ -441,7 +485,11 @@ def evolve_master(
     kept so existing calls still work.  The trajectory is never renormalized;
     trace drift shows up in the validated snapshots (and fails them loudly
     past 1e-8).  Raises :class:`CutoffOverflow` if any mode's cutoff level
-    accumulates more than 1e-6 probability at a grid time.
+    accumulates more than 1e-6 probability at a grid time, and
+    :class:`PositivityLost` if a snapshot has an eigenvalue below -1e-8.  An
+    evolution that plans more than ``_PRODUCT_LIMIT`` generator products
+    (or whose generator has no finite 1-norm) is refused with a
+    :class:`ValidationError` before the first product.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
@@ -450,6 +498,15 @@ def evolve_master(
         raise ValidationError("times must be >= 0")
     generator = _Generator(space, hamiltonian, damping, diffusion, shifted=True)
     norm = generator.norm()
+    steps = np.diff(t_grid, prepend=0.0)
+    plans = [_taylor_plan(dt * norm) for dt in steps[steps > 0].tolist()]
+    planned = sum(m * s for m, s in plans)
+    if not planned <= _PRODUCT_LIMIT:
+        raise ValidationError(
+            f"evolution to t = {t_grid[-1]} plans {planned:.3g} generator products "
+            f"(generator 1-norm {norm:.3g}), above the oracle limit of "
+            f"{_PRODUCT_LIMIT}; shorten the time grid or lower the rates and frequencies"
+        )
     vec = _hermitian_part(rho0, space.dim).reshape(-1)
     states = []
     previous = 0.0
@@ -464,24 +521,37 @@ def evolve_master(
             raise CutoffOverflow(
                 f"cutoff level holds > {_TOP_LEVEL_LIMIT} probability at t = {t}"
             )
-        states.append(TruncatedDensityMatrix(t=float(t), rho=rho, n_max=space.n_max))
+        try:
+            states.append(TruncatedDensityMatrix(t=float(t), rho=rho, n_max=space.n_max))
+        except _NegativeEigenvalue as exc:
+            raise PositivityLost(
+                f"evolved density matrix lost positivity at t = {t}: eigenvalue "
+                f"{exc.value:.3g}; the master equation's rates do not keep it positive"
+            ) from None
     return states
 
 
-def oracle_char(rho: np.ndarray, eta, space: FockSpace) -> complex:
+def oracle_char(rho: np.ndarray, eta, space: FockSpace) -> complex | np.ndarray:
     """Normal-ordered characteristic function Tr[rho exp(eta a^dag) exp(-conj(eta) a)].
 
-    The exponentials are exact finite polynomials on the truncated space
-    (raising and lowering operators are nilpotent there), so the trace is
-    exact for a rho supported on the kept levels; truncation matters only
-    through probability the true state holds beyond the cutoff.  A warning is
-    issued when the displacement is large enough for that to show, judged
-    from the population at the cutoff level.
+    ``eta`` is one displacement of shape (n,), which gives a complex number,
+    or a batch of shape (P, n), which gives a (P,) complex array.  Each mode's
+    factor is the product of the two exponentials in closed form,
+    ``<j| exp(x a^dag) |i> = x^(j-i) sqrt(j!/i!) / (j-i)!`` for j >= i (the
+    lowering side is its transpose at ``x = -conj(eta)``), which is exact on
+    the truncated space because the ladder operators are nilpotent there; so
+    the trace is exact for a rho supported on the kept levels, and truncation
+    matters only through probability the true state holds beyond the cutoff.
+    The whole batch is traced against rho in one contraction.  One warning is
+    issued when the largest displacement is large enough for that to show,
+    judged from the population at the cutoff level.
     """
-    eta = np.atleast_1d(np.asarray(eta, dtype=complex))
-    if eta.size != space.n_modes:
+    eta = np.asarray(eta, dtype=complex)
+    points = np.atleast_2d(eta)
+    n = space.n_modes
+    if eta.ndim > 2 or points.shape[1] != n:
         raise ValidationError("eta has the wrong mode count")
-    biggest = float(np.max(np.abs(eta)))
+    biggest = float(np.max(np.abs(points), initial=0.0))
     if biggest > 0:
         # Poisson-style tail estimate of the displacement polynomial at the
         # cutoff, weighted by the cutoff population as a proxy for what lies
@@ -498,36 +568,42 @@ def oracle_char(rho: np.ndarray, eta, space: FockSpace) -> complex:
                 "characteristic-function displacement is large for this cutoff",
                 stacklevel=2,
             )
-    low = _mode_lowering(space.levels)
-    factors = {}
-    for m in range(space.n_modes):
-        term_p = np.eye(space.levels, dtype=complex)
-        term_m = np.eye(space.levels, dtype=complex)
-        acc_p = np.eye(space.levels, dtype=complex)
-        acc_m = np.eye(space.levels, dtype=complex)
-        for k in range(1, space.levels):
-            term_p = (eta[m] / k) * (low.T @ term_p)
-            term_m = (-eta[m].conjugate() / k) * (low @ term_m)
-            acc_p += term_p
-            acc_m += term_m
-        # Operators on different modes commute, so the full product is the
-        # tensor product of the per-mode products.
-        factors[m] = acc_p @ acc_m
-    return _trace_with(rho, factors, space)
+    levels, size = space.levels, len(points)
+    # factors[p, m, i, j] = <j| exp(eta a^dag) exp(-conj(eta) a) |i> on mode m,
+    # the transpose of the product of the two exponentials.
+    factors = _raising_exponential(-points.conj(), levels) @ np.swapaxes(
+        _raising_exponential(points, levels), -1, -2
+    )
+    # Tr[rho F] = sum rho[i, j] prod_m factors[m, i_m, j_m], with rho as
+    # (i_0, j_0, i_1, j_1, ...): each mode's (i_m, j_m) pair is summed in
+    # turn, the first by one product.
+    pairs = [axis for m in range(n) for axis in (m, n + m)]
+    tensor = np.asarray(rho).reshape((levels,) * (2 * n)).transpose(pairs)
+    factors = factors.reshape(size, n, levels**2)
+    chi = factors[:, 0] @ tensor.reshape(levels**2, levels ** (2 * n - 2))
+    for m in range(1, n):
+        rest = levels ** (2 * (n - 1 - m))
+        chi = np.einsum("pa,par->pr", factors[:, m], chi.reshape(size, levels**2, rest))
+    chi = chi.reshape(size)
+    return complex(chi[0]) if eta.ndim < 2 else chi
 
 
-def _trace_with(rho: np.ndarray, factors: dict, space: FockSpace) -> complex:
-    """Tr[rho F] for F the tensor product of ``factors[m]`` (identity elsewhere).
+def _raising_exponential(x: np.ndarray, levels: int) -> np.ndarray:
+    """``<j| exp(x a^dag) |i> = x^(j-i) sqrt(j!/i!) / (j-i)!`` for every entry of x.
 
-    Each levels x levels factor is contracted into its mode's column axis of
-    rho viewed as a ``(levels,) * 2n`` tensor, so no dim x dim operator is
-    formed; cost dim^2 * levels per factor.
+    Returns shape ``x.shape + (levels, levels)``; zero above the diagonal.
     """
-    n = space.n_modes
-    tensor = np.asarray(rho).reshape((space.levels,) * (2 * n))
-    for m, factor in factors.items():
-        tensor = np.moveaxis(np.tensordot(tensor, factor, axes=([n + m], [0])), -1, n + m)
-    return complex(np.trace(tensor.reshape(space.dim, space.dim)))
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, levels)))))
+    gap = np.subtract.outer(np.arange(levels), np.arange(levels))
+    below = gap >= 0
+    gap = np.where(below, gap, 0)
+    coefficient = below * np.exp(
+        0.5 * np.subtract.outer(log_fact, log_fact) - log_fact[gap]
+    )
+    steps = np.ones(x.shape + (levels,), dtype=complex)
+    steps[..., 1:] = x[..., None]
+    powers = np.cumprod(steps, axis=-1)
+    return powers[..., gap] * coefficient
 
 
 def oracle_purity(rho: np.ndarray) -> float:
@@ -551,18 +627,33 @@ def oracle_partial_trace(rho: np.ndarray, keep, space: FockSpace) -> np.ndarray:
     return tensor.reshape(d**kept, d**kept)
 
 
+def _ladder(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Index maps of the lowering operators: ``a_m |x + e_m> = root[m, x] |x>``.
+
+    ``source[m, x]`` is the flat index of ``x + e_m`` and ``root[m, x]`` is
+    ``sqrt(x_m + 1)``, both of shape (n, dim); where ``x_m`` is the cutoff
+    level the root is 0 and the source is x itself.
+    """
+    n, levels, dim = space.n_modes, space.levels, space.dim
+    occupations = np.indices((levels,) * n).reshape(n, dim)
+    inside = occupations < space.n_max
+    strides = levels ** np.arange(n - 1, -1, -1)
+    source = np.arange(dim) + strides[:, None] * inside
+    return source, np.sqrt(occupations + 1.0) * inside
+
+
 def expect_lowering(rho: np.ndarray, space: FockSpace) -> np.ndarray:
-    """Vector of first moments <a_m> = sum(rho * a_m^T)."""
-    return np.array([np.sum(rho * op.T) for op in space.lowering])
+    """Vector of first moments <a_m> = sum_x sqrt(x_m + 1) rho[x + e_m, x]."""
+    source, root = _ladder(space)
+    rho = np.asarray(rho)
+    return np.sum(root * rho[source, np.arange(space.dim)], axis=1)
 
 
 def expect_number_matrix(rho: np.ndarray, space: FockSpace) -> np.ndarray:
-    """Matrix of second moments <a_m^dag a_n>, one mode axis at a time."""
-    n = space.n_modes
-    low = _mode_lowering(space.levels)
-    out = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        for k in range(n):
-            factors = {m: low.T @ low} if m == k else {m: low.T, k: low}
-            out[m, k] = _trace_with(rho, factors, space)
-    return out
+    """Matrix of second moments <a_m^dag a_k>, all n^2 in one gather.
+
+    ``<a_m^dag a_k> = sum_x sqrt(x_m + 1) sqrt(x_k + 1) rho[x + e_k, x + e_m]``.
+    """
+    source, root = _ladder(space)
+    rho = np.asarray(rho)
+    return np.einsum("mkx,mx,kx->mk", rho[source[None], source[:, None]], root, root)

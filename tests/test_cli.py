@@ -652,7 +652,7 @@ _EXPORTS = {
     "errors": [
         "ConfigError", "CutoffOverflow", "DefectiveMatrix", "NoBracket",
         "NonDissipativeMode", "NonPositiveNormalMode", "NullState", "OscnetError",
-        "QuadratureNotConverged", "RootNotConverged", "SingularSystem",
+        "PositivityLost", "QuadratureNotConverged", "RootNotConverged", "SingularSystem",
         "SingularWidth", "ValidationError",
     ],
     "network": [

@@ -7,15 +7,23 @@ Kronecker-product superoperator (``_generator``, scipy.sparse), the dense
 Lindblad right-hand side built from dim x dim ladder operators, and the dim x
 dim displacement polynomials.  The propagator action, taken in the rotating
 frame of the total number, is checked against scipy's ``expm_multiply`` of
-the reference generator, whose algorithm it ports, and against the dense
-exponential.  The 3-mode check compares the Gaussian solution with the oracle
-at a size the dense integrator could not reach in test time.
+the reference generator, whose algorithm it ports, against the dense
+exponential, and bit for bit against the out-of-place Taylor loop it
+replaced.  The evolution's guards (the product limit and the positivity
+stop) are run through ``run_config``.  The 3-mode check compares the
+Gaussian solution with the oracle at a size the dense integrator could not
+reach in test time.
 """
 
 from __future__ import annotations
 
+import copy
+import json
+import math
+import re
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +31,8 @@ from numpy.testing import assert_allclose
 
 import oscnet as osc
 from oscnet import oracle
-from oscnet.cli import parse_config
-from oscnet.errors import OscnetError, ValidationError
+from oscnet.cli import main, parse_config, run_config
+from oscnet.errors import OscnetError, PositivityLost, ValidationError
 
 from conftest import white_model
 
@@ -268,8 +276,45 @@ def test_char_matches_dense_polynomials(rng, n_modes, n_max):
         0.3 * (rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes))
         for _ in range(3)
     ]
-    for eta in etas:
-        assert abs(osc.oracle_char(rho, eta, space) - _dense_char(rho, eta, space)) < 1e-12
+    batch = osc.oracle_char(rho, np.array(etas), space)
+    assert isinstance(batch, np.ndarray) and batch.shape == (4,) and batch.dtype == complex
+    for eta, value in zip(etas, batch):
+        expected = _dense_char(rho, eta, space)
+        assert abs(osc.oracle_char(rho, eta, space) - expected) < 1e-12
+        assert abs(value - expected) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:characteristic-function displacement")
+def test_single_eta_gives_a_complex_number(rng):
+    space = osc.FockSpace(2, 3)
+    rho = _random_density(rng, space.dim)
+    etas = np.array([[0.3 - 0.1j, 0.2j], [-0.25, 0.1 + 0.1j]])
+    batch = osc.oracle_char(rho, etas, space)
+    for eta, value in zip(etas, batch):
+        single = osc.oracle_char(rho, eta, space)
+        assert type(single) is complex
+        assert abs(single - value) <= 1e-15
+    assert osc.oracle_char(rho, etas[:1], space).shape == (1,)
+    assert osc.oracle_char(rho, np.zeros((0, 2)), space).shape == (0,)
+    one_mode = osc.FockSpace(1, 6)
+    rho1 = _random_density(rng, one_mode.dim)
+    assert type(osc.oracle_char(rho1, 0.3, one_mode)) is complex
+    for bad in ([0.1, 0.2, 0.3], np.zeros((4, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValidationError, match="mode count"):
+            osc.oracle_char(rho, bad, space)
+
+
+def test_batch_warns_once_for_any_large_row():
+    space = osc.FockSpace(1, 4)
+    rho = np.outer(space.fock_vector([0]), space.fock_vector([0]))
+    etas = np.array([[0.1], [2.5], [3.0], [0.2j]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        osc.oracle_char(rho, etas, space)
+        osc.oracle_char(rho, etas[[0, 3]], space)
+    assert [str(w.message) for w in caught] == [
+        "characteristic-function displacement is large for this cutoff"
+    ]
 
 
 @pytest.mark.parametrize("n_modes, n_max", SIZES)
@@ -369,6 +414,66 @@ def test_action_matches_expm_multiply(rng, n_modes, n_max, t):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def _reference_plan(norm):
+    # The integer plan the float one replaced.
+    if norm == 0:
+        return 0, 1
+    best_m = best_s = None
+    for m, theta in oracle._THETA.items():
+        s = int(math.ceil(norm / theta))
+        if best_m is None or m * s < best_m * best_s:
+            best_m, best_s = m, s
+    return best_m, best_s
+
+
+def _reference_action(shifted, mu, norm, vec, t):
+    # The out-of-place Taylor loop the in-place one replaced.
+    m_star, s = _reference_plan(t * norm)
+    out = vec
+    eta = np.exp(t * mu / float(s))
+    for _ in range(s):
+        c1 = np.max(np.abs(vec))
+        for j in range(m_star):
+            vec = (t / float(s * (j + 1))) * (shifted @ vec)
+            c2 = np.max(np.abs(vec))
+            out = out + vec
+            if c1 + c2 <= oracle._UNIT_ROUNDOFF * np.max(np.abs(out)):
+                break
+            c1 = c2
+        out = eta * out
+        vec = out
+    return out
+
+
+def test_plan_matches_integer_plan():
+    for norm in [0.0, 1e-17, 3e-9, 0.05, 0.4, 1.0, 2.43, 7.0, 31.4, 1e4, 1e9]:
+        assert oracle._taylor_plan(norm) == _reference_plan(norm)
+    assert oracle._taylor_plan(math.inf)[1] == math.inf
+    assert math.isnan(oracle._taylor_plan(math.nan)[1])
+
+
+@pytest.mark.parametrize("n_modes, n_max", [(1, 6), (2, 3)])
+@pytest.mark.parametrize("t", [0.05, 0.8, 7.5])
+def test_action_equals_out_of_place_loop_bitwise(rng, n_modes, n_max, t):
+    space = osc.FockSpace(n_modes, n_max)
+    op = oracle._Generator(space, *_random_rates(rng, n_modes), shifted=True)
+    vec = _random_density(rng, space.dim).reshape(-1)
+    kept = vec.copy()
+    got = oracle._expm_action(op, op.mu, op.norm(), vec, t)
+    assert np.array_equal(vec, kept)
+    assert got.tobytes() == _reference_action(op, op.mu, op.norm(), vec, t).tobytes()
+
+
+def test_action_equals_out_of_place_loop_bitwise_on_benchmark_run():
+    space, rho0, rates, times = _oracle_check_setup()
+    op = oracle._Generator(space, *rates, shifted=True)
+    vec = rho0.reshape(-1)
+    for step in np.diff(times):
+        got = oracle._expm_action(op, op.mu, op.norm(), vec, step)
+        assert got.tobytes() == _reference_action(op, op.mu, op.norm(), vec, step).tobytes()
+        vec = got
+
+
 def _oracle_check_setup():
     # The benchmark's oracle_check run: two detuned modes, cat |alpha| = 0.7,
     # warm white-noise baths, n_max = 10 (dim 121), five times on [0, 4].
@@ -445,3 +550,106 @@ def test_trace_kept_over_long_evolution():
         [60.0], space,
     )
     assert snaps[0].trace_defect < 1e-12
+
+
+# The benchmark's oracle_check config at seed 0, and variants that validate
+# but that the evolution must refuse or stop on.
+_SEED0_CONFIG = {
+    "network": {"n": 2, "omega": [1.0720828873549877, 0.9642749644675027], "coupling": 0.1},
+    "reservoirs": {"temperature": 0.4, "profile": {"kind": "white", "gamma": 0.05}},
+    "regime": "auto",
+    "state": {"kind": "cat", "r": 1, "s": 1, "alpha": [0.5530350177337987, -0.4291296647403637]},
+    "times": {"start": 0.0, "stop": 4.0, "steps": 5},
+    "oracle": {"n_max": 10},
+    "outputs": ["oracle_compare"],
+}
+
+
+def _variant(path, value):
+    config = copy.deepcopy(_SEED0_CONFIG)
+    node = config
+    *parents, leaf = path.split(".")
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return config
+
+
+GUARD_CONFIGS = {
+    # A detuning of 1e200 plans about 2e202 products; T = 1e300 plans about
+    # 1e302, whose step count overflowed the integer plan before.
+    "huge_omega": _variant("network.omega", [1e200, 1.0]),
+    "huge_temperature": _variant("reservoirs.temperature", 1e300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_CONFIGS))
+def test_product_limit_refuses_before_the_first_product(name, tmp_path, monkeypatch, capsys):
+    config = GUARD_CONFIGS[name]
+    parse_config(config)
+
+    def no_products(*args):
+        raise AssertionError("a product ran")
+
+    monkeypatch.setattr(oracle, "_expm_action", no_products)
+    with pytest.raises(ValidationError, match="generator products") as info:
+        run_config(config, tmp_path / "out")
+    assert str(oracle._PRODUCT_LIMIT) in str(info.value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evolution to t = 4.0 plans ")
+    assert str(oracle._PRODUCT_LIMIT) in err and "Traceback" not in err
+
+
+def test_product_limit_counts_every_step(monkeypatch):
+    space = osc.FockSpace(1, 4)
+    model = white_model(n=1, gamma=0.05, nbar=0.1)
+    rates = (model.hamiltonian, model.rates.damping, model.rates.diffusion)
+    rho0 = osc.density_from_coherent(space, osc.single_coherent_state([0.1]))
+    norm = oracle._Generator(space, *rates, shifted=True).norm()
+    # One step of dt plans 0.6 of the limit, two steps 1.2 of it.
+    dt = 0.6 * oracle._PRODUCT_LIMIT * oracle._THETA[55] / 55 / norm
+    m, s = oracle._taylor_plan(dt * norm)
+    assert oracle._PRODUCT_LIMIT / 2 < m * s <= oracle._PRODUCT_LIMIT
+    monkeypatch.setattr(oracle, "_expm_action", lambda op, mu, norm, vec, t: vec)
+    osc.evolve_master(rho0, *rates, [0.0, dt], space)
+    with pytest.raises(ValidationError, match=re.escape(f"plans {2 * m * s:.3g} generator")):
+        osc.evolve_master(rho0, *rates, [dt, 2 * dt], space)
+
+
+# A common bath for two detuned modes: the assembled diffusion matrix has an
+# indefinite Hermitian part, and the oracle's rho goes negative by t = 1.
+COMMON_BATH_CONFIG = _variant("network", {"n": 2, "omega": [1.15, 1.0], "coupling": 0.2})
+COMMON_BATH_CONFIG["reservoirs"] = {
+    "temperature": 0.35, "profile": {"kind": "white", "gamma": 0.04}, "common": True,
+}
+
+
+def test_common_bath_stops_with_positivity_error(tmp_path):
+    with pytest.raises(PositivityLost, match=r"lost positivity at t = 1\.0: eigenvalue -") as info:
+        run_config(COMMON_BATH_CONFIG, tmp_path)
+    assert not isinstance(info.value, ValidationError)
+    assert isinstance(info.value, OscnetError)
+
+
+@pytest.mark.parametrize("lowest", [0.0, -0.5e-8, -0.99e-8, -0.9999e-8, -1.0001e-8, -1.01e-8, -3e-8])
+def test_snapshot_positivity_threshold_is_the_spectrum(rng, lowest):
+    # The Cholesky shortcut must accept and refuse exactly where the lowest
+    # eigenvalue crosses -1e-8, on a rotated (non-diagonal) matrix.
+    dim = 30
+    spectrum = np.concatenate(([lowest], rng.uniform(0.01, 0.05, size=dim - 1)))
+    spectrum[1:] *= (1.0 - lowest) / spectrum[1:].sum()
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    rho = (basis * spectrum) @ basis.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    computed = np.linalg.eigvalsh(rho)[0]
+    assert abs(computed - lowest) < 1e-14
+    if computed < -1e-8:
+        # Built directly, a snapshot keeps its ValidationError.
+        with pytest.raises(ValidationError, match="negative eigenvalue") as info:
+            osc.TruncatedDensityMatrix(t=0.0, rho=rho, n_max=1)
+        assert not isinstance(info.value, PositivityLost)
+    else:
+        osc.TruncatedDensityMatrix(t=0.0, rho=rho, n_max=1)
