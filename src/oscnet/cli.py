@@ -36,6 +36,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -70,213 +71,182 @@ OUTPUT_KINDS = ("tau_report", "dcoef", "wigner_grid", "entropy_curve", "oracle_c
 
 # ---------------------------------------------------------------------------
 # Config parsing
+#
+# Every config value is read by ``_read`` as one of the kinds below, so one
+# policy holds for every field: a number is a finite JSON number (an int or a
+# float, never a bool or a string, in lists too), an integer field takes a
+# JSON integer only, and a complex field takes a number or an [re, im] pair.
+
+_REQUIRED = object()  # the default of a field a config must give
 
 
-def _get(config, path, default=None, required=False):
-    node = config
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            if required:
-                raise ConfigError(path, "missing required field")
-            return default
-        node = node[key]
-    return node
-
-
-def _complex_field(value, path):
-    if isinstance(value, (int, float)):
-        value = complex(value)
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            value = complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
-    if isinstance(value, complex) and math.isfinite(value.real) and math.isfinite(value.imag):
-        return value
-    raise ConfigError(path, "expected a finite number or [re, im] pair")
-
-
-def _number(convert, value, path):
-    """``convert(value)`` when it is finite, or a ConfigError naming ``path``."""
+def _numbers(value, path, shape=None, fill=False):
+    """Kind: finite JSON numbers, nested in lists, as a float array of ``shape``
+    (None: any length); with ``fill``, one number stands for every entry."""
     try:
-        result = convert(value)
+        values = np.asarray(value, dtype=float)
+        leaves = [value]
+        for _ in range(values.ndim):
+            leaves = itertools.chain.from_iterable(leaves)
+        types = set(map(type, leaves))
+        numbers = all(t is not bool and issubclass(t, (int, float)) for t in types)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(path, "expected a number") from None
-    if isinstance(result, float) and not math.isfinite(result):
+        numbers = False
+    if not (numbers and np.isfinite(values).all()):
         raise ConfigError(path, "expected finite numbers")
-    return result
-
-
-def _floats(value, path):
-    values = _number(lambda v: np.asarray(v, dtype=float), value, path)
-    if not np.isfinite(values).all():
-        raise ConfigError(path, "expected finite numbers")
+    if fill and values.ndim == 0:
+        values = np.full(shape, values)
+    if shape is not None and (
+        values.ndim != len(shape) or any(d not in (None, m) for d, m in zip(shape, values.shape))
+    ):
+        raise ConfigError(path, f"expected shape {shape}, got {values.shape}")
     return values
 
 
-def _per_mode(value, path, n):
-    """One float per mode; a single number is repeated ``n`` times."""
-    values = _floats(value, path)
-    values = np.full(n, values) if values.ndim == 0 else values
-    if values.shape != (n,):
-        raise ConfigError(path, f"expected {n} entries")
-    return values
+def _real(value, path):
+    """Kind: one finite JSON number, as a float."""
+    return float(_numbers(value, path, shape=()))
 
 
-def _positive_int(value, path):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(path, "expected a positive integer")
+def _integer(value, path, low, high=math.inf):
+    """Kind: a JSON integer in [low, high)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+        raise ConfigError(path, f"expected an integer in [{low}, {high})")
     return value
 
 
-def _parse_network(config) -> NetworkSpec:
-    n = _positive_int(_get(config, "network.n", required=True), "network.n")
-    omega = _per_mode(_get(config, "network.omega", required=True), "network.omega", n)
-    lam = _floats(_get(config, "network.coupling", 0.0), "network.coupling")
-    if lam.ndim == 0:
-        lam = np.full((n, n), lam)
-        np.fill_diagonal(lam, 0.0)
+def _complex(value, path):
+    """Kind: a finite number or an [re, im] pair of them, as a complex."""
+    parts = _numbers(value, path)
+    if parts.shape not in ((), (2,)):
+        raise ConfigError(path, "expected a number or an [re, im] pair")
+    return complex(*parts.reshape(-1).tolist())
+
+
+def _bool(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError(path, "expected true or false")
+    return value
+
+
+def _choice(value, path, options):
+    """Kind: one of ``options``."""
+    if value not in options:
+        raise ConfigError(path, f"expected {'|'.join(options)}, got {value!r}")
+    return value
+
+
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected an object")
+    return value
+
+
+def _each(value, path, item, count=None):
+    """Kind: a list (of ``count`` entries, when given), each entry read as ``item``."""
+    if not isinstance(value, list) or count not in (None, len(value)):
+        raise ConfigError(path, "expected a list" + (f" of {count} entries" if count else ""))
+    return [item(entry, f"{path}[{i}]") for i, entry in enumerate(value)]
+
+
+def _objects(value, path, count=None):
+    """Kind: a list of objects, as (object, path) pairs.  With ``count``, one
+    object alone also stands for all of them and comes back as the one pair."""
+    if count is not None and isinstance(value, dict):
+        return [(value, path)]
+    return [(obj, f"{path}[{i}]") for i, obj in enumerate(_each(value, path, _object, count))]
+
+
+# The fields at fixed paths: path -> (kind, default).  An object not listed
+# is optional, and its absence leaves each of its fields absent.
+_FIELDS = {
+    "network.n": (partial(_integer, low=1), _REQUIRED),
+    "network.omega": (partial(_numbers, fill=True), _REQUIRED),
+    "network.coupling": (_numbers, 0.0),
+    "reservoirs.temperature": (partial(_numbers, fill=True), _REQUIRED),
+    "reservoirs.profile": (_objects, _REQUIRED),
+    "reservoirs.overlap": (_numbers, None),
+    "reservoirs.common": (_bool, False),
+    "regime": (partial(_choice, options=("auto", "weak", "strong")), "auto"),
+    "state.kind": (partial(_choice, options=("cat", "coherent")), _REQUIRED),
+    "state.r": (partial(_integer, low=0), 1),
+    "state.s": (partial(_integer, low=0), 0),
+    "state.alpha": (_complex, _REQUIRED),
+    "state.beta": (_complex, 0j),
+    "state.sign": (partial(_integer, low=-1, high=2), 1),
+    "state.branches": (_objects, _REQUIRED),
+    "times": (_object, _REQUIRED),
+    "times.list": (partial(_numbers, shape=(None,)), None),
+    "times.start": (_real, 0.0),
+    "times.stop": (_real, _REQUIRED),
+    "times.steps": (partial(_integer, low=2), _REQUIRED),
+    "wigner_grid.points": (partial(_integer, low=1), 41),
+    "wigner_grid.ranges": (_numbers, None),
+    "wigner_grid.time_index": (_integer, -1),
+    "oracle.n_max": (partial(_integer, low=1), None),
+    "outputs": (partial(_each, item=partial(_choice, options=OUTPUT_KINDS)), ["tau_report"]),
+}
+
+
+def _read(node, key, path, kind, default=_REQUIRED, **limits):
+    """``node[key]`` checked as ``kind`` with ``limits``, or ``default`` when absent."""
+    if key in node:
+        return kind(node[key], path, **limits)
+    if default is _REQUIRED:
+        raise ConfigError(path, "missing required field")
+    return default
+
+
+def _field(config, path, **limits):
+    """The field at the fixed ``path``, read as its ``_FIELDS`` entry says."""
+    parent, _, key = path.rpartition(".")
+    node = _field(config, parent) if parent else config
+    return _read(node, key, path, *_FIELDS.get(path, (_object, {})), **limits)
+
+
+def _build(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a library error becomes a ConfigError at ``path``."""
     try:
-        return NetworkSpec(omega=omega, coupling=lam)
+        return make(*args, **kwargs)
     except OscnetError as exc:
-        raise ConfigError("network", str(exc)) from exc
+        raise ConfigError(path, str(exc)) from exc
 
 
 _PROFILES = {"white": WhiteNoise, "lorentzian": Lorentzian, "gaussian_band": GaussianBand}
 
 
-def _parse_profile(node, path):
-    if not isinstance(node, dict) or "kind" not in node:
-        raise ConfigError(path, "expected an object with a 'kind' field")
-    kind = node["kind"]
-    profile = _PROFILES.get(kind) if isinstance(kind, str) else None
-    if profile is None:
-        raise ConfigError(f"{path}.kind", f"unknown profile kind {kind!r}")
-    fields = dataclasses.fields(profile)
-    try:
-        values = [_number(float, node[f.name], f"{path}.{f.name}") for f in fields]
-    except KeyError as exc:
-        raise ConfigError(path, f"missing profile field {exc}") from exc
-    try:
-        return profile(*values)
-    except OscnetError as exc:
-        raise ConfigError(path, str(exc)) from exc
+def _profile(node, path):
+    kind = _PROFILES[_read(node, "kind", f"{path}.kind", _choice, options=tuple(_PROFILES))]
+    values = [_read(node, f.name, f"{path}.{f.name}", _real) for f in dataclasses.fields(kind)]
+    return _build(path, kind, *values)
 
 
-def _parse_reservoirs(config, n) -> ReservoirSpec:
-    path = "reservoirs.temperature"
-    temps = _per_mode(_get(config, path, required=True), path, n)
-    profile = _get(config, "reservoirs.profile", required=True)
-    if isinstance(profile, dict):
-        profiles = [_parse_profile(profile, "reservoirs.profile")] * n
-    elif not isinstance(profile, list):
-        raise ConfigError("reservoirs.profile", "expected an object or a list of objects")
-    else:
-        if len(profile) != n:
-            raise ConfigError("reservoirs.profile", f"expected {n} entries")
-        profiles = [
-            _parse_profile(p, f"reservoirs.profile[{i}]") for i, p in enumerate(profile)
-        ]
-    overlap = _get(config, "reservoirs.overlap")
-    if overlap is not None:
-        overlap = _floats(overlap, "reservoirs.overlap")
-    common = _get(config, "reservoirs.common", False)
-    if not isinstance(common, bool):
-        raise ConfigError("reservoirs.common", "expected true or false")
-    if common and np.any(temps != temps[0]):
-        raise ConfigError(
-            "reservoirs.temperature", "a common reservoir has a single temperature"
-        )
-    try:
-        return ReservoirSpec(
-            temperatures=temps,
-            profiles=tuple(profiles),
-            common=common,
-            overlap=overlap,
-        )
-    except OscnetError as exc:
-        raise ConfigError("reservoirs", str(exc)) from exc
+def _state(config, n) -> CoherentMixture:
+    if _field(config, "state.kind") == "cat":
+        r, s = _field(config, "state.r"), _field(config, "state.s")
+        alpha, beta = _field(config, "state.alpha"), _field(config, "state.beta")
+        sign = _field(config, "state.sign")
+        path = "state.r" if r + s > n else "state.sign" if sign == 0 else "state"
+        return _build(path, build_cat_family, n, r, s, alpha, beta, sign)
+    branches = []
+    for branch, where in _field(config, "state.branches"):
+        weight = _read(branch, "weight", f"{where}.weight", _real, 1.0)
+        coeffs, vectors = [], []
+        for component, at in _read(branch, "components", f"{where}.components", _objects, []):
+            coeffs.append(_read(component, "amplitude", f"{at}.amplitude", _complex))
+            vectors.append(_read(component, "beta", f"{at}.beta", _each, item=_complex, count=n))
+        branches.append(_build(where, coherent_superposition, coeffs, vectors, weight))
+    return _build("state.branches", coherent_mixture, branches)
 
 
-def _parse_state(config, n) -> CoherentMixture:
-    kind = _get(config, "state.kind", required=True)
-    if kind == "cat":
-        r = _number(int, _get(config, "state.r", 1), "state.r")
-        s = _number(int, _get(config, "state.s", 0), "state.s")
-        alpha = _complex_field(_get(config, "state.alpha", required=True), "state.alpha")
-        beta = _complex_field(_get(config, "state.beta", 0.0), "state.beta")
-        sign = _number(int, _get(config, "state.sign", 1), "state.sign")
-        try:
-            return build_cat_family(n, r, s, alpha, beta, sign)
-        except OscnetError as exc:
-            field = "state.r" if "exceeds" in str(exc) else "state"
-            raise ConfigError(field, str(exc)) from exc
-    if kind == "coherent":
-        branches_node = _get(config, "state.branches", required=True)
-        if not isinstance(branches_node, list):
-            raise ConfigError("state.branches", "expected a list of branch objects")
-        branches = []
-        for i, b in enumerate(branches_node):
-            branch = f"state.branches[{i}]"
-            if not isinstance(b, dict):
-                raise ConfigError(branch, "expected an object")
-            comps = b.get("components", [])
-            if not isinstance(comps, list):
-                raise ConfigError(f"{branch}.components", "expected a list")
-            weight = _number(float, b.get("weight", 1.0), f"{branch}.weight")
-            coeffs = []
-            vectors = []
-            for j, c in enumerate(comps):
-                where = f"{branch}.components[{j}]"
-                if not isinstance(c, dict) or "amplitude" not in c or "beta" not in c:
-                    raise ConfigError(where, "needs 'amplitude' and 'beta' fields")
-                coeffs.append(_complex_field(c["amplitude"], f"{where}.amplitude"))
-                if not isinstance(c["beta"], list) or len(c["beta"]) != n:
-                    raise ConfigError(f"{where}.beta", f"expected {n} modes")
-                vectors.append([_complex_field(z, f"{where}.beta") for z in c["beta"]])
-            try:
-                branches.append(coherent_superposition(coeffs, vectors, weight))
-            except OscnetError as exc:
-                raise ConfigError(branch, str(exc)) from exc
-        try:
-            return coherent_mixture(branches)
-        except OscnetError as exc:
-            raise ConfigError("state.branches", str(exc)) from exc
-    raise ConfigError("state.kind", f"unknown state kind {kind!r}")
-
-
-def _parse_times(config) -> np.ndarray:
-    node = _get(config, "times", required=True)
-    if not isinstance(node, dict):
-        raise ConfigError("times", "expected an object with 'list' or start/stop/steps")
-    if "list" in node:
-        times = _floats(node["list"], "times.list")
-        if times.ndim != 1:
-            raise ConfigError("times.list", "expected a list of numbers")
-    else:
-        start = _number(float, node.get("start", 0.0), "times.start")
-        stop = _number(float, node.get("stop", 0.0), "times.stop")
-        steps = node.get("steps", 0)
-        if not isinstance(steps, int) or steps < 2 or stop <= start:
-            raise ConfigError("times", "need start < stop and integer steps >= 2")
-        times = np.linspace(start, stop, steps)
-    if times.size < 1 or np.any(times < 0) or np.any(np.diff(times) <= 0):
-        raise ConfigError("times", "times must be increasing and >= 0")
-    return times
-
-
-def _parse_wigner_grid(config, n, times, requested=True):
+def _wigner_spec(config, n, times, requested=True):
     """The grid's (points, ranges, time index), defaults filled in.
 
     A ``requested`` grid whose coords and values, points^(2n) rows of 2n + 1
     float64, would exceed the oracle's byte limit is refused here, before
     ``run`` writes anything.
     """
-    node = _get(config, "wigner_grid")
-    node = {} if node is None else node
-    if not isinstance(node, dict):
-        raise ConfigError("wigner_grid", "expected an object")
-    points = _positive_int(node.get("points", 41), "wigner_grid.points")
+    points = _field(config, "wigner_grid.points")
     predicted = 8 * (2 * n + 1) * points ** (2 * n) if requested else 0
     if predicted > _BYTE_LIMIT:
         raise ConfigError(
@@ -284,63 +254,48 @@ def _parse_wigner_grid(config, n, times, requested=True):
             f"a grid of {points}^{2 * n} points would take {predicted} bytes, "
             f"above the limit of {_BYTE_LIMIT} bytes",
         )
-    ranges = node.get("ranges", [[-3.0, 3.0, -3.0, 3.0]] * n)
-    if not isinstance(ranges, (list, tuple)) or len(ranges) != n:
-        raise ConfigError("wigner_grid.ranges", f"expected {n} range tuples")
-    for bounds in ranges:
-        if not (
-            isinstance(bounds, (list, tuple))
-            and len(bounds) == 4
-            and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                for v in bounds
-            )
-        ):
-            raise ConfigError(
-                "wigner_grid.ranges",
-                f"expected [re_min, re_max, im_min, im_max] finite numbers, not {bounds!r}",
-            )
-    index = node.get("time_index", -1)
-    if type(index) is not int or not -len(times) <= index < len(times):
-        raise ConfigError(
-            "wigner_grid.time_index", f"expected an index into the {len(times)} times"
-        )
-    return points, ranges, index
-
-
-def _parse_oracle(config):
-    """The oracle's Fock cutoff ``n_max``, or None to have it chosen."""
-    node = _get(config, "oracle")
-    if node is not None and not isinstance(node, dict):
-        raise ConfigError("oracle", "expected an object")
-    n_max = _get(config, "oracle.n_max")
-    return None if n_max is None else _positive_int(n_max, "oracle.n_max")
-
-
-def _parse_outputs(config):
-    outputs = _get(config, "outputs", ["tau_report"])
-    if not isinstance(outputs, list):
-        raise ConfigError("outputs", "expected a list of output names")
-    for out in outputs:
-        if out not in OUTPUT_KINDS:
-            raise ConfigError("outputs", f"unknown output {out!r}")
-    return outputs
+    ranges = _field(config, "wigner_grid.ranges", shape=(n, 4))
+    index = _field(config, "wigner_grid.time_index", low=-len(times), high=len(times))
+    return points, [[-3.0, 3.0, -3.0, 3.0]] * n if ranges is None else ranges, index
 
 
 def parse_config(config: dict):
     """Validate a raw config tree into model inputs; raises ConfigError."""
     if not isinstance(config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    network = _parse_network(config)
-    reservoirs = _parse_reservoirs(config, network.n)
-    regime = _get(config, "regime", "auto")
-    if regime not in ("auto", "weak", "strong"):
-        raise ConfigError("regime", f"expected auto|weak|strong, got {regime!r}")
-    state = _parse_state(config, network.n)
-    times = _parse_times(config)
-    outputs = _parse_outputs(config)
-    _parse_wigner_grid(config, network.n, times, "wigner_grid" in outputs)
-    _parse_oracle(config)
+    n = _field(config, "network.n")
+    omega = _field(config, "network.omega", shape=(n,))
+    lam = _field(config, "network.coupling")
+    if np.ndim(lam) == 0:
+        lam = np.full((n, n), lam)
+        np.fill_diagonal(lam, 0.0)
+    network = _build("network", NetworkSpec, omega=omega, coupling=lam)
+    temps = _field(config, "reservoirs.temperature", shape=(n,))
+    profiles = [_profile(*pair) for pair in _field(config, "reservoirs.profile", count=n)]
+    profiles *= n // len(profiles)  # one profile object serves every mode
+    overlap = _field(config, "reservoirs.overlap")
+    common = _field(config, "reservoirs.common")
+    if common and np.any(temps != temps[0]):
+        raise ConfigError("reservoirs.temperature", "a common reservoir has a single temperature")
+    reservoirs = _build(
+        "reservoirs",
+        ReservoirSpec,
+        temperatures=temps,
+        profiles=tuple(profiles),
+        common=common,
+        overlap=overlap,
+    )
+    regime = _field(config, "regime")
+    state = _state(config, n)
+    times = _field(config, "times.list")
+    if times is None:  # stop <= start gives times that do not increase
+        start, stop = _field(config, "times.start"), _field(config, "times.stop")
+        times = np.linspace(start, stop, _field(config, "times.steps"))
+    if times.size < 1 or np.any(times < 0) or np.any(np.diff(times) <= 0):
+        raise ConfigError("times", "times must be increasing and >= 0")
+    outputs = list(_field(config, "outputs"))
+    _wigner_spec(config, n, times, "wigner_grid" in outputs)
+    _field(config, "oracle.n_max")
     return network, reservoirs, regime, state, times, outputs
 
 
@@ -443,7 +398,7 @@ def _time_curves(state, model: Model, times, outputs) -> dict:
 
 
 def _wigner_table(config, state, model: Model, times):
-    points, ranges, index = _parse_wigner_grid(config, model.network.n, times)
+    points, ranges, index = _wigner_spec(config, model.network.n, times)
     bundle = model.propagator.bundle(times[index])
     coords, values = wigner_grid(state, bundle, ranges, points)
     columns = []
@@ -497,7 +452,7 @@ def _default_eta_grid(n):
 
 
 def _oracle_table(config, state, model: Model, times):
-    n_max = _parse_oracle(config)
+    n_max = _field(config, "oracle.n_max")
     largest_amp = max(
         float(np.max(np.abs(c.amplitudes)))
         for b in state.branches
@@ -619,36 +574,32 @@ def run_config(config: dict, out_dir: Path) -> dict:
 
 
 def _set_path(config: dict, path: str, value):
-    node = config
-    keys = path.split(".")
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise ConfigError(path, "axis path does not exist in the config")
-        node = node[key]
-    if keys[-1] not in node:
+    *parents, key = path.split(".")
+    for name in parents:
+        config = config.get(name) if isinstance(config, dict) else None
+    if not isinstance(config, dict) or key not in config:
         raise ConfigError(path, "axis path does not exist in the config")
-    node[keys[-1]] = value
+    config[key] = value
 
 
 def _parse_axis(text: str):
-    if "=" not in text:
-        raise ConfigError("--axis", "expected <path>=<start:stop:steps>")
-    path, spec = text.split("=", 1)
+    """``path=start:stop:steps`` as (path, values); an integer field gets integers."""
+    path, _, spec = text.partition("=")
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ConfigError("--axis", "expected <start:stop:steps>")
+        raise ConfigError("--axis", "expected <path>=<start:stop:steps>")
+    path = path.strip()
     try:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(
-            f"--axis {path.strip()}", "start and stop must be numbers, steps an integer"
+            f"--axis {path}", "start and stop must be numbers, steps an integer"
         ) from None
     if steps < 1:
         raise ConfigError("--axis", "steps must be >= 1")
-    values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
-    if path.endswith(".n"):
-        values = values.astype(int)
-    return path.strip(), [v.item() for v in values]
+    kind = _FIELDS.get(path, (None,))[0]
+    integer = getattr(kind, "func", kind) is _integer
+    return path, np.linspace(start, stop, steps).astype(int if integer else float).tolist()
 
 
 def _sweep_metrics(config: dict) -> list[tuple[str, float]]:

@@ -36,7 +36,8 @@ class SingularSystem(OscnetError):
 
 
 class SingularWidth(OscnetError):
-    """P-function width matrix is singular (no diffusion has accumulated)."""
+    """A width matrix is singular (no diffusion has accumulated in the P
+    width) or not positive definite (a Wigner width broken by rounding)."""
 
 
 class NullState(ValidationError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phasespace
-from .errors import NoBracket, RootNotConverged, ValidationError
+from .errors import NoBracket, RootNotConverged, SingularWidth, ValidationError
 from .propagation import Model, Propagator, PropagatorBundle, rotate_frame
 from .states import CoherentMixture, _log_overlaps
 
@@ -74,13 +74,23 @@ def _component_pair(state: CoherentMixture, r: int, s: int, branch: int):
     return components[r].amplitudes, components[s].amplitudes
 
 
+def _indefinite_width(bundle: PropagatorBundle) -> SingularWidth:
+    return SingularWidth(
+        f"Wigner width at t = {bundle.t} is not positive definite: smallest "
+        f"diffusion coefficient {bundle.diffusion_coeffs[0]:.3g}"
+    )
+
+
 def _decay_exponent(delta: np.ndarray, bundle: PropagatorBundle) -> float:
     # In the rotated frame the reduced norm is sum_m |(U^T y)_m|^2 / D_m with
     # y = T delta; since W = U diag(D) U^dag this equals y^T W^-1 conj(y),
     # which is |L^-1 conj(y)|^2 for the Cholesky factor W = L L^dag, so W is
-    # never diagonalized.  A W that is not positive definite raises LinAlgError.
+    # never diagonalized.  A W that is not positive definite raises SingularWidth.
     moved = bundle.transition @ delta
-    lower = np.linalg.cholesky(bundle.wigner_width)
+    try:
+        lower = np.linalg.cholesky(bundle.wigner_width)
+    except np.linalg.LinAlgError:
+        raise _indefinite_width(bundle) from None
     solved = np.linalg.solve(lower, moved.conj())
     reduced = np.vdot(solved, solved).real
     return float(-2.0 * (np.sum(np.abs(delta) ** 2) - reduced))
@@ -253,8 +263,11 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     bundle's cached diffusion coefficients (the eigenvalues of W, which the
     ``dcoef`` output reads too), and det W is divided out inside the final
     exponent.  Equals 0 for any pure state at t = 0 and stays 0 without
-    dissipation.
+    dissipation.  A W with a coefficient <= 0 (rounding at extreme
+    temperatures) raises :class:`SingularWidth`.
     """
+    if not bundle.diffusion_coeffs[0] > 0:
+        raise _indefinite_width(bundle)
     betas, logw = phasespace._flat_components(state)
     log_det = float(np.sum(np.log(bundle.diffusion_coeffs)))
     moved = bundle.transition @ betas.T  # (N, K)

@@ -178,6 +178,9 @@ def dissipative_matrix(h: np.ndarray, damping: np.ndarray) -> DissipativeMatrix:
 
     Raises
     ------
+    ValidationError
+        if the generator has an infinite or nan entry (an overflowed rate or
+        coupling).
     NonDissipativeMode
         if any eigenvalue has real part <= 1e-14 (undamped mode).
     DefectiveMatrix
@@ -189,6 +192,8 @@ def dissipative_matrix(h: np.ndarray, damping: np.ndarray) -> DissipativeMatrix:
     if damping.shape != h.shape:
         raise ValidationError("damping matrix must match the coupling matrix shape")
     hd = damping / 2.0 + 1j * h
+    if not np.isfinite(hd).all():
+        raise ValidationError("the generator damping/2 + i*h has entries that are not finite")
     values, vectors = np.linalg.eig(hd)
     order = np.lexsort((values.real, values.imag))
     values = values[order]

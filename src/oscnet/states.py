@@ -118,6 +118,8 @@ def coherent_superposition(
     if len(sizes) != 1:
         raise ValidationError("all components must share the mode count")
     norm = _branch_norm(components)
+    if not np.isfinite(norm):
+        raise ValidationError(f"superposition norm {norm} is not finite; the coefficients overflow")
     if norm <= 1e-14:
         raise NullState("superposition has (numerically) zero norm")
     scale = 1.0 / np.sqrt(norm)

@@ -1,3 +1,4 @@
+import copy
 import ctypes
 import importlib
 import json
@@ -35,6 +36,14 @@ def _base_config(**overrides):
 
 # A valid one-mode coherent branch: one component at amplitude 0.5.
 _BRANCH = {"weight": 1.0, "components": [{"amplitude": 1.0, "beta": [0.5]}]}
+
+
+def _set_leaf(config, path, value):
+    """Set the dotted ``path`` of ``config`` to ``value``, adding missing parents."""
+    *parents, key = path.split(".")
+    for name in parents:
+        config = config.setdefault(name, {})
+    config[key] = value
 
 
 def _run_cli(*args):
@@ -237,12 +246,32 @@ class TestValidation:
             ("state.r", "one"),
             ("state.s", [0]),
             ("state.sign", "minus"),
+            # One policy for every field: JSON numbers only, never a string
+            # or a bool, and JSON integers for the integer fields.
+            ("network.omega", ["1.0", "1.05"]),
+            ("network.omega", "1.0"),
+            ("network.coupling", True),
+            ("network.coupling", "0.01"),
+            ("reservoirs.temperature", "0.5"),
+            ("reservoirs.temperature", True),
+            ("reservoirs.profile.gamma", "0.1"),
+            ("reservoirs.profile.gamma", True),
+            ("times.start", "0"),
+            ("times.start", True),
+            ("state.alpha", True),
+            ("state.alpha", "1"),
+            ("state.r", 1.9),
+            ("state.r", "1"),
+            ("state.r", True),
+            ("state.sign", -1.5),
+            ("times.steps", 5.0),
+            ("wigner_grid.time_index", 1.0),
+            ("wigner_grid.ranges", [[-1.0, 1.0, "-1", 1.0]]),
         ],
     )
     def test_non_numeric_field_named(self, path, value, tmp_path, capsys):
         config = _base_config()
-        parent, key = path.rsplit(".", 1)
-        cli._get(config, parent)[key] = value
+        _set_leaf(config, path, value)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -268,8 +297,7 @@ class TestValidation:
     def test_non_finite_field_named(self, path, value, tmp_path, capsys):
         # json writes these as the NaN / Infinity literals Python's json reads.
         config = _base_config()
-        parent, key = path.rsplit(".", 1)
-        cli._get(config, parent)[key] = value
+        _set_leaf(config, path, value)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -855,6 +883,24 @@ class TestSweep:
             tmp_path / "ser" / "sweep.csv"
         ).read_bytes()
 
+    def test_integer_axis_runs(self, tmp_path):
+        config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["sweep", str(cfg), "--axis", "state.r=1:2:2", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()[3:]
+        assert [line.split(",")[:2] for line in lines[::3]] == [["state.r", "1"], ["state.r", "2"]]
+
+    def test_axis_gives_integer_fields_integers(self):
+        for path in (
+            "network.n", "state.r", "state.s", "state.sign", "times.steps",
+            "wigner_grid.points", "wigner_grid.time_index", "oracle.n_max",
+        ):
+            values = cli._parse_axis(f"{path}=1:3:3")[1]
+            assert values == [1, 2, 3] and all(type(v) is int for v in values), path
+        assert [type(v) for v in cli._parse_axis("times.stop=1:3:3")[1]] == [float] * 3
+
     def test_bad_axis_path(self, tmp_path):
         with pytest.raises(ConfigError):
             run_sweep(_base_config(), [("nope.field", [1.0])], tmp_path, serial=True)
@@ -919,6 +965,32 @@ class TestMoreConfigs:
         assert proc.returncode == 1
         assert "real part" in proc.stderr
 
+    # The overflow warns on its way to the typed error; the warning is not
+    # what this test checks.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("path", ["network.coupling", "reservoirs.profile.gamma"])
+    def test_overflowing_generator_refused(self, path, tmp_path, capsys):
+        config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1})
+        _set_leaf(config, path, 1e308)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["validate", str(cfg)]) == 0
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "error: the generator damping/2 + i*h" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", ["entropy_curve", "tau_report"])
+    def test_width_broken_by_rounding_refused(self, output, tmp_path, capsys):
+        # At T = 1e35 rounding in P - conj(T) P T^T leaves the t = 0 Wigner
+        # width with a negative eigenvalue.
+        config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1}, outputs=[output])
+        config["reservoirs"]["temperature"] = 1e35
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Wigner width at t = 0.0 is not positive definite")
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_common_reservoir_mixed_temperatures_rejected(self):
         config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1})
         config["reservoirs"]["common"] = True
@@ -926,3 +998,69 @@ class TestMoreConfigs:
         with pytest.raises(ConfigError) as err:
             parse_config(config)
         assert "reservoirs.temperature" in str(err.value)
+
+
+class TestLeafSweep:
+    """Every leaf of two small configs, replaced in turn by a hostile value."""
+
+    VALUES = ["x", True, None, [], {}, [1], 2.5, -0.5, 0, 1e308, -1e308]
+    ORACLE = {
+        "network": {"n": 2, "omega": [1.0, 1.05], "coupling": 0.1},
+        "reservoirs": {"temperature": 0.2, "profile": {"kind": "white", "gamma": 0.05}},
+        "state": {"kind": "cat", "r": 1, "s": 1, "alpha": [0.2, 0.1]},
+        "times": {"start": 0.0, "stop": 1.0, "steps": 3},
+        "oracle": {"n_max": 4},
+        "outputs": ["oracle_compare"],
+    }
+    COHERENT = {
+        "network": {"n": 1, "omega": 1.0, "coupling": 0.0},
+        "reservoirs": {"temperature": 0.5, "profile": {"kind": "white", "gamma": 0.05}},
+        "state": {
+            "kind": "coherent",
+            "branches": [
+                {
+                    "weight": 1.0,
+                    "components": [
+                        {"amplitude": 1.0, "beta": [[0.8, 0.0]]},
+                        {"amplitude": [-0.5, 0.5], "beta": [-0.4]},
+                        {"amplitude": 0.5, "beta": [[0.0, 0.6]]},
+                    ],
+                }
+            ],
+        },
+        "times": {"start": 0.0, "stop": 20.0, "steps": 5},
+        "wigner_grid": {"points": 5, "ranges": [[-2.0, 2.0, -2.0, 2.0]], "time_index": -1},
+        "outputs": ["tau_report", "entropy_curve", "wigner_grid"],
+    }
+
+    @classmethod
+    def _leaves(cls, node, path=()):
+        if not isinstance(node, (dict, list)):
+            yield path
+            return
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from cls._leaves(child, (*path, key))
+
+    # Huge values may overflow on the way to a typed error; what counts here
+    # is the exit code and the absence of a traceback.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["ORACLE", "COHERENT"])
+    def test_every_leaf_exits_with_a_code(self, name, tmp_path, capsys):
+        config = getattr(self, name)
+        cfg = tmp_path / "cfg.json"
+        failures = []
+        for leaf in self._leaves(config):
+            for value in self.VALUES:
+                job = copy.deepcopy(config)
+                node = job
+                for key in leaf[:-1]:
+                    node = node[key]
+                node[leaf[-1]] = value
+                cfg.write_text(json.dumps(job))
+                try:
+                    code = cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
+                except Exception as exc:  # collected, so one run names every failure
+                    code = repr(exc)
+                if code not in (0, 1, 2) or "Traceback" in capsys.readouterr().err:
+                    failures.append((leaf, value, code))
+        assert not failures

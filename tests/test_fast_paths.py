@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose
 
 import oscnet as osc
 from oscnet import cli, metrics, propagation, stationary
-from oscnet.errors import NoBracket, RootNotConverged, ValidationError
+from oscnet.errors import NoBracket, RootNotConverged, SingularWidth, ValidationError
 
 from conftest import white_model
 
@@ -494,8 +494,10 @@ class TestNumpyEigensolvers:
         bundle = dataclasses.replace(
             model.propagator.bundle(1.0), wigner_width=np.diag([1.0, -1.0])
         )
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(SingularWidth, match=r"t = 1\.0 .* coefficient -1"):
             metrics._decay_exponent(np.array([1.0, 0.5j]), bundle)
+        with pytest.raises(SingularWidth, match=r"t = 1\.0 .* coefficient -1"):
+            metrics.linear_entropy(osc.build_cat_family(2, 1, 0, 1.0), bundle)
 
     @pytest.mark.parametrize("regime", ["weak", "strong"])
     def test_degenerate_network_matches_scipy_values(self, monkeypatch, regime):

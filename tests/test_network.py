@@ -131,6 +131,15 @@ class TestDissipativeMatrix:
             rebuilt = (dis.eigenvectors * dis.eigenvalues) @ dis.eigenvectors_inv
             assert np.max(np.abs(rebuilt - dis.matrix)) < 1e-9
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 1j is nan + inf j
+    @pytest.mark.parametrize("where", ["coupling", "damping"])
+    def test_non_finite_generator_rejected(self, where):
+        # An overflowed coupling or rate would reach eig as inf or nan.
+        h, damping = np.eye(2), 0.1 * np.eye(2)
+        {"coupling": h, "damping": damping}[where][0, 0] = np.inf
+        with pytest.raises(ValidationError, match="not finite"):
+            osc.dissipative_matrix(h, damping)
+
     def test_defective_matrix_rejected(self):
         # Jordan-block generator: equal eigenvalues with a single eigenvector.
         h = np.eye(2)

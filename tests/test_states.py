@@ -75,6 +75,12 @@ class TestMixtures:
         with pytest.raises(ValidationError, match="sum to nan"):
             osc.fock_mixture([(float("nan"), {(1,): 1.0})])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_overflowing_norm_rejected(self):
+        # |1e308|^2 overflows; normalizing by it would zero every coefficient.
+        with pytest.raises(ValidationError, match="not finite"):
+            osc.coherent_superposition([1e308, 1.0], [[0.5], [0.1]])
+
     def test_mode_count_must_match(self):
         a = osc.coherent_superposition([1.0], [[0.2]], probability=0.5)
         b = osc.coherent_superposition([1.0], [[0.2, 0.1]], probability=0.5)
