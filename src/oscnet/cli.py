@@ -10,8 +10,9 @@ Verbs:
 
 Outputs are deterministic for identical configs.  ``sweep`` runs its points
 sequentially in process; ``--serial`` is accepted and has no effect.  Every
-file starts with a header block carrying the config hash and package version;
-CSV rows are streamed to a temporary file in blocks and renamed into place.
+file starts with a header block carrying the config hash and package version.
+``run`` computes every requested artifact before it writes any: a run that
+fails leaves no artifact.
 
 ``run`` and ``sweep`` use one BLAS thread: their work is many small dense
 eigensolves and products, where the thread pool's hand-offs cost more than
@@ -239,28 +240,28 @@ def _state(config, n) -> CoherentMixture:
     return _build("state.branches", coherent_mixture, branches)
 
 
-def _wigner_spec(config, n, times, requested=True):
-    """The grid's (points, ranges, time index), defaults filled in.
+@dataclasses.dataclass(frozen=True)
+class RunSpec:
+    """A validated config: the model inputs, the outputs, the Wigner grid's
+    (points, ranges, time index) and the oracle's ``n_max`` (None: chosen)."""
 
-    A ``requested`` grid whose coords and values, points^(2n) rows of 2n + 1
-    float64, would exceed the oracle's byte limit is refused here, before
-    ``run`` writes anything.
+    network: NetworkSpec
+    reservoirs: ReservoirSpec
+    regime: str
+    state: CoherentMixture
+    times: np.ndarray
+    outputs: tuple
+    wigner: tuple
+    n_max: int | None
+
+
+def parse_config(config: dict) -> RunSpec:
+    """Validate a raw config tree into a :class:`RunSpec`; raises ConfigError.
+
+    A requested Wigner grid whose coords and values, points^(2n) rows of
+    2n + 1 float64, would exceed the oracle's byte limit is refused here,
+    before ``run`` writes anything.
     """
-    points = _field(config, "wigner_grid.points")
-    predicted = 8 * (2 * n + 1) * points ** (2 * n) if requested else 0
-    if predicted > _BYTE_LIMIT:
-        raise ConfigError(
-            "wigner_grid.points",
-            f"a grid of {points}^{2 * n} points would take {predicted} bytes, "
-            f"above the limit of {_BYTE_LIMIT} bytes",
-        )
-    ranges = _field(config, "wigner_grid.ranges", shape=(n, 4))
-    index = _field(config, "wigner_grid.time_index", low=-len(times), high=len(times))
-    return points, [[-3.0, 3.0, -3.0, 3.0]] * n if ranges is None else ranges, index
-
-
-def parse_config(config: dict):
-    """Validate a raw config tree into model inputs; raises ConfigError."""
     if not isinstance(config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     n = _field(config, "network.n")
@@ -293,10 +294,20 @@ def parse_config(config: dict):
         times = np.linspace(start, stop, _field(config, "times.steps"))
     if times.size < 1 or np.any(times < 0) or np.any(np.diff(times) <= 0):
         raise ConfigError("times", "times must be increasing and >= 0")
-    outputs = list(_field(config, "outputs"))
-    _wigner_spec(config, n, times, "wigner_grid" in outputs)
-    _field(config, "oracle.n_max")
-    return network, reservoirs, regime, state, times, outputs
+    outputs = tuple(dict.fromkeys(_field(config, "outputs")))  # each kind once
+    points = _field(config, "wigner_grid.points")
+    predicted = 8 * (2 * n + 1) * points ** (2 * n) if "wigner_grid" in outputs else 0
+    if predicted > _BYTE_LIMIT:
+        raise ConfigError(
+            "wigner_grid.points",
+            f"a grid of {points}^{2 * n} points would take {predicted} bytes, "
+            f"above the limit of {_BYTE_LIMIT} bytes",
+        )
+    ranges = _field(config, "wigner_grid.ranges", shape=(n, 4))
+    index = _field(config, "wigner_grid.time_index", low=-len(times), high=len(times))
+    wigner = (points, [[-3.0, 3.0, -3.0, 3.0]] * n if ranges is None else ranges, index)
+    n_max = _field(config, "oracle.n_max")
+    return RunSpec(network, reservoirs, regime, state, times, outputs, wigner, n_max)
 
 
 def canonical_json(config: dict) -> str:
@@ -311,34 +322,22 @@ def config_hash(config: dict) -> str:
 # Output writers
 
 
-def _write_atomic(path: Path, text: str):
+def _write(path: Path, blocks):
+    """Write the text ``blocks`` to a temporary file, then rename it to ``path``."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as out:
+        out.writelines(blocks)
     os.replace(tmp, path)
 
 
-# Rows formatted per write: the table's text never sits in memory whole.
+# Rows formatted per block: the table's text never sits in memory whole.
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, config, columns, rows, digest=None):
-    """Write the header, the column names and ``rows`` to ``path`` atomically.
-
-    ``rows`` is a list of rows, formatted in blocks of ``_CSV_BLOCK_ROWS``,
-    or an iterator of text blocks formatted already.  ``digest`` is
-    ``config_hash(config)``, passed in by callers that write several
-    artifacts of one config.
-    """
-    if digest is None:
-        digest = config_hash(config)
-    blocks = _row_blocks(rows) if isinstance(rows, list) else rows
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as out:
-        out.write(f"# oscnet {__version__}\n# config_hash {digest}\n")
-        out.write(",".join(columns) + "\n")
-        for block in blocks:
-            out.write(block)
-    os.replace(tmp, path)
+def _table(digest, columns, blocks):
+    """A CSV artifact's text blocks: the header, the column names, then ``blocks``."""
+    yield f"# oscnet {__version__}\n# config_hash {digest}\n" + ",".join(columns) + "\n"
+    yield from blocks
 
 
 def _row_blocks(rows):
@@ -362,8 +361,8 @@ def _json_time(value: float):
     return "inf" if math.isinf(value) else value
 
 
-def _write_tau_report(path: Path, digest: str, state, model: Model, times):
-    report = decoherence_report(state, model, times)
+def _tau_report(digest: str, spec: RunSpec, model: Model) -> str:
+    report = decoherence_report(spec.state, model, spec.times)
     payload = {
         "meta": {"oscnet": __version__, "config_hash": digest},
         "tau_diff": _json_time(report.tau_diff),
@@ -372,24 +371,23 @@ def _write_tau_report(path: Path, digest: str, state, model: Model, times):
         "tau_d": _json_time(report.tau_d),
         "regime": report.regime,
     }
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _time_curves(state, model: Model, times, outputs) -> dict:
+def _time_curves(spec: RunSpec, model: Model) -> dict:
     """The requested ``dcoef`` and ``entropy_curve`` tables, {kind: (columns, rows)}.
 
-    One pass over ``times`` builds each time's bundle once, feeds both tables
+    One pass over the times builds each time's bundle once, feeds both tables
     and drops it: keeping every bundle would hold several N x N complex
     matrices per time for no further use.
     """
-    rows = {kind: [] for kind in ("dcoef", "entropy_curve") if kind in outputs}
-    for t in times if rows else ():
+    rows = {kind: [] for kind in ("dcoef", "entropy_curve") if kind in spec.outputs}
+    for t in spec.times if rows else ():
         bundle = model.propagator.bundle(t)
         if "dcoef" in rows:
             rows["dcoef"].append([t, *bundle.diffusion_coeffs])
         if "entropy_curve" in rows:
-            rows["entropy_curve"].append([t, linear_entropy(state, bundle)])
+            rows["entropy_curve"].append([t, linear_entropy(spec.state, bundle)])
     columns = {
         "dcoef": ["t"] + [f"d{m + 1}" for m in range(model.network.n)],
         "entropy_curve": ["t", "linear_entropy"],
@@ -397,10 +395,11 @@ def _time_curves(state, model: Model, times, outputs) -> dict:
     return {kind: (columns[kind], table) for kind, table in rows.items()}
 
 
-def _wigner_table(config, state, model: Model, times):
-    points, ranges, index = _wigner_spec(config, model.network.n, times)
-    bundle = model.propagator.bundle(times[index])
-    coords, values = wigner_grid(state, bundle, ranges, points)
+def _wigner_table(spec: RunSpec, model: Model):
+    """The Wigner table as (columns, text blocks); the grid is evaluated now."""
+    points, ranges, index = spec.wigner
+    bundle = model.propagator.bundle(spec.times[index])
+    coords, values = wigner_grid(spec.state, bundle, ranges, points)
     columns = []
     for m in range(model.network.n):
         columns += [f"re_xi{m + 1}", f"im_xi{m + 1}"]
@@ -451,8 +450,8 @@ def _default_eta_grid(n):
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
-def _oracle_table(config, state, model: Model, times):
-    n_max = _field(config, "oracle.n_max")
+def _oracle_table(spec: RunSpec, model: Model):
+    state, n_max = spec.state, spec.n_max
     largest_amp = max(
         float(np.max(np.abs(c.amplitudes)))
         for b in state.branches
@@ -470,7 +469,7 @@ def _oracle_table(config, state, model: Model, times):
         model.hamiltonian,
         model.rates.damping,
         model.rates.diffusion,
-        times,
+        spec.times,
         space,
     )
     eta_pts = _default_eta_grid(model.network.n)
@@ -545,28 +544,32 @@ def _one_blas_thread():
 
 @_one_blas_thread()
 def run_config(config: dict, out_dir: Path) -> dict:
-    """Execute one validated config; returns {output kind: file path}."""
-    network, reservoirs, regime, state, times, outputs = parse_config(config)
-    model = build_model(network, reservoirs, regime)
+    """Execute one validated config; returns {output kind: file path}.
+
+    Every requested artifact is computed, as a path and its text blocks,
+    before any is written, so a run that fails leaves no artifact.  Rows are
+    computed here and formatted block by block as they are written.  The
+    Wigner grid comes last, so its arrays never coexist with the oracle's.
+    """
+    spec = parse_config(config)
+    model = build_model(spec.network, spec.reservoirs, spec.regime)
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
-    tables = _time_curves(state, model, times, outputs)
-    written = {}
-    for kind in outputs:
+    curves = _time_curves(spec, model)
+    artifacts = {}
+    for kind in sorted(spec.outputs, key="wigner_grid".__eq__):
         if kind == "tau_report":
-            path = out_dir / "tau_report.json"
-            _write_tau_report(path, digest, state, model, times)
+            artifacts[kind] = (out_dir / "tau_report.json", [_tau_report(digest, spec, model)])
+            continue
+        if kind == "wigner_grid":
+            columns, blocks = _wigner_table(spec, model)
         else:
-            path = out_dir / f"{kind}.csv"
-            if kind in tables:
-                columns, rows = tables[kind]
-            elif kind == "wigner_grid":
-                columns, rows = _wigner_table(config, state, model, times)
-            else:
-                columns, rows = _oracle_table(config, state, model, times)
-            _write_csv(path, config, columns, rows, digest)
-        written[kind] = str(path)
-    return written
+            columns, rows = curves[kind] if kind in curves else _oracle_table(spec, model)
+            blocks = _row_blocks(rows)
+        artifacts[kind] = (out_dir / f"{kind}.csv", _table(digest, columns, blocks))
+    for path, blocks in artifacts.values():
+        _write(path, blocks)
+    return {kind: str(artifacts[kind][0]) for kind in spec.outputs}
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +586,8 @@ def _set_path(config: dict, path: str, value):
 
 
 def _parse_axis(text: str):
-    """``path=start:stop:steps`` as (path, values); an integer field gets integers."""
+    """``path=start:stop:steps`` as (path, values); an integer field gets integers,
+    and a point of it that is not a whole number is refused."""
     path, _, spec = text.partition("=")
     parts = spec.split(":")
     if len(parts) != 3:
@@ -599,13 +603,16 @@ def _parse_axis(text: str):
         raise ConfigError("--axis", "steps must be >= 1")
     kind = _FIELDS.get(path, (None,))[0]
     integer = getattr(kind, "func", kind) is _integer
-    return path, np.linspace(start, stop, steps).astype(int if integer else float).tolist()
+    values = np.linspace(start, stop, steps)
+    if integer and np.any(values % 1):
+        raise ConfigError(f"--axis {path}", "an integer field takes whole-number points")
+    return path, values.astype(int if integer else float).tolist()
 
 
 def _sweep_metrics(config: dict) -> list[tuple[str, float]]:
-    network, reservoirs, regime, state, times, _ = parse_config(config)
-    model = build_model(network, reservoirs, regime)
-    report = decoherence_report(state, model, times)
+    spec = parse_config(config)
+    model = build_model(spec.network, spec.reservoirs, spec.regime)
+    report = decoherence_report(spec.state, model, spec.times)
     return [
         ("tau_diff", report.tau_diff),
         ("tau_int", report.tau_int),
@@ -638,7 +645,8 @@ def run_sweep(config: dict, axes, out_dir: Path, serial: bool) -> Path:
         rows.extend((label, value, name, metric) for name, metric in _sweep_metrics(job))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
-    _write_csv(path, config, ["axis", "value", "metric", "result"], rows)
+    columns = ["axis", "value", "metric", "result"]
+    _write(path, _table(config_hash(config), columns, _row_blocks(rows)))
     return path
 
 
@@ -722,26 +730,20 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.command == "selftest":
+            return 0 if run_selftest(args.seed) else 1
+        config = _load_config(args.config)
         if args.command == "validate":
-            config = _load_config(args.config)
             parse_config(config)
             print(canonical_json(config))
             print(f"config_hash {config_hash(config)}")
-            return 0
-        if args.command == "run":
-            config = _load_config(args.config)
-            written = run_config(config, Path(args.out))
-            for kind, path in written.items():
+        elif args.command == "run":
+            for kind, path in run_config(config, Path(args.out)).items():
                 print(f"{kind}: {path}")
-            return 0
-        if args.command == "sweep":
-            config = _load_config(args.config)
+        else:
             axes = [_parse_axis(a) for a in args.axis]
             path = run_sweep(config, axes, Path(args.out), serial=args.serial)
             print(f"sweep: {path}")
-            return 0
-        if args.command == "selftest":
-            return 0 if run_selftest(args.seed) else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -749,7 +751,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -263,8 +263,9 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     bundle's cached diffusion coefficients (the eigenvalues of W, which the
     ``dcoef`` output reads too), and det W is divided out inside the final
     exponent.  Equals 0 for any pure state at t = 0 and stays 0 without
-    dissipation.  A W with a coefficient <= 0 (rounding at extreme
-    temperatures) raises :class:`SingularWidth`.
+    dissipation.  A W with a coefficient <= 0, or one that gives a purity
+    above 1 by more than 1e-10 (rounding at extreme temperatures), raises
+    :class:`SingularWidth`; an entropy in (-1e-10, 0) is returned as 0.
     """
     if not bundle.diffusion_coeffs[0] > 0:
         raise _indefinite_width(bundle)
@@ -287,11 +288,13 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
         np.exp(exponents, out=exponents)
         with np.errstate(divide="ignore"):
             log_x[start : start + step] = np.log(exponents.sum(axis=-1)) + shift
-    purity = np.exp(log_x + log_x.T - log_det).sum().real
+    purity = float(np.exp(log_x + log_x.T - log_det).sum().real)
     entropy = 1.0 - purity
-    if entropy < 0 and entropy > -1e-10:
+    if entropy < -1e-10:
+        raise SingularWidth(f"Wigner width at t = {bundle.t} gives a purity of {purity!r}, above 1")
+    if entropy < 0:
         entropy = 0.0
-    return float(entropy)
+    return entropy
 
 
 def concurrence(

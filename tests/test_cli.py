@@ -1,3 +1,4 @@
+import cmath
 import copy
 import ctypes
 import importlib
@@ -435,13 +436,13 @@ class TestRun:
     def _row_path_bytes(config):
         # The Wigner table as it was written before per-axis formatting: every
         # value of ``np.column_stack(...).tolist()`` through ``_format_value``.
-        network, reservoirs, regime, state, times, _ = parse_config(config)
-        model = osc.build_model(network, reservoirs, regime)
+        spec = parse_config(config)
+        model = osc.build_model(spec.network, spec.reservoirs, spec.regime)
         node = config["wigner_grid"]
-        bundle = model.propagator.bundle(times[node.get("time_index", -1)])
-        coords, values = osc.wigner_grid(state, bundle, node["ranges"], node["points"])
+        bundle = model.propagator.bundle(spec.times[node.get("time_index", -1)])
+        coords, values = osc.wigner_grid(spec.state, bundle, node["ranges"], node["points"])
         columns = []
-        for m in range(network.n):
+        for m in range(spec.network.n):
             columns += [f"re_xi{m + 1}", f"im_xi{m + 1}"]
         columns.append("wigner")
         rows = np.column_stack([coords, values]).tolist()
@@ -533,17 +534,18 @@ class TestRun:
             for value in row:
                 assert cli._format_value(value) == earlier(value)
         path = tmp_path / "table.csv"
-        cli._write_csv(path, _base_config(), ["a", "b"], rows)
+        cli._write(path, cli._table(config_hash(_base_config()), ["a", "b"], cli._row_blocks(rows)))
         body = path.read_text().splitlines()[3:]
         assert body == [",".join(earlier(v) for v in row) for row in rows]
 
     def test_csv_blocks_do_not_change_bytes(self, tmp_path, monkeypatch):
         table = np.linspace(-1.0, 1.0, 30).reshape(10, 3) ** 3
         whole = tmp_path / "whole.csv"
-        cli._write_csv(whole, _base_config(), ["a", "b", "c"], table.tolist())
+        digest = config_hash(_base_config())
+        cli._write(whole, cli._table(digest, ["a", "b", "c"], cli._row_blocks(table.tolist())))
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
         blocks = tmp_path / "blocks.csv"
-        cli._write_csv(blocks, _base_config(), ["a", "b", "c"], table.tolist())
+        cli._write(blocks, cli._table(digest, ["a", "b", "c"], cli._row_blocks(table.tolist())))
         assert blocks.read_bytes() == whole.read_bytes()
         assert not (tmp_path / "blocks.csv.tmp").exists()
 
@@ -883,7 +885,7 @@ class TestSweep:
             tmp_path / "ser" / "sweep.csv"
         ).read_bytes()
 
-    def test_integer_axis_runs(self, tmp_path):
+    def test_integer_axis_runs(self, tmp_path, capsys):
         config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -891,6 +893,11 @@ class TestSweep:
         assert cli.main(argv) == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()[3:]
         assert [line.split(",")[:2] for line in lines[::3]] == [["state.r", "1"], ["state.r", "2"]]
+        # Three points put 1.5 on the integer axis: refused, not read as 1.
+        argv[3] = "state.r=1:2:3"
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: --axis state.r: ")
 
     def test_axis_gives_integer_fields_integers(self):
         for path in (
@@ -998,6 +1005,95 @@ class TestMoreConfigs:
         with pytest.raises(ConfigError) as err:
             parse_config(config)
         assert "reservoirs.temperature" in str(err.value)
+
+
+def _ring_state(phase, radius=0.6, points=4):
+    """The ring_wigner benchmark's state: |1, 1> as a product of two coherent
+    rings of ``points`` components, each ring turned by ``phase``."""
+    ring = []
+    for k in range(points):
+        theta = 2.0 * math.pi * k / points
+        ring.append((cmath.exp(-1j * theta), radius * cmath.exp(1j * (theta + phase))))
+    components = [
+        {
+            "amplitude": [(c1 * c2).real, (c1 * c2).imag],
+            "beta": [[b1.real, b1.imag], [b2.real, b2.imag]],
+        }
+        for c1, b1 in ring
+        for c2, b2 in ring
+    ]
+    return {"kind": "coherent", "branches": [{"weight": 1.0, "components": components}]}
+
+
+class TestWriteRule:
+    """A run that fails after some artifacts are computed writes none of them."""
+
+    CONFIGS = {
+        # The oracle refuses the cutoff after the tau report and the entropy
+        # curve are computed.
+        "tail_mass": dict(
+            _base_config(
+                state={"kind": "cat", "r": 1, "s": 0, "alpha": 2.5},
+                outputs=["tau_report", "entropy_curve", "oracle_compare"],
+            ),
+            oracle={"n_max": 4},
+        ),
+        # A common bath for two detuned modes: the oracle's rho loses
+        # positivity by t = 1, after the entropy curve is computed.
+        "positivity": {
+            "network": {"n": 2, "omega": [1.15, 1.0], "coupling": 0.2},
+            "reservoirs": {
+                "temperature": 0.35,
+                "profile": {"kind": "white", "gamma": 0.04},
+                "common": True,
+            },
+            "state": {
+                "kind": "cat", "r": 1, "s": 1,
+                "alpha": [0.5530350177337987, -0.4291296647403637],
+            },
+            "times": {"start": 0.0, "stop": 4.0, "steps": 5},
+            "oracle": {"n_max": 10},
+            "outputs": ["entropy_curve", "oracle_compare"],
+        },
+        # The ring_wigner benchmark's seed-0 config at T = 1e30: rounding
+        # leaves the t = 0 width narrower than the vacuum's, so the purity of
+        # the pure ring state comes out above 1.
+        "purity": {
+            "network": {
+                "n": 2,
+                "omega": [0.9580824039173187, 0.9902437791993587],
+                "coupling": 0.11012892062377659,
+            },
+            "reservoirs": {
+                "temperature": 1e30,
+                "profile": {"kind": "white", "gamma": 0.04230637408064745},
+            },
+            "regime": "auto",
+            "state": _ring_state(2.054216441677446),
+            "times": {"start": 0.0, "stop": 40.0, "steps": 40},
+            "wigner_grid": {
+                "points": 17,
+                "ranges": [[-2.5, 2.5, -2.5, 2.5]] * 2,
+                "time_index": -1,
+            },
+            "outputs": ["tau_report", "entropy_curve", "wigner_grid"],
+        },
+    }
+    ERRORS = {
+        "tail_mass": "error: coherent tail mass",
+        "positivity": "error: evolved density matrix lost positivity at t = 1.0",
+        "purity": "error: Wigner width at t = 0.0 gives a purity of 1.0",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_failed_run_leaves_no_artifact(self, name, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIGS[name]))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(self.ERRORS[name]) and "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 class TestLeafSweep:

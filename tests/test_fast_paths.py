@@ -226,6 +226,13 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _spec(model, state, times, *outputs):
+    """The run record ``cli._time_curves`` reads, for a model built directly."""
+    return cli.RunSpec(
+        model.network, model.reservoirs, model.regime, state, times, outputs, None, None
+    )
+
+
 class TestLazyFrame:
     def test_unread_frame_is_never_computed(self, monkeypatch):
         model = white_model(n=3, coupling=0.1, gamma=0.05, nbar=0.5)
@@ -291,7 +298,7 @@ class TestLazyFrame:
         times = np.linspace(0.0, 40.0, 9)
         frames = [propagation.rotate_frame(model.propagator.bundle(t).wigner_width) for t in times]
         eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
-        columns, rows = cli._time_curves(state, model, times, ["dcoef"])["dcoef"]
+        columns, rows = cli._time_curves(_spec(model, state, times, "dcoef"), model)["dcoef"]
         assert eigvalsh == []
         assert columns == ["t", "d1", "d2", "d3", "d4"]
         for row, (_, coeffs) in zip(rows, frames):
@@ -307,7 +314,7 @@ class TestLazyFrame:
             name: _count_calls(monkeypatch, np.linalg, name)
             for name in ("eigh", "eigvalsh", "solve")
         }
-        tables = cli._time_curves(state, model, times, ["dcoef", "entropy_curve"])
+        tables = cli._time_curves(_spec(model, state, times, "dcoef", "entropy_curve"), model)
         assert counts["eigh"] == []
         assert len(counts["eigvalsh"]) == len(counts["solve"]) == times.size
         entropy = [row[1] for row in tables["entropy_curve"][1]]

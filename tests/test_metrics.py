@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
-from oscnet.errors import NoBracket, ValidationError
+from oscnet.errors import NoBracket, SingularWidth, ValidationError
 
 from conftest import white_model
 
@@ -344,6 +345,16 @@ class TestLinearEntropy:
         for t in np.linspace(0.0, 20.0, 12):
             value = osc.linear_entropy(cat, model.propagator.bundle(t))
             assert 0.0 <= value < 1.0
+
+    def test_purity_above_one_refused(self):
+        # A width below the vacuum's, as rounding leaves it at extreme
+        # temperatures, gives a coherent state the purity 1 / det W = 1 / 0.81.
+        model = white_model(n=2, coupling=0.1, gamma=0.05, nbar=0.8)
+        state = osc.single_coherent_state([0.8 - 0.5j, 0.3])
+        bundle = dataclasses.replace(model.propagator.bundle(0.0), wigner_width=0.9 * np.eye(2))
+        assert bundle.diffusion_coeffs[0] > 0
+        with pytest.raises(SingularWidth, match=r"t = 0\.0 gives a purity of 1\.2345"):
+            osc.linear_entropy(state, bundle)
 
 
 def _free_model(n=2, coupling=0.2):

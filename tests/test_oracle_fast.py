@@ -485,11 +485,11 @@ def _oracle_check_setup():
         "times": {"start": 0.0, "stop": 4.0, "steps": 5},
         "outputs": ["oracle_compare"],
     }
-    network, reservoirs, regime, state, times, _ = parse_config(config)
-    model = osc.build_model(network, reservoirs, regime)
+    spec = parse_config(config)
+    model = osc.build_model(spec.network, spec.reservoirs, spec.regime)
     space = osc.FockSpace(2, 10)
     rates = (model.hamiltonian, model.rates.damping, model.rates.diffusion)
-    return space, osc.density_from_coherent(space, state), rates, times
+    return space, osc.density_from_coherent(space, spec.state), rates, spec.times
 
 
 def test_evolution_equals_expm_multiply_on_benchmark_run():
