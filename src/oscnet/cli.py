@@ -240,6 +240,23 @@ def _state(config, n) -> CoherentMixture:
     return _build("state.branches", coherent_mixture, branches)
 
 
+# N x N complex arrays alive at once while ``run`` builds and evaluates a
+# model (tracemalloc reads 15 to 16 at N = 100 and 200); a network.n whose
+# working set would exceed the byte limit is refused before any allocation.
+_MODEL_ARRAYS = 16
+
+
+def _check_network_size(n: int, path: str) -> None:
+    predicted = _MODEL_ARRAYS * 16 * n * n
+    if predicted > _BYTE_LIMIT:
+        raise ConfigError(
+            path,
+            f"a network of {n} oscillators would take {predicted} bytes in "
+            f"{_MODEL_ARRAYS} complex {n} x {n} work arrays, above the limit of "
+            f"{_BYTE_LIMIT} bytes",
+        )
+
+
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
     """A validated config: the model inputs, the outputs, the Wigner grid's
@@ -260,11 +277,13 @@ def parse_config(config: dict) -> RunSpec:
 
     A requested Wigner grid whose coords and values, points^(2n) rows of
     2n + 1 float64, would exceed the oracle's byte limit is refused here,
-    before ``run`` writes anything.
+    before ``run`` writes anything, and so is a ``network.n`` whose N x N
+    working set would, before anything of size N is allocated.
     """
     if not isinstance(config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     n = _field(config, "network.n")
+    _check_network_size(n, "network.n")
     omega = _field(config, "network.omega", shape=(n,))
     lam = _field(config, "network.coupling")
     if np.ndim(lam) == 0:
@@ -587,7 +606,8 @@ def _set_path(config: dict, path: str, value):
 
 def _parse_axis(text: str):
     """``path=start:stop:steps`` as (path, values); an integer field gets integers,
-    and a point of it that is not a whole number is refused."""
+    and a point of it that is not a whole number is refused, as is a
+    ``network.n`` point above the network size limit."""
     path, _, spec = text.partition("=")
     parts = spec.split(":")
     if len(parts) != 3:
@@ -606,7 +626,11 @@ def _parse_axis(text: str):
     values = np.linspace(start, stop, steps)
     if integer and np.any(values % 1):
         raise ConfigError(f"--axis {path}", "an integer field takes whole-number points")
-    return path, values.astype(int if integer else float).tolist()
+    values = values.astype(int if integer else float).tolist()
+    if path == "network.n":
+        for n in values:
+            _check_network_size(n, f"--axis {path}")
+    return path, values
 
 
 def _sweep_metrics(config: dict) -> list[tuple[str, float]]:

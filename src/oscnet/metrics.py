@@ -85,14 +85,21 @@ def _decay_exponent(delta: np.ndarray, bundle: PropagatorBundle) -> float:
     # In the rotated frame the reduced norm is sum_m |(U^T y)_m|^2 / D_m with
     # y = T delta; since W = U diag(D) U^dag this equals y^T W^-1 conj(y),
     # which is |L^-1 conj(y)|^2 for the Cholesky factor W = L L^dag, so W is
-    # never diagonalized.  A W that is not positive definite raises SingularWidth.
-    moved = bundle.transition @ delta
-    try:
-        lower = np.linalg.cholesky(bundle.wigner_width)
-    except np.linalg.LinAlgError:
-        raise _indefinite_width(bundle) from None
-    solved = np.linalg.solve(lower, moved.conj())
-    reduced = np.vdot(solved, solved).real
+    # never diagonalized.  In the normal-mode frame y and W become C y and
+    # the frame width, a plain division when that is diagonal.  A W that is
+    # not positive definite raises SingularWidth.
+    moved, width = bundle.in_frame(bundle.transition @ delta)
+    if width.ndim == 1:
+        if not np.all(width > 0):
+            raise _indefinite_width(bundle)
+        reduced = float(np.sum(np.abs(moved) ** 2 / width))
+    else:
+        try:
+            lower = np.linalg.cholesky(width)
+        except np.linalg.LinAlgError:
+            raise _indefinite_width(bundle) from None
+        solved = np.linalg.solve(lower, moved.conj())
+        reduced = np.vdot(solved, solved).real
     return float(-2.0 * (np.sum(np.abs(delta) ** 2) - reduced))
 
 
@@ -262,17 +269,23 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     No eigenvectors are needed: log det W is the sum of the logs of the
     bundle's cached diffusion coefficients (the eigenvalues of W, which the
     ``dcoef`` output reads too), and det W is divided out inside the final
-    exponent.  Equals 0 for any pure state at t = 0 and stays 0 without
-    dissipation.  A W with a coefficient <= 0, or one that gives a purity
-    above 1 by more than 1e-10 (rounding at extreme temperatures), raises
-    :class:`SingularWidth`; an entropy in (-1e-10, 0) is returned as 0.
+    exponent.  A bundle built in the normal-mode frame forms the same H
+    from the centroids in that frame, ``frame @ C``, against its frame
+    width (a division when that is diagonal).  Equals 0 for any pure state
+    at t = 0 and stays 0 without dissipation.  A W with a coefficient <= 0,
+    or one that gives a purity above 1 by more than 1e-10 (rounding at
+    extreme temperatures), raises :class:`SingularWidth`; an entropy in
+    (-1e-10, 0) is returned as 0.
     """
     if not bundle.diffusion_coeffs[0] > 0:
         raise _indefinite_width(bundle)
     betas, logw = phasespace._flat_components(state)
     log_det = float(np.sum(np.log(bundle.diffusion_coeffs)))
-    moved = bundle.transition @ betas.T  # (N, K)
-    gram = moved.T @ np.linalg.solve(bundle.wigner_width, moved.conj())  # H[a, b]
+    moved, width = bundle.in_frame(bundle.transition @ betas.T)  # (N, K)
+    if width.ndim == 1:
+        gram = moved.T @ (moved.conj() / width[:, None])  # H[a, b]
+    else:
+        gram = moved.T @ np.linalg.solve(width, moved.conj())
     head = logw.T - gram  # (s, r): logw[r, s] - H[s, r]
     k = gram.shape[0]
     step = max(1, min(k, phasespace._CHUNK_BYTES // (16 * k * k)))

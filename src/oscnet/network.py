@@ -160,21 +160,78 @@ class DissipativeMatrix:
     ``matrix = eigenvectors @ diag(eigenvalues) @ eigenvectors_inv`` with all
     eigenvalues in the right half plane.  Eigenvalues are sorted by ascending
     imaginary part so that, for identical reservoirs, they line up with the
-    normal-mode frequencies.
+    normal-mode frequencies.  ``frame`` is the real orthogonal matrix C with
+    ``eigenvectors_inv == C`` and ``eigenvectors == C.T`` when the
+    decomposition was read off the normal modes, and ``None`` otherwise.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eigenvectors_inv: np.ndarray
+    frame: np.ndarray | None = None
 
 
-def dissipative_matrix(h: np.ndarray, damping: np.ndarray) -> DissipativeMatrix:
+def _off_diagonal_at_rounding(matrix: np.ndarray) -> bool:
+    """Whether the off-diagonal part is at rounding level: at most 1e-13 of
+    max(1, max|matrix|), the threshold :func:`oscnet.propagation.rotate_frame`
+    uses for its diagonal shortcut."""
+    scale = max(1.0, float(np.max(np.abs(matrix))))
+    off = matrix - np.diag(np.diag(matrix))
+    return bool(np.max(np.abs(off)) <= 1e-13 * scale)
+
+
+def _mode_damping(h: np.ndarray, damping: np.ndarray, modes: NormalModes):
+    """Per-mode damping rates ``diag(C damping C^T)`` when the normal modes
+    diagonalize the damping too, else ``None``.
+
+    The off-diagonal part must sit at rounding level, and the modes must
+    rebuild ``h`` to 1e-9 of the damping scale, the accuracy the stationary
+    residual check asks of the generator (a graded ``h`` can pass
+    :func:`normal_modes`, whose check scales with max|h|, and still miss
+    its small couplings).  A damping that is identically zero qualifies as
+    it is.
+    """
+    c = modes.transform
+    rotated = c @ damping @ c.T
+    if not np.any(damping):
+        return np.diag(rotated)
+    if not _off_diagonal_at_rounding(rotated):
+        return None
+    rebuilt = (c.T * modes.frequencies) @ c
+    scale = max(1.0, float(np.max(np.abs(damping))))
+    if np.max(np.abs(rebuilt - h)) > _EIGEN_RECONSTRUCTION_TOL * scale:
+        return None
+    return np.diag(rotated)
+
+
+def _checked_spectrum(values: np.ndarray) -> None:
+    if np.min(values.real) <= _DISSIPATIVE_FLOOR:
+        raise NonDissipativeMode(
+            f"eigenvalue with real part {np.min(values.real):.3g} <= {_DISSIPATIVE_FLOOR}"
+        )
+
+
+def dissipative_matrix(
+    h: np.ndarray, damping: np.ndarray, modes: NormalModes | None = None
+) -> DissipativeMatrix:
     """Build and diagonalize the dissipative extension of the coupling matrix.
 
     The generator is ``damping/2 + 1j*h``; it is generally complex
     non-symmetric, so a general dense eigensolver is used without assuming
     normality.
+
+    Given the normal modes of ``h`` (transform C), a damping that C
+    diagonalizes too (``C @ damping @ C.T`` diagonal to rounding, as for
+    distinct reservoirs of one spectral density, or a weak-coupling damping
+    proportional to I) commutes with ``h``, and the generator is read off
+    the modes with no eigensolve (``_mode_damping`` states the tests): its
+    eigenvalues are ``diag(C damping C^T)/2 + i*frequencies``, sorted as
+    below, its eigenvectors ``C.T`` and their inverse C, recorded as
+    ``frame``.  A damping that is identically zero is the dissipation-free
+    case of this read-off (unitary evolution) and needs no damped mode;
+    every other damping must damp every mode.  Without ``modes``, or when
+    C does not diagonalize the damping, the dense eigensolve runs.
 
     Raises
     ------
@@ -194,14 +251,26 @@ def dissipative_matrix(h: np.ndarray, damping: np.ndarray) -> DissipativeMatrix:
     hd = damping / 2.0 + 1j * h
     if not np.isfinite(hd).all():
         raise ValidationError("the generator damping/2 + i*h has entries that are not finite")
+    rates = None if modes is None else _mode_damping(h, damping, modes)
+    if rates is not None:
+        values = rates / 2.0 + 1j * modes.frequencies
+        order = np.lexsort((values.real, values.imag))
+        values, frame = values[order], modes.transform[order]
+        if np.any(damping):
+            _checked_spectrum(values)
+        vectors_inv = frame.astype(complex)
+        return DissipativeMatrix(
+            matrix=hd,
+            eigenvalues=values,
+            eigenvectors=vectors_inv.T.copy(),
+            eigenvectors_inv=vectors_inv,
+            frame=frame,
+        )
     values, vectors = np.linalg.eig(hd)
     order = np.lexsort((values.real, values.imag))
     values = values[order]
     vectors = vectors[:, order]
-    if np.min(values.real) <= _DISSIPATIVE_FLOOR:
-        raise NonDissipativeMode(
-            f"eigenvalue with real part {np.min(values.real):.3g} <= {_DISSIPATIVE_FLOOR}"
-        )
+    _checked_spectrum(values)
     cond = np.linalg.cond(vectors)
     if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
         raise DefectiveMatrix(f"eigenvector condition number {cond:.3g} exceeds 1e12")

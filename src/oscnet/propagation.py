@@ -18,11 +18,21 @@ The width's slope Y + Y.T at t = 0 and its limit's trace tr P + N need no
 bundle (see :mod:`oscnet.metrics`).  Bundles at distinct times are
 independent and immutable; time grids are caller-supplied and nothing is
 interpolated.
+
+When the generator was read off the normal modes (distinct reservoirs of
+one spectral density, see :func:`oscnet.network.dissipative_matrix`), every
+width is diagonalized by the real orthogonal mode transform C up to a
+Hermitian core: with ``X = C P C.T`` formed once and ``e = exp(-lambda t)``,
+``C W(t) C.T = I + X * (1 - conj(e) e^T)`` (elementwise), an O(N^2) build
+per time.  The bundle keeps that frame width; the diffusion coefficients
+are its spectrum (the sorted diagonal when X is diagonal, as with equal
+temperatures), and the entropy and the decay exponent solve against it.
+The dense ``transition``, ``noise`` and ``wigner_width`` stay available.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +42,7 @@ from .network import (
     DissipativeMatrix,
     NetworkSpec,
     _fix_phases,
+    _off_diagonal_at_rounding,
     build_hamiltonian,
     coupling_regime,
     dissipative_matrix,
@@ -64,14 +75,22 @@ class PropagatorBundle:
     columns.  Each is computed on first access and cached on its own: the
     coefficients by a spectrum-only :func:`rotate_frame` call, the rotation
     by a full one (whose coefficients agree to rounding), so the
-    coefficients never depend on which was read first.  A bundle derived
-    with ``dataclasses.replace`` diagonalizes its own width afresh.
+    coefficients never depend on which was read first.
+
+    A bundle built in the normal-mode frame also carries ``frame`` (the
+    real orthogonal C) and ``frame_width`` (``C @ wigner_width @ C.T``, kept
+    as its real diagonal when that is diagonal), and takes its coefficients
+    from the frame width.  Both are ``init=False`` fields that default to
+    ``None``: a bundle derived with ``dataclasses.replace`` has no frame and
+    falls back to its dense width, which it diagonalizes afresh.
     """
 
     t: float
     transition: np.ndarray
     noise: np.ndarray
     wigner_width: np.ndarray
+    frame: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    frame_width: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -83,15 +102,36 @@ class PropagatorBundle:
 
     @cached_property
     def diffusion_coeffs(self) -> np.ndarray:
-        return rotate_frame(self.wigner_width, vectors=False)[1]
+        if self.frame is None:
+            return rotate_frame(self.wigner_width, vectors=False)[1]
+        width = self.frame_width
+        return rotate_frame(np.diag(width) if width.ndim == 1 else width, vectors=False)[1]
+
+    def in_frame(self, vectors: np.ndarray):
+        """``(vectors, width)`` in the simplest frame of the Wigner width.
+
+        Without a frame these are ``vectors`` and ``wigner_width``; with one
+        they are ``frame @ vectors`` and ``frame_width`` (1-d when diagonal),
+        so quadratic forms ``v^T W^-1 conj(v)`` keep their value.
+        """
+        if self.frame is None:
+            return vectors, self.wigner_width
+        return self.frame @ vectors, self.frame_width
 
 
 def transition_matrix(dis: DissipativeMatrix, t: float) -> np.ndarray:
-    """Damped transition matrix exp(-G t) via the stored eigendecomposition."""
+    """Damped transition matrix exp(-G t) via the stored eigendecomposition.
+
+    In the real normal-mode frame C this is ``C^T diag(e) C``, taken as two
+    real products for the real and imaginary parts of ``e = exp(-lambda t)``.
+    """
     if t < 0:
         raise ValidationError("time must be >= 0")
     decay = np.exp(-dis.eigenvalues * t)
-    return (dis.eigenvectors * decay) @ dis.eigenvectors_inv
+    if dis.frame is None:
+        return (dis.eigenvectors * decay) @ dis.eigenvectors_inv
+    c = dis.frame
+    return (c.T * decay.real) @ c + 1j * ((c.T * decay.imag) @ c)
 
 
 def centroid(transition: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -125,9 +165,8 @@ def rotate_frame(wigner_width: np.ndarray, vectors: bool = True):
     width = np.asarray(wigner_width, dtype=complex)
     width = 0.5 * (width + width.conj().T)
     n = width.shape[0]
-    scale = max(1.0, float(np.max(np.abs(width))))
-    off = width - np.diag(np.diag(width))
-    if np.max(np.abs(off)) <= 1e-13 * scale:
+    if _off_diagonal_at_rounding(width):
+        scale = max(1.0, float(np.max(np.abs(width))))
         diag = np.diag(width).real
         # quantized sort keys so rounding-level ties keep the natural order
         keys = np.round(diag / (1e-12 * scale))
@@ -144,12 +183,23 @@ class Propagator:
 
     Holds the eigendecomposition of the generator and the stationary width;
     ``bundle(t)`` is pure, so bundles for different times may be computed in
-    parallel.
+    parallel.  When the generator was read off the normal modes
+    (``dis.frame`` is their real orthogonal transform C), it builds each
+    width in that frame in O(N^2) and forms the dense widths from it;
+    otherwise it takes the dense route.
     """
 
     def __init__(self, dis: DissipativeMatrix, width: StationaryWidth):
         self.dissipative = dis
         self.width = width
+        frame = dis.frame
+        if frame is not None:
+            # The stationary core X = C P C^T; with equal temperatures it is
+            # diagonal to rounding and kept as its real diagonal.
+            core = frame @ width.matrix @ frame.T
+            if _off_diagonal_at_rounding(core):
+                core = np.diag(core).real.copy()
+            self._core = core
 
     @property
     def n(self) -> int:
@@ -157,14 +207,37 @@ class Propagator:
 
     def bundle(self, t: float) -> PropagatorBundle:
         transition = transition_matrix(self.dissipative, t)
-        noise = noise_width(self.width.matrix, transition)
-        noise = 0.5 * (noise + noise.conj().T)
-        return PropagatorBundle(
+        frame = self.dissipative.frame
+        if frame is None:
+            noise = noise_width(self.width.matrix, transition)
+            noise = 0.5 * (noise + noise.conj().T)
+            return PropagatorBundle(
+                t=float(t),
+                transition=transition,
+                noise=noise,
+                wigner_width=noise + np.eye(self.n),
+            )
+        # 1 - conj(e_a) e_b = -expm1(-(conj(lambda_a) + lambda_b) t), exact
+        # at small t where the difference would cancel.
+        values = self.dissipative.eigenvalues
+        if self._core.ndim == 1:
+            excess = self._core * -np.expm1(-2.0 * values.real * t)
+            noise = (frame.T * excess) @ frame
+            frame_width = excess + 1.0
+        else:
+            excess = self._core * -np.expm1(-np.add.outer(values.conj(), values) * t)
+            noise = frame.T @ excess @ frame
+            frame_width = excess + np.eye(self.n)
+        noise = 0.5 * (noise + noise.conj().T) + 0j
+        bundle = PropagatorBundle(
             t=float(t),
             transition=transition,
             noise=noise,
             wigner_width=noise + np.eye(self.n),
         )
+        object.__setattr__(bundle, "frame", frame)
+        object.__setattr__(bundle, "frame_width", frame_width)
+        return bundle
 
     def bundles(self, times) -> list[PropagatorBundle]:
         return [self.bundle(t) for t in times]
@@ -185,17 +258,6 @@ class Model:
     propagator: Propagator
 
 
-def _free_generator(h: np.ndarray, modes: NormalModes) -> DissipativeMatrix:
-    # Dissipation-free evolution: purely imaginary spectrum, orthogonal modes.
-    d = modes.transform.T.astype(complex)
-    return DissipativeMatrix(
-        matrix=1j * h.astype(complex),
-        eigenvalues=1j * modes.frequencies.astype(complex),
-        eigenvectors=d,
-        eigenvectors_inv=d.T.copy(),
-    )
-
-
 def build_model(
     network: NetworkSpec, reservoirs: ReservoirSpec, regime: str = "auto"
 ) -> Model:
@@ -204,8 +266,11 @@ def build_model(
     ``regime`` selects the rate matrices: ``"weak"`` uses the weak-coupling
     diagonal approximation, ``"strong"`` and ``"auto"`` use the exact
     normal-mode rates (a common reservoir always uses its own exact form).
-    The recorded regime label always comes from the classifier.  A fully
-    dissipation-free configuration (all rates zero) is propagated unitarily.
+    The recorded regime label always comes from the classifier.  When the
+    damping commutes with the coupling matrix (distinct reservoirs of one
+    spectral density, a dissipation-free configuration included) the
+    generator is read off the normal modes and the propagator works in
+    their frame; otherwise the generator is eigendecomposed densely.
     """
     if regime not in ("auto", "weak", "strong"):
         raise ValidationError(f"unknown regime {regime!r}")
@@ -220,10 +285,7 @@ def build_model(
         rates = rates_weak(reservoirs, network)
     else:
         rates = rates_distinct(reservoirs, modes)
-    if not np.any(rates.damping) and not np.any(rates.diffusion):
-        dis = _free_generator(h, modes)
-    else:
-        dis = dissipative_matrix(h, rates.damping)
+    dis = dissipative_matrix(h, rates.damping, modes)
     width = stationary_width(dis, rates.diffusion)
     return Model(
         network=network,

@@ -60,3 +60,11 @@ def zero_coefficient_state():
             )
         ]
     )
+
+
+def dense_propagator(model):
+    """The model's propagator on the dense route: its generator eigendecomposed
+    without the normal modes (so with no frame), and that generator's
+    stationary width."""
+    dis = osc.dissipative_matrix(model.hamiltonian, model.rates.damping)
+    return osc.Propagator(dis, osc.stationary_width(dis, model.rates.diffusion))

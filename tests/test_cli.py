@@ -211,6 +211,42 @@ class TestValidation:
         assert str(cli._BYTE_LIMIT) in info.value.message
         parse_config(dict(config, outputs=["tau_report", "entropy_curve"]))
 
+    def test_network_size_bytes_checked(self, monkeypatch):
+        # Ten modes: 16 complex 10 x 10 work arrays take 16 * 16 * 10^2 bytes.
+        config = _base_config(network={"n": 10, "omega": 1.0, "coupling": 0.01})
+        monkeypatch.setattr(cli, "_BYTE_LIMIT", 16 * 16 * 10**2)
+        parse_config(config)
+        assert cli._parse_axis("network.n=2:10:3")[1] == [2, 6, 10]
+        monkeypatch.setattr(cli, "_BYTE_LIMIT", 16 * 16 * 10**2 - 1)
+        with pytest.raises(ConfigError) as info:
+            parse_config(config)
+        assert info.value.path == "network.n"
+        assert str(cli._BYTE_LIMIT) in info.value.message
+        with pytest.raises(ConfigError) as info:
+            cli._parse_axis("network.n=2:10:3")
+        assert info.value.path == "--axis network.n"
+        assert str(cli._BYTE_LIMIT) in info.value.message
+
+    @pytest.mark.parametrize("n", [20000, 10**6])
+    def test_oversized_network_refused_before_allocation(self, n, tmp_path, capsys):
+        # A scalar omega and coupling stand for N and N x N arrays; at these
+        # sizes numpy used to die allocating them (2.98 GiB at 20000).
+        config = _base_config(network={"n": n, "omega": 1.0, "coupling": 0.0})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: network.n: ") and str(cli._BYTE_LIMIT) in err
+        assert not out.exists()
+        small = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.0})
+        path.write_text(json.dumps(small))
+        argv = ["sweep", str(path), "--axis", f"network.n=2:{n}:2", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: --axis network.n: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "node, field",
         [
@@ -988,15 +1024,36 @@ class TestMoreConfigs:
     @pytest.mark.parametrize("output", ["entropy_curve", "tau_report"])
     def test_width_broken_by_rounding_refused(self, output, tmp_path, capsys):
         # At T = 1e35 rounding in P - conj(T) P T^T leaves the t = 0 Wigner
-        # width with a negative eigenvalue.
+        # width with a negative eigenvalue.  Unequal damping rates keep the
+        # dense route, where that difference is formed.
         config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1}, outputs=[output])
         config["reservoirs"]["temperature"] = 1e35
+        config["reservoirs"]["profile"] = [
+            {"kind": "white", "gamma": 0.05},
+            {"kind": "white", "gamma": 0.03},
+        ]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: Wigner width at t = 0.0 is not positive definite")
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_separable_width_at_extreme_temperature_is_exact(self, tmp_path, capsys):
+        # Identical baths take the normal-mode frame route, whose t = 0 width
+        # is the vacuum's exactly, so the T = 1e35 entropy curve is computed.
+        config = _base_config(
+            network={"n": 2, "omega": 1.0, "coupling": 0.1}, outputs=["entropy_curve"]
+        )
+        config["reservoirs"]["temperature"] = 1e35
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "error" not in capsys.readouterr().err
+        lines = (tmp_path / "out" / "entropy_curve.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert float(rows[0][0]) == 0.0 and 0.0 <= float(rows[0][1]) < 1e-12
+        assert all(0.0 <= float(entropy) <= 1.0 for _, entropy in rows)
 
     def test_common_reservoir_mixed_temperatures_rejected(self):
         config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1})
@@ -1055,9 +1112,10 @@ class TestWriteRule:
             "oracle": {"n_max": 10},
             "outputs": ["entropy_curve", "oracle_compare"],
         },
-        # The ring_wigner benchmark's seed-0 config at T = 1e30: rounding
-        # leaves the t = 0 width narrower than the vacuum's, so the purity of
-        # the pure ring state comes out above 1.
+        # The ring_wigner benchmark's seed-0 config at T = 1e14 with unequal
+        # damping rates (the dense route): rounding leaves the t = 0 width
+        # narrower than the vacuum's, so the purity of the pure ring state
+        # comes out above 1.
         "purity": {
             "network": {
                 "n": 2,
@@ -1065,8 +1123,11 @@ class TestWriteRule:
                 "coupling": 0.11012892062377659,
             },
             "reservoirs": {
-                "temperature": 1e30,
-                "profile": {"kind": "white", "gamma": 0.04230637408064745},
+                "temperature": 1e14,
+                "profile": [
+                    {"kind": "white", "gamma": 0.04230637408064745},
+                    {"kind": "white", "gamma": 0.048},
+                ],
             },
             "regime": "auto",
             "state": _ring_state(2.054216441677446),

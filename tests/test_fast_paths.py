@@ -23,7 +23,7 @@ import oscnet as osc
 from oscnet import cli, metrics, propagation, stationary
 from oscnet.errors import NoBracket, RootNotConverged, SingularWidth, ValidationError
 
-from conftest import white_model
+from conftest import dense_propagator, white_model
 
 
 def _random_network(rng, n, coupling=0.05):
@@ -267,33 +267,54 @@ class TestLazyFrame:
             assert np.array_equal(bundle.rotation, expected_rotation)
         assert calls == [{}]
 
-    def test_spectrum_computed_once(self, monkeypatch):
+    @staticmethod
+    def _check_spectrum_computed_once(propagator, spectral, monkeypatch):
         # The coefficients take one spectrum-only call of their own, whichever
         # property is read first, and never take the frame's coefficients.
-        model = white_model(n=3, coupling=0.1, gamma=0.05, nbar=0.5)
-        width = model.propagator.bundle(2.0).wigner_width
-        assert np.max(np.abs(width - np.diag(np.diag(width)))) > 1e-3  # eigvalsh path
-        rotation, expected = propagation.rotate_frame(width, vectors=False)
+        width = propagator.bundle(2.0).wigner_width
+        assert np.max(np.abs(width - np.diag(np.diag(width)))) > 1e-3
+        spectrum = spectral(propagator.bundle(2.0))
+        rotation, expected = propagation.rotate_frame(spectrum, vectors=False)
         assert rotation is None
         _, frame_coeffs = propagation.rotate_frame(width)
         calls = _count_calls(monkeypatch, propagation, "rotate_frame")
-        spectrum_first = model.propagator.bundle(2.0)
+        spectrum_first = propagator.bundle(2.0)
         for _ in range(3):
             assert np.array_equal(spectrum_first.diffusion_coeffs, expected)
         assert calls == [{"vectors": False}]
         spectrum_first.rotation
         assert calls == [{"vectors": False}, {}]
-        frame_first = model.propagator.bundle(2.0)
+        frame_first = propagator.bundle(2.0)
         frame_first.rotation
         for bundle in (spectrum_first, frame_first):
             assert np.array_equal(bundle.diffusion_coeffs, expected)
             _assert_rel(bundle.diffusion_coeffs, frame_coeffs, 1e-13)
         assert calls == [{"vectors": False}, {}, {}, {"vectors": False}]
 
+    def test_spectrum_computed_once(self, monkeypatch):
+        # The dense route (a generator eigendecomposed without the normal
+        # modes) takes the spectrum of the Wigner width itself, by eigvalsh.
+        model = white_model(n=3, coupling=0.1, gamma=0.05, nbar=0.5)
+        self._check_spectrum_computed_once(
+            dense_propagator(model), lambda b: b.wigner_width, monkeypatch
+        )
+
+    def test_frame_spectrum_computed_once(self, monkeypatch):
+        # The model's own propagator takes the spectrum of the frame width,
+        # diagonal here, so by the sorted-diagonal shortcut.
+        model = white_model(n=3, coupling=0.1, gamma=0.05, nbar=0.5)
+        assert model.dissipative.frame is not None
+        self._check_spectrum_computed_once(
+            model.propagator, lambda b: np.diag(b.frame_width), monkeypatch
+        )
+
     def test_weak_regime_coefficients_bitwise_unchanged(self, monkeypatch):
         # Identical baths in the weak regime keep the width diagonal, so the
-        # shortcut answers both modes with the same sorted diagonal.
+        # shortcut answers both modes with the same sorted diagonal.  The
+        # model's own propagator works in the normal-mode frame; this pins
+        # the dense route.
         model = white_model(n=4, coupling=0.1, gamma=0.05, nbar=0.5, regime="weak")
+        model = dataclasses.replace(model, propagator=dense_propagator(model))
         state = osc.build_cat_family(4, 2, 1, 1.0)
         times = np.linspace(0.0, 40.0, 9)
         frames = [propagation.rotate_frame(model.propagator.bundle(t).wigner_width) for t in times]
