@@ -74,32 +74,12 @@ def _component_pair(state: CoherentMixture, r: int, s: int, branch: int):
     return components[r].amplitudes, components[s].amplitudes
 
 
-def _indefinite_width(bundle: PropagatorBundle) -> SingularWidth:
-    return SingularWidth(
-        f"Wigner width at t = {bundle.t} is not positive definite: smallest "
-        f"diffusion coefficient {bundle.diffusion_coeffs[0]:.3g}"
-    )
-
-
 def _decay_exponent(delta: np.ndarray, bundle: PropagatorBundle) -> float:
     # In the rotated frame the reduced norm is sum_m |(U^T y)_m|^2 / D_m with
     # y = T delta; since W = U diag(D) U^dag this equals y^T W^-1 conj(y),
-    # which is |L^-1 conj(y)|^2 for the Cholesky factor W = L L^dag, so W is
-    # never diagonalized.  In the normal-mode frame y and W become C y and
-    # the frame width, a plain division when that is diagonal.  A W that is
+    # the bundle's quadratic form, so W is never diagonalized.  A W that is
     # not positive definite raises SingularWidth.
-    moved, width = bundle.in_frame(bundle.transition @ delta)
-    if width.ndim == 1:
-        if not np.all(width > 0):
-            raise _indefinite_width(bundle)
-        reduced = float(np.sum(np.abs(moved) ** 2 / width))
-    else:
-        try:
-            lower = np.linalg.cholesky(width)
-        except np.linalg.LinAlgError:
-            raise _indefinite_width(bundle) from None
-        solved = np.linalg.solve(lower, moved.conj())
-        reduced = np.vdot(solved, solved).real
+    reduced = bundle.inverse_form(bundle.transition @ delta)
     return float(-2.0 * (np.sum(np.abs(delta) ** 2) - reduced))
 
 
@@ -205,10 +185,13 @@ def interference_decay_time(
     interval is found by Brent's method, ported from scipy's ``brentq`` (same
     iterates), to relative tolerance ``rtol`` and brentq's default absolute
     tolerance ``xtol = 2e-12``; the scan's values at the interval ends are
-    reused, not recomputed.  If the grid ends with the gap still
-    positive, the t -> infinity limit decides between a genuinely absent
-    crossing (``inf``) and a too-short grid (:class:`NoBracket`); it needs
-    only the trace tr P + N of the stationary Wigner width, not its spectrum.
+    reused, not recomputed.  A crossing within ``xtol`` of a grid starting
+    at t = 0 (extreme temperatures) is reported as the smaller of ``xtol``
+    and the grid's second point, the positive end of the bracket Brent's
+    method closes on it.  If the grid ends with the gap still positive, the
+    t -> infinity limit decides between a genuinely absent crossing
+    (``inf``) and a too-short grid (:class:`NoBracket`); it needs only the
+    trace tr P + N of the stationary Wigner width, not its spectrum.
     """
     beta_r, beta_s = _component_pair(state, r, s, branch)
     delta = beta_r - beta_s
@@ -223,7 +206,10 @@ def interference_decay_time(
     for left, right in zip(t_grid, t_grid[1:]):
         f_right = gap(right)
         if f_left > 0 >= f_right:
-            return _brentq(gap, left, right, f_left, f_right, rtol)
+            root = _brentq(gap, left, right, f_left, f_right, rtol)
+            # A crossing within the absolute tolerance of t = 0 comes back as
+            # t = 0; it lies in (0, xtol), so report that bracket's positive end.
+            return root if root > 0 else min(float(right), _BRENT_XTOL)
         f_left = f_right
     if first <= 0:
         raise ValidationError("grid starts past the crossing; start earlier")
@@ -269,23 +255,16 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     No eigenvectors are needed: log det W is the sum of the logs of the
     bundle's cached diffusion coefficients (the eigenvalues of W, which the
     ``dcoef`` output reads too), and det W is divided out inside the final
-    exponent.  A bundle built in the normal-mode frame forms the same H
-    from the centroids in that frame, ``frame @ C``, against its frame
-    width (a division when that is diagonal).  Equals 0 for any pure state
-    at t = 0 and stays 0 without dissipation.  A W with a coefficient <= 0,
+    exponent.  H is the bundle's :meth:`~PropagatorBundle.inverse_form` of
+    the centroids.  Equals 0 for any pure state at t = 0 and stays 0
+    without dissipation.  A W with a coefficient <= 0,
     or one that gives a purity above 1 by more than 1e-10 (rounding at
     extreme temperatures), raises :class:`SingularWidth`; an entropy in
     (-1e-10, 0) is returned as 0.
     """
-    if not bundle.diffusion_coeffs[0] > 0:
-        raise _indefinite_width(bundle)
     betas, logw = phasespace._flat_components(state)
+    gram = bundle.inverse_form(bundle.transition @ betas.T)  # H[a, b]
     log_det = float(np.sum(np.log(bundle.diffusion_coeffs)))
-    moved, width = bundle.in_frame(bundle.transition @ betas.T)  # (N, K)
-    if width.ndim == 1:
-        gram = moved.T @ (moved.conj() / width[:, None])  # H[a, b]
-    else:
-        gram = moved.T @ np.linalg.solve(width, moved.conj())
     head = logw.T - gram  # (s, r): logw[r, s] - H[s, r]
     k = gram.shape[0]
     step = max(1, min(k, phasespace._CHUNK_BYTES // (16 * k * k)))

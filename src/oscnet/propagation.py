@@ -20,14 +20,15 @@ independent and immutable; time grids are caller-supplied and nothing is
 interpolated.
 
 When the generator was read off the normal modes (distinct reservoirs of
-one spectral density, see :func:`oscnet.network.dissipative_matrix`), every
-width is diagonalized by the real orthogonal mode transform C up to a
-Hermitian core: with ``X = C P C.T`` formed once and ``e = exp(-lambda t)``,
-``C W(t) C.T = I + X * (1 - conj(e) e^T)`` (elementwise), an O(N^2) build
-per time.  The bundle keeps that frame width; the diffusion coefficients
-are its spectrum (the sorted diagonal when X is diagonal, as with equal
-temperatures), and the entropy and the decay exponent solve against it.
-The dense ``transition``, ``noise`` and ``wigner_width`` stay available.
+one spectral density, see :func:`oscnet.network.dissipative_matrix`) and
+the reservoirs share one temperature, the real orthogonal mode transform C
+diagonalizes every width: with ``X = C P C.T`` diagonal (formed once) and
+``e = exp(-lambda t)``, ``C W(t) C.T = I + X * (1 - |e|^2)``, an O(N)
+build per time.  The bundle keeps that frame width; the diffusion
+coefficients are its sorted diagonal, and the entropy and the decay
+exponent divide by it.  The dense ``transition``, ``noise`` and
+``wigner_width`` stay available.  Mixed temperatures leave X dense, and
+their bundles take the dense route on the same generator.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SingularWidth, ValidationError
 from .network import (
     DissipativeMatrix,
     NetworkSpec,
@@ -78,11 +79,12 @@ class PropagatorBundle:
     coefficients never depend on which was read first.
 
     A bundle built in the normal-mode frame also carries ``frame`` (the
-    real orthogonal C) and ``frame_width`` (``C @ wigner_width @ C.T``, kept
-    as its real diagonal when that is diagonal), and takes its coefficients
-    from the frame width.  Both are ``init=False`` fields that default to
-    ``None``: a bundle derived with ``dataclasses.replace`` has no frame and
-    falls back to its dense width, which it diagonalizes afresh.
+    real orthogonal C) and ``frame_width`` (the real diagonal of
+    ``C @ wigner_width @ C.T``, which is diagonal there), and takes its
+    coefficients and quadratic forms from the frame width.  Both are
+    ``init=False`` fields that default to ``None``: a bundle derived with
+    ``dataclasses.replace`` has no frame and falls back to its dense width,
+    which it diagonalizes afresh.
     """
 
     t: float
@@ -102,36 +104,54 @@ class PropagatorBundle:
 
     @cached_property
     def diffusion_coeffs(self) -> np.ndarray:
-        if self.frame is None:
-            return rotate_frame(self.wigner_width, vectors=False)[1]
-        width = self.frame_width
-        return rotate_frame(np.diag(width) if width.ndim == 1 else width, vectors=False)[1]
+        width = self.wigner_width if self.frame is None else np.diag(self.frame_width)
+        return rotate_frame(width, vectors=False)[1]
 
-    def in_frame(self, vectors: np.ndarray):
-        """``(vectors, width)`` in the simplest frame of the Wigner width.
+    def inverse_form(self, vectors: np.ndarray):
+        """Quadratic form ``v^T W^-1 conj(v)`` of the Wigner width W.
 
-        Without a frame these are ``vectors`` and ``wigner_width``; with one
-        they are ``frame @ vectors`` and ``frame_width`` (1-d when diagonal),
-        so quadratic forms ``v^T W^-1 conj(v)`` keep their value.
+        For one vector (length N) a float; for an N x K block the K x K
+        matrix ``H[a, b] = v_a^T W^-1 conj(v_b)`` of its columns.  Raises
+        :class:`SingularWidth` when W is not positive definite.  In the
+        normal-mode frame this divides ``frame @ v`` by the frame width.
+        Otherwise one vector goes through the Cholesky factor W = L L^dag,
+        as ``|L^-1 conj(v)|^2``, which needs no eigensolve (a root scan asks
+        for many), and a block through one linear solve once the cached
+        diffusion coefficients show W positive definite (the entropy reads
+        them for its determinant anyway).
         """
-        if self.frame is None:
-            return vectors, self.wigner_width
-        return self.frame @ vectors, self.frame_width
+        if self.frame is not None:
+            moved, width = self.frame @ vectors, self.frame_width
+            if not np.all(width > 0):
+                raise _indefinite_width(self)
+            if moved.ndim == 1:
+                return float(np.sum(np.abs(moved) ** 2 / width))
+            return moved.T @ (moved.conj() / width[:, None])
+        if vectors.ndim == 1:
+            try:
+                lower = np.linalg.cholesky(self.wigner_width)
+            except np.linalg.LinAlgError:
+                raise _indefinite_width(self) from None
+            solved = np.linalg.solve(lower, vectors.conj())
+            return float(np.vdot(solved, solved).real)
+        if not self.diffusion_coeffs[0] > 0:
+            raise _indefinite_width(self)
+        return vectors.T @ np.linalg.solve(self.wigner_width, vectors.conj())
+
+
+def _indefinite_width(bundle: PropagatorBundle) -> SingularWidth:
+    return SingularWidth(
+        f"Wigner width at t = {bundle.t} is not positive definite: smallest "
+        f"diffusion coefficient {bundle.diffusion_coeffs[0]:.3g}"
+    )
 
 
 def transition_matrix(dis: DissipativeMatrix, t: float) -> np.ndarray:
-    """Damped transition matrix exp(-G t) via the stored eigendecomposition.
-
-    In the real normal-mode frame C this is ``C^T diag(e) C``, taken as two
-    real products for the real and imaginary parts of ``e = exp(-lambda t)``.
-    """
+    """Damped transition matrix exp(-G t) via the stored eigendecomposition."""
     if t < 0:
         raise ValidationError("time must be >= 0")
     decay = np.exp(-dis.eigenvalues * t)
-    if dis.frame is None:
-        return (dis.eigenvectors * decay) @ dis.eigenvectors_inv
-    c = dis.frame
-    return (c.T * decay.real) @ c + 1j * ((c.T * decay.imag) @ c)
+    return (dis.eigenvectors * decay) @ dis.eigenvectors_inv
 
 
 def centroid(transition: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -184,22 +204,22 @@ class Propagator:
     Holds the eigendecomposition of the generator and the stationary width;
     ``bundle(t)`` is pure, so bundles for different times may be computed in
     parallel.  When the generator was read off the normal modes
-    (``dis.frame`` is their real orthogonal transform C), it builds each
-    width in that frame in O(N^2) and forms the dense widths from it;
-    otherwise it takes the dense route.
+    (``dis.frame`` is their real orthogonal transform C) and ``C P C.T`` is
+    diagonal to rounding (equal temperatures), it builds each width in that
+    frame in O(N) and forms the dense widths from it; otherwise it takes
+    the dense route.
     """
 
     def __init__(self, dis: DissipativeMatrix, width: StationaryWidth):
         self.dissipative = dis
         self.width = width
-        frame = dis.frame
-        if frame is not None:
-            # The stationary core X = C P C^T; with equal temperatures it is
-            # diagonal to rounding and kept as its real diagonal.
-            core = frame @ width.matrix @ frame.T
+        # The stationary core X = C P C^T, kept as its real diagonal when it
+        # is diagonal to rounding; None selects the dense route.
+        self._core = None
+        if dis.frame is not None:
+            core = dis.frame @ width.matrix @ dis.frame.T
             if _off_diagonal_at_rounding(core):
-                core = np.diag(core).real.copy()
-            self._core = core
+                self._core = np.diag(core).real.copy()
 
     @property
     def n(self) -> int:
@@ -207,8 +227,7 @@ class Propagator:
 
     def bundle(self, t: float) -> PropagatorBundle:
         transition = transition_matrix(self.dissipative, t)
-        frame = self.dissipative.frame
-        if frame is None:
+        if self._core is None:
             noise = noise_width(self.width.matrix, transition)
             noise = 0.5 * (noise + noise.conj().T)
             return PropagatorBundle(
@@ -217,18 +236,12 @@ class Propagator:
                 noise=noise,
                 wigner_width=noise + np.eye(self.n),
             )
-        # 1 - conj(e_a) e_b = -expm1(-(conj(lambda_a) + lambda_b) t), exact
-        # at small t where the difference would cancel.
-        values = self.dissipative.eigenvalues
-        if self._core.ndim == 1:
-            excess = self._core * -np.expm1(-2.0 * values.real * t)
-            noise = (frame.T * excess) @ frame
-            frame_width = excess + 1.0
-        else:
-            excess = self._core * -np.expm1(-np.add.outer(values.conj(), values) * t)
-            noise = frame.T @ excess @ frame
-            frame_width = excess + np.eye(self.n)
-        noise = 0.5 * (noise + noise.conj().T) + 0j
+        # 1 - |e|^2 = -expm1(-2 Re(lambda) t), exact at small t where the
+        # difference would cancel.
+        frame = self.dissipative.frame
+        excess = self._core * -np.expm1(-2.0 * self.dissipative.eigenvalues.real * t)
+        noise = (frame.T * excess) @ frame
+        noise = 0.5 * (noise + noise.T) + 0j
         bundle = PropagatorBundle(
             t=float(t),
             transition=transition,
@@ -236,7 +249,7 @@ class Propagator:
             wigner_width=noise + np.eye(self.n),
         )
         object.__setattr__(bundle, "frame", frame)
-        object.__setattr__(bundle, "frame_width", frame_width)
+        object.__setattr__(bundle, "frame_width", excess + 1.0)
         return bundle
 
     def bundles(self, times) -> list[PropagatorBundle]:
@@ -269,8 +282,9 @@ def build_model(
     The recorded regime label always comes from the classifier.  When the
     damping commutes with the coupling matrix (distinct reservoirs of one
     spectral density, a dissipation-free configuration included) the
-    generator is read off the normal modes and the propagator works in
-    their frame; otherwise the generator is eigendecomposed densely.
+    generator is read off the normal modes, and with one temperature the
+    propagator works in their frame; otherwise the generator is
+    eigendecomposed densely.
     """
     if regime not in ("auto", "weak", "strong"):
         raise ValidationError(f"unknown regime {regime!r}")

@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
-from oscnet import cli, phasespace, propagation
+from oscnet import cli, metrics, phasespace, propagation
 from oscnet.cli import canonical_json, config_hash, parse_config, run_config, run_sweep
 from oscnet.errors import ConfigError
 
@@ -1039,17 +1039,23 @@ class TestMoreConfigs:
         assert err.startswith("error: Wigner width at t = 0.0 is not positive definite")
         assert list((tmp_path / "out").iterdir()) == []
 
-    def test_separable_width_at_extreme_temperature_is_exact(self, tmp_path, capsys):
+    @pytest.mark.parametrize("output", ["entropy_curve", "tau_report"])
+    def test_separable_width_at_extreme_temperature_is_exact(self, output, tmp_path, capsys):
         # Identical baths take the normal-mode frame route, whose t = 0 width
-        # is the vacuum's exactly, so the T = 1e35 entropy curve is computed.
-        config = _base_config(
-            network={"n": 2, "omega": 1.0, "coupling": 0.1}, outputs=["entropy_curve"]
-        )
+        # is the vacuum's exactly, so the T = 1e35 outputs are computed.  The
+        # interference crossing lies far below Brent's absolute tolerance and
+        # is reported as that tolerance.
+        config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1}, outputs=[output])
         config["reservoirs"]["temperature"] = 1e35
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert "error" not in capsys.readouterr().err
+        if output == "tau_report":
+            report = json.loads((tmp_path / "out" / "tau_report.json").read_text())
+            assert report["tau_int"] == metrics._BRENT_XTOL
+            assert 0.0 < report["tau_d"] <= report["tau_diff"] < 1e-30
+            return
         lines = (tmp_path / "out" / "entropy_curve.csv").read_text().splitlines()
         rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
         assert float(rows[0][0]) == 0.0 and 0.0 <= float(rows[0][1]) < 1e-12

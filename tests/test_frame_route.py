@@ -73,16 +73,17 @@ CASES = [
 
 @pytest.mark.parametrize("profile, topology, n, mixed", CASES)
 def test_frame_route_matches_dense_route(profile, topology, n, mixed):
+    # Mixed temperatures leave C P C^T dense: the generator is still read
+    # off the modes, but the bundles take the dense route.
     model = _model(profile, topology, n, mixed)
     assert model.dissipative.frame is not None
-    core = model.propagator._core
-    assert core.ndim == (2 if mixed and n > 1 else 1)  # mixed: an eigvalsh per time
+    assert (model.propagator._core is None) == mixed
     dense = dense_propagator(model)
     assert dense.dissipative.frame is None
     state = osc.build_cat_family(n, 1, 1, 1.0)
     for t in _TIMES:
         fast, slow = model.propagator.bundle(t), dense.bundle(t)
-        assert fast.frame is not None and slow.frame is None
+        assert (fast.frame is None) == mixed and slow.frame is None
         width = slow.wigner_width
         assert _rel(fast.transition, slow.transition) <= _RTOL
         # The noise is zero at t = 0, so it is measured on the width's scale.
@@ -149,7 +150,7 @@ class TestRouteChoice:
 
 class TestFrameBundle:
     def test_width_is_exactly_the_vacuum_at_zero(self):
-        model = _model("lorentzian", "chain", 5, mixed=True)
+        model = _model("lorentzian", "chain", 5, mixed=False)
         bundle = model.propagator.bundle(0.0)
         assert np.array_equal(bundle.wigner_width, np.eye(5))
         assert np.array_equal(bundle.diffusion_coeffs, np.ones(5))
@@ -175,7 +176,7 @@ class TestFrameBundle:
         assert calls == []
 
     def test_replaced_bundle_drops_the_frame(self):
-        model = _model("white", "star", 5, mixed=True)
+        model = _model("white", "star", 5, mixed=False)
         bundle = model.propagator.bundle(3.0)
         doctored = dataclasses.replace(bundle, wigner_width=np.eye(5))
         assert bundle.frame is not None and doctored.frame is None
