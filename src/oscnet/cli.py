@@ -397,14 +397,15 @@ def _time_curves(spec: RunSpec, model: Model) -> dict:
     """The requested ``dcoef`` and ``entropy_curve`` tables, {kind: (columns, rows)}.
 
     One pass over the times builds each time's bundle once, feeds both tables
-    and drops it: keeping every bundle would hold several N x N complex
-    matrices per time for no further use.
+    and drops it, so no more than one time's bundle is held at once.  The
+    coefficients are appended as Python floats, which the CSV writer formats
+    on its fast path.
     """
     rows = {kind: [] for kind in ("dcoef", "entropy_curve") if kind in spec.outputs}
     for t in spec.times if rows else ():
         bundle = model.propagator.bundle(t)
         if "dcoef" in rows:
-            rows["dcoef"].append([t, *bundle.diffusion_coeffs])
+            rows["dcoef"].append([t, *bundle.diffusion_coeffs.tolist()])
         if "entropy_curve" in rows:
             rows["entropy_curve"].append([t, linear_entropy(spec.state, bundle)])
     columns = {

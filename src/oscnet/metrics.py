@@ -79,7 +79,7 @@ def _decay_exponent(delta: np.ndarray, bundle: PropagatorBundle) -> float:
     # y = T delta; since W = U diag(D) U^dag this equals y^T W^-1 conj(y),
     # the bundle's quadratic form, so W is never diagonalized.  A W that is
     # not positive definite raises SingularWidth.
-    reduced = bundle.inverse_form(bundle.transition @ delta)
+    reduced = bundle.inverse_form(bundle.centers(delta))
     return float(-2.0 * (np.sum(np.abs(delta) ** 2) - reduced))
 
 
@@ -102,9 +102,7 @@ def _gap(delta: np.ndarray, bundle: PropagatorBundle) -> float:
     # log decay + 4N / sum(D): positive until the interference terms have
     # decayed past the spread-adjusted threshold.
     n = delta.size
-    return _decay_exponent(delta, bundle) + 4.0 * n / float(
-        np.trace(bundle.wigner_width).real
-    )
+    return _decay_exponent(delta, bundle) + 4.0 * n / bundle.width_trace
 
 
 _BRENT_XTOL = 2e-12  # brentq's default absolute tolerance
@@ -263,7 +261,7 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     (-1e-10, 0) is returned as 0.
     """
     betas, logw = phasespace._flat_components(state)
-    gram = bundle.inverse_form(bundle.transition @ betas.T)  # H[a, b]
+    gram = bundle.inverse_form(bundle.centers(betas.T))  # H[a, b]
     log_det = float(np.sum(np.log(bundle.diffusion_coeffs)))
     head = logw.T - gram  # (s, r): logw[r, s] - H[s, r]
     k = gram.shape[0]
@@ -325,7 +323,7 @@ def concurrence(
 
     betas = np.array([c.amplitudes for c in branch.components])
     coeffs = np.array([c.coefficient for c in branch.components])
-    centers = (bundle.transition @ betas.T).T  # (K, N)
+    centers = bundle.centers(betas.T).T  # (K, N)
     # Every overlap exponent has real part <= 0, so a product of the two
     # factors underflows only where the combined exponent would.
     side_a, side_b = (

@@ -179,7 +179,7 @@ def char_function(state: CoherentMixture, eta, bundle: PropagatorBundle):
     """
     pts, scalar = _as_points(eta, state.n_modes)
     betas, logw = _flat_components(state)
-    centers = (bundle.transition @ betas.T).T  # (K, N)
+    centers = bundle.centers(betas.T).T  # (K, N)
     value = _pair_sum(
         pts.reshape(-1, state.n_modes),
         logw,
@@ -203,7 +203,7 @@ def _gaussian_terms(state: CoherentMixture, bundle: PropagatorBundle, width: np.
     if abs(det) < _DET_FLOOR:
         raise SingularWidth(f"width determinant {det:.3g} below {_DET_FLOOR}")
     betas, logw = _flat_components(state)
-    centers = (bundle.transition @ betas.T).T  # (K, N)
+    centers = bundle.centers(betas.T).T  # (K, N)
     inv = np.linalg.inv(hermitized)
     inv = 0.5 * (inv + inv.conj().T)
     c_pair = (centers @ inv) @ centers.conj().T  # (s, r): K_s inv conj(K_r)
@@ -267,7 +267,7 @@ def wigner_elements(state: CoherentMixture, xi_rotated, bundle: PropagatorBundle
 def moments(state: CoherentMixture, bundle: PropagatorBundle):
     """First and second moments: (<a_m>, <a_m^dag a_n>) of the evolved mixture."""
     betas, weights = _pair_weights(state)
-    centers = (bundle.transition @ betas.T).T
+    centers = bundle.centers(betas.T).T
     first = np.einsum("rs,sn->n", weights, centers)
     second = bundle.noise / 2.0 + np.einsum(
         "rs,rm,sn->mn", weights, centers.conj(), centers

@@ -25,10 +25,14 @@ the reservoirs share one temperature, the real orthogonal mode transform C
 diagonalizes every width: with ``X = C P C.T`` diagonal (formed once) and
 ``e = exp(-lambda t)``, ``C W(t) C.T = I + X * (1 - |e|^2)``, an O(N)
 build per time.  The bundle keeps that frame width; the diffusion
-coefficients are its sorted diagonal, and the entropy and the decay
-exponent divide by it.  The dense ``transition``, ``noise`` and
-``wigner_width`` stay available.  Mixed temperatures leave X dense, and
-their bundles take the dense route on the same generator.
+coefficients are its sorted diagonal, the entropy and the decay exponent
+divide by it, and the centroids ``T beta = C.T (e * (C beta))`` come from
+:func:`transition_matrix` applied to the amplitudes, O(N^2 K) with no
+N x N product.  The dense ``transition``, ``noise`` and ``wigner_width``
+are built on first read only, by the evaluators that need whole matrices
+(the Wigner grid, the characteristic functions, the moments).  Mixed
+temperatures leave X dense, and their bundles take the dense route on the
+same generator.
 """
 
 from __future__ import annotations
@@ -66,6 +70,9 @@ __all__ = [
 ]
 
 
+_DENSE_FIELDS = ("transition", "noise", "wigner_width")
+
+
 @dataclass(frozen=True)
 class PropagatorBundle:
     """Everything time-dependent the phase-space evaluators need at one time.
@@ -76,15 +83,18 @@ class PropagatorBundle:
     columns.  Each is computed on first access and cached on its own: the
     coefficients by a spectrum-only :func:`rotate_frame` call, the rotation
     by a full one (whose coefficients agree to rounding), so the
-    coefficients never depend on which was read first.
+    coefficients never depend on which was read first.  :meth:`centers`
+    gives the evolved centroids.
 
     A bundle built in the normal-mode frame also carries ``frame`` (the
     real orthogonal C) and ``frame_width`` (the real diagonal of
     ``C @ wigner_width @ C.T``, which is diagonal there), and takes its
-    coefficients and quadratic forms from the frame width.  Both are
-    ``init=False`` fields that default to ``None``: a bundle derived with
-    ``dataclasses.replace`` has no frame and falls back to its dense width,
-    which it diagonalizes afresh.
+    coefficients, quadratic forms and centroids without the dense matrices:
+    its ``transition``, ``noise`` and ``wigner_width`` are built on first
+    read and cached.  ``frame`` and ``frame_width`` are ``init=False``
+    fields that default to ``None``: a bundle derived with
+    ``dataclasses.replace`` has no frame and falls back to its dense
+    fields, diagonalizing its width afresh.
     """
 
     t: float
@@ -94,9 +104,34 @@ class PropagatorBundle:
     frame: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     frame_width: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
+    @classmethod
+    def _in_frame(cls, t: float, dis: DissipativeMatrix, excess: np.ndarray):
+        # A frame bundle sets no dense field; __getattr__ builds each on
+        # first read from the generator and the excess X * (1 - |e|^2).
+        bundle = object.__new__(cls)
+        bundle.__dict__.update(
+            t=t, frame=dis.frame, frame_width=excess + 1.0, _dis=dis, _excess=excess
+        )
+        return bundle
+
+    def __getattr__(self, name):
+        # Reached only for an attribute with no value: on a frame bundle, a
+        # dense field not read yet.
+        if name not in _DENSE_FIELDS or "_dis" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if name == "transition":
+            value = transition_matrix(self._dis, self.t)
+        elif name == "noise":
+            value = (self.frame.T * self._excess) @ self.frame
+            value = 0.5 * (value + value.T) + 0j
+        else:
+            value = self.noise + np.eye(self.n)
+        self.__dict__[name] = value
+        return value
+
     @property
     def n(self) -> int:
-        return self.transition.shape[0]
+        return self.transition.shape[0] if self.frame is None else self.frame.shape[0]
 
     @cached_property
     def rotation(self) -> np.ndarray:
@@ -104,8 +139,26 @@ class PropagatorBundle:
 
     @cached_property
     def diffusion_coeffs(self) -> np.ndarray:
-        width = self.wigner_width if self.frame is None else np.diag(self.frame_width)
+        width = self.wigner_width if self.frame is None else self.frame_width
         return rotate_frame(width, vectors=False)[1]
+
+    @property
+    def width_trace(self) -> float:
+        """Trace of the Wigner width (the sum of the frame width in the frame)."""
+        if self.frame is None:
+            return float(np.trace(self.wigner_width).real)
+        return float(np.sum(self.frame_width))
+
+    def centers(self, betas: np.ndarray) -> np.ndarray:
+        """Evolved centroids ``T @ betas`` of amplitudes (N,) or columns (N, K).
+
+        In the normal-mode frame :func:`transition_matrix` applies T through
+        the mode basis without forming it; otherwise the bundle's own
+        ``transition`` multiplies.
+        """
+        if self.frame is None:
+            return self.transition @ betas
+        return transition_matrix(self._dis, self.t, betas)
 
     def inverse_form(self, vectors: np.ndarray):
         """Quadratic form ``v^T W^-1 conj(v)`` of the Wigner width W.
@@ -146,12 +199,18 @@ def _indefinite_width(bundle: PropagatorBundle) -> SingularWidth:
     )
 
 
-def transition_matrix(dis: DissipativeMatrix, t: float) -> np.ndarray:
-    """Damped transition matrix exp(-G t) via the stored eigendecomposition."""
+def transition_matrix(dis: DissipativeMatrix, t: float, vectors: np.ndarray | None = None):
+    """Damped transition matrix exp(-G t) via the stored eigendecomposition.
+
+    With ``vectors`` (N,) or (N, K) it returns ``T @ vectors`` as
+    ``V (e * (V^-1 vectors))``, an O(N^2 K) product that never forms T.
+    """
     if t < 0:
         raise ValidationError("time must be >= 0")
     decay = np.exp(-dis.eigenvalues * t)
-    return (dis.eigenvectors * decay) @ dis.eigenvectors_inv
+    if vectors is None:
+        return (dis.eigenvectors * decay) @ dis.eigenvectors_inv
+    return dis.eigenvectors @ (decay * (dis.eigenvectors_inv @ vectors).T).T
 
 
 def centroid(transition: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -180,22 +239,26 @@ def rotate_frame(wigner_width: np.ndarray, vectors: bool = True):
     each column's first entry above 1e-12 in modulus is made real positive.
     With ``vectors=False`` U is ``None`` and D comes from an eigenvalue-only
     solve, equal to the full frame's D to rounding (bitwise on the diagonal
-    shortcut).
+    shortcut).  A 1-D ``wigner_width`` is taken as the diagonal of an
+    already diagonal width and goes straight to that shortcut's sort, with
+    the same result as its ``np.diag``.
     """
-    width = np.asarray(wigner_width, dtype=complex)
-    width = 0.5 * (width + width.conj().T)
-    n = width.shape[0]
-    if _off_diagonal_at_rounding(width):
-        scale = max(1.0, float(np.max(np.abs(width))))
-        diag = np.diag(width).real
-        # quantized sort keys so rounding-level ties keep the natural order
-        keys = np.round(diag / (1e-12 * scale))
-        order = np.argsort(keys, kind="stable")
-        return (np.eye(n, dtype=complex)[:, order] if vectors else None), diag[order]
-    if not vectors:
-        return None, np.linalg.eigvalsh(width)
-    coeffs, rotation = np.linalg.eigh(width)
-    return _fix_phases(rotation), coeffs
+    width = np.asarray(wigner_width)
+    if width.ndim == 2:
+        width = width.astype(complex, copy=False)
+        width = 0.5 * (width + width.conj().T)
+        if not _off_diagonal_at_rounding(width):
+            if not vectors:
+                return None, np.linalg.eigvalsh(width)
+            coeffs, rotation = np.linalg.eigh(width)
+            return _fix_phases(rotation), coeffs
+        width = np.diag(width)
+    diag = width.real
+    scale = max(1.0, float(np.max(np.abs(diag))))
+    # quantized sort keys so rounding-level ties keep the natural order
+    keys = np.round(diag / (1e-12 * scale))
+    order = np.argsort(keys, kind="stable")
+    return (np.eye(diag.size, dtype=complex)[:, order] if vectors else None), diag[order]
 
 
 class Propagator:
@@ -206,8 +269,8 @@ class Propagator:
     parallel.  When the generator was read off the normal modes
     (``dis.frame`` is their real orthogonal transform C) and ``C P C.T`` is
     diagonal to rounding (equal temperatures), it builds each width in that
-    frame in O(N) and forms the dense widths from it; otherwise it takes
-    the dense route.
+    frame in O(N) and leaves the dense matrices to first read; otherwise it
+    takes the dense route.
     """
 
     def __init__(self, dis: DissipativeMatrix, width: StationaryWidth):
@@ -226,8 +289,8 @@ class Propagator:
         return self.dissipative.matrix.shape[0]
 
     def bundle(self, t: float) -> PropagatorBundle:
-        transition = transition_matrix(self.dissipative, t)
         if self._core is None:
+            transition = transition_matrix(self.dissipative, t)
             noise = noise_width(self.width.matrix, transition)
             noise = 0.5 * (noise + noise.conj().T)
             return PropagatorBundle(
@@ -236,21 +299,12 @@ class Propagator:
                 noise=noise,
                 wigner_width=noise + np.eye(self.n),
             )
+        if t < 0:
+            raise ValidationError("time must be >= 0")
         # 1 - |e|^2 = -expm1(-2 Re(lambda) t), exact at small t where the
         # difference would cancel.
-        frame = self.dissipative.frame
         excess = self._core * -np.expm1(-2.0 * self.dissipative.eigenvalues.real * t)
-        noise = (frame.T * excess) @ frame
-        noise = 0.5 * (noise + noise.T) + 0j
-        bundle = PropagatorBundle(
-            t=float(t),
-            transition=transition,
-            noise=noise,
-            wigner_width=noise + np.eye(self.n),
-        )
-        object.__setattr__(bundle, "frame", frame)
-        object.__setattr__(bundle, "frame_width", excess + 1.0)
-        return bundle
+        return PropagatorBundle._in_frame(float(t), self.dissipative, excess)
 
     def bundles(self, times) -> list[PropagatorBundle]:
         return [self.bundle(t) for t in times]

@@ -181,3 +181,75 @@ class TestFrameBundle:
         doctored = dataclasses.replace(bundle, wigner_width=np.eye(5))
         assert bundle.frame is not None and doctored.frame is None
         assert np.array_equal(doctored.diffusion_coeffs, np.ones(5))
+
+    def test_metrics_leave_the_dense_fields_unbuilt(self, monkeypatch):
+        model = _model("lorentzian", "random", 5, mixed=False)
+        built = []
+        lazy = osc.PropagatorBundle.__getattr__
+
+        def counted(bundle, name):
+            built.append(name)
+            return lazy(bundle, name)
+
+        monkeypatch.setattr(osc.PropagatorBundle, "__getattr__", counted)
+        state = osc.build_cat_family(5, 1, 1, 1.0)
+        bundle = model.propagator.bundle(3.0)
+        assert bundle.n == 5
+        bundle.diffusion_coeffs
+        osc.linear_entropy(state, bundle)
+        tau = osc.interference_decay_time(
+            state, 0, 1, model.propagator, np.linspace(0.0, 400.0, 41)
+        )
+        assert math.isfinite(tau)
+        assert built == []
+        assert not set(vars(bundle)) & {"transition", "noise", "wigner_width"}
+        # The counter sees a first read, and the value is cached after it.
+        bundle.wigner_width
+        bundle.wigner_width
+        assert built == ["wigner_width", "noise"]
+        assert np.array_equal(bundle.wigner_width, bundle.noise + np.eye(5))
+
+    def test_negative_time_is_refused(self):
+        model = _model("white", "ring", 5, mixed=False)
+        with pytest.raises(osc.ValidationError):
+            model.propagator.bundle(-1.0)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["frame", "dense"])
+@pytest.mark.parametrize("shape", [(5,), (5, 3)], ids=["vector", "block"])
+def test_transition_applied_to_vectors_matches_the_matrix(dense, shape):
+    model = _model("gaussian_band", "random", 5, mixed=False)
+    dis = dense_propagator(model).dissipative if dense else model.dissipative
+    assert (dis.frame is None) == dense
+    rng = np.random.default_rng(4)
+    vectors = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for t in _TIMES:
+        expected = osc.transition_matrix(dis, t) @ vectors
+        assert _rel(osc.transition_matrix(dis, t, vectors), expected) <= 1e-14
+
+
+def test_centers_match_the_transition_on_both_routes():
+    model = _model("lorentzian", "star", 5, mixed=False)
+    betas = np.random.default_rng(6).normal(size=(5, 4)) + 0j
+    for propagator in (model.propagator, dense_propagator(model)):
+        bundle = propagator.bundle(6.0)
+        assert _rel(bundle.centers(betas), bundle.transition @ betas) <= 1e-14
+    # A bundle without a frame multiplies its own transition, bit for bit.
+    plain = dataclasses.replace(model.propagator.bundle(6.0))
+    assert plain.frame is None
+    assert np.array_equal(plain.centers(betas), plain.transition @ betas)
+
+
+def test_diagonal_width_sorts_like_its_matrix():
+    scale = 4.0
+    # Entries 2 and 3 sit within 1e-12 * scale: their quantized keys tie,
+    # so both forms keep them in their natural order, the larger first.
+    width = np.array([scale, 1.5, 2.0 + 0.3e-12 * scale, 2.0, 1.0, 1.5])
+    coeffs = osc.rotate_frame(width, vectors=False)
+    assert coeffs[0] is None
+    expected = osc.rotate_frame(np.diag(width), vectors=False)[1]
+    assert coeffs[1].tobytes() == expected.tobytes()
+    assert coeffs[1][3] == 2.0 + 0.3e-12 * scale and coeffs[1][4] == 2.0
+    rotation, full = osc.rotate_frame(width)
+    assert np.array_equal(rotation, osc.rotate_frame(np.diag(width))[0])
+    assert full.tobytes() == expected.tobytes()
