@@ -8,9 +8,12 @@ decoherence metrics (diffusion times, interference decay times, linear
 entropy, concurrence).  A brute-force truncated-Fock-space master-equation
 integrator serves as ground truth at small mode counts.
 
-The names below load on first use (PEP 562), so ``import oscnet`` imports no
-numpy; ``python -m oscnet`` relies on that to choose the BLAS thread count
-before numpy loads (see ``oscnet.__main__``).
+The package exports its submodules and every name in their ``__all__``,
+loaded on first use (PEP 562): a public name imports the submodules in the
+order of ``_SUBMODULES`` until one lists it.  So ``import oscnet`` imports
+no numpy, nor does ``oscnet.ValidationError``; ``python -m oscnet`` relies
+on that to choose the BLAS thread count before numpy loads (see
+``oscnet.__main__``).
 """
 
 import importlib
@@ -20,127 +23,24 @@ __version__ = "0.1.0"
 # Any of these, when set, leaves the BLAS thread count to the user.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-_EXPORTS = {
-    "errors": (
-        "ConfigError",
-        "CutoffOverflow",
-        "DefectiveMatrix",
-        "NoBracket",
-        "NonDissipativeMode",
-        "NonPositiveNormalMode",
-        "NullState",
-        "OscnetError",
-        "PositivityLost",
-        "QuadratureNotConverged",
-        "RootNotConverged",
-        "SingularSystem",
-        "SingularWidth",
-        "ValidationError",
-    ),
-    "network": (
-        "DissipativeMatrix",
-        "NetworkSpec",
-        "NormalModes",
-        "build_hamiltonian",
-        "coupling_regime",
-        "degenerate_symmetric_network",
-        "dissipative_matrix",
-        "normal_modes",
-    ),
-    "reservoirs": (
-        "GaussianBand",
-        "Lorentzian",
-        "RateMatrices",
-        "ReservoirSpec",
-        "WhiteNoise",
-        "mean_occupation",
-        "profile_overlap",
-        "rates_common",
-        "rates_distinct",
-        "rates_weak",
-        "temperature_for_occupation",
-    ),
-    "stationary": (
-        "StationaryWidth",
-        "kron_sum",
-        "lyapunov_residual",
-        "solve_pi_eigen",
-        "solve_pi_vec",
-        "stationary_width",
-    ),
-    "propagation": (
-        "Model",
-        "Propagator",
-        "PropagatorBundle",
-        "build_model",
-        "centroid",
-        "eta_flow",
-        "noise_width",
-        "rotate_frame",
-        "transition_matrix",
-    ),
-    "states": (
-        "CoherentBranch",
-        "CoherentComponent",
-        "CoherentMixture",
-        "FockBranch",
-        "FockMixture",
-        "build_cat_family",
-        "coherent_mixture",
-        "coherent_overlap",
-        "coherent_superposition",
-        "fock_mixture",
-        "fock_state_ring",
-        "single_coherent_state",
-    ),
-    "phasespace": (
-        "char_function",
-        "char_function_fock",
-        "moments",
-        "p_function",
-        "wigner",
-        "wigner_elements",
-        "wigner_from_char",
-        "wigner_grid",
-    ),
-    "metrics": (
-        "DecoherenceReport",
-        "concurrence",
-        "decay_function",
-        "decoherence_report",
-        "decoherence_time",
-        "directional_diffusion_times",
-        "interference_decay_time",
-        "linear_entropy",
-        "mean_diffusion_time",
-    ),
-    "oracle": (
-        "FockSpace",
-        "TruncatedDensityMatrix",
-        "density_from_coherent",
-        "density_from_fock",
-        "evolve_master",
-        "expect_lowering",
-        "expect_number_matrix",
-        "liouvillian_apply",
-        "oracle_char",
-        "oracle_partial_trace",
-        "oracle_purity",
-        "select_cutoff",
-    ),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = [*_EXPORTS, *_MODULE_OF]
+# Public names are looked up in this order; no name is in two of their ``__all__``.
+_SUBMODULES = (
+    "errors", "network", "reservoirs", "stationary", "propagation", "states",
+    "phasespace", "metrics", "oracle",
+)
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
+    if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
-    if name in _MODULE_OF:
-        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    if name == "__all__":
+        return [*_SUBMODULES, *(n for m in _SUBMODULES for n in __getattr__(m).__all__)]
+    if not name.startswith("_"):  # private and dunder names import nothing
+        for module in map(__getattr__, _SUBMODULES):
+            if name in module.__all__:
+                return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -272,6 +272,12 @@ class RunSpec:
     n_max: int | None
 
 
+def _check_tau_scan(times, state) -> None:
+    # tau_int scans the times for the pair of the first branch's first two components.
+    if len(times) < 2 and len(state.branches[0].components) > 1:
+        raise ConfigError("times", "tau_int of this state needs at least two times")
+
+
 def parse_config(config: dict) -> RunSpec:
     """Validate a raw config tree into a :class:`RunSpec`; raises ConfigError.
 
@@ -297,6 +303,8 @@ def parse_config(config: dict) -> RunSpec:
     common = _field(config, "reservoirs.common")
     if common and np.any(temps != temps[0]):
         raise ConfigError("reservoirs.temperature", "a common reservoir has a single temperature")
+    if overlap is not None and not common:
+        raise ConfigError("reservoirs.overlap", 'an overlap needs "common": true')
     reservoirs = _build(
         "reservoirs",
         ReservoirSpec,
@@ -314,6 +322,8 @@ def parse_config(config: dict) -> RunSpec:
     if times.size < 1 or np.any(times < 0) or np.any(np.diff(times) <= 0):
         raise ConfigError("times", "times must be increasing and >= 0")
     outputs = tuple(dict.fromkeys(_field(config, "outputs")))  # each kind once
+    if "tau_report" in outputs:
+        _check_tau_scan(times, state)
     points = _field(config, "wigner_grid.points")
     predicted = 8 * (2 * n + 1) * points ** (2 * n) if "wigner_grid" in outputs else 0
     if predicted > _BYTE_LIMIT:
@@ -636,6 +646,7 @@ def _parse_axis(text: str):
 
 def _sweep_metrics(config: dict) -> list[tuple[str, float]]:
     spec = parse_config(config)
+    _check_tau_scan(spec.times, spec.state)
     model = build_model(spec.network, spec.reservoirs, spec.regime)
     report = decoherence_report(spec.state, model, spec.times)
     return [

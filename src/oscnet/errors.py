@@ -1,5 +1,22 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "OscnetError",
+    "ValidationError",
+    "ConfigError",
+    "NonPositiveNormalMode",
+    "NonDissipativeMode",
+    "DefectiveMatrix",
+    "SingularSystem",
+    "SingularWidth",
+    "NullState",
+    "NoBracket",
+    "RootNotConverged",
+    "CutoffOverflow",
+    "PositivityLost",
+    "QuadratureNotConverged",
+]
+
 
 class OscnetError(Exception):
     """Base class for all package-specific errors."""

@@ -31,7 +31,6 @@ __all__ = [
     "normal_modes",
     "dissipative_matrix",
     "coupling_regime",
-    "WEAK_COUPLING_THRESHOLD",
 ]
 
 #: Advisory classifier threshold: strong when N * max|coupling| >= threshold * min(omega).

@@ -156,6 +156,32 @@ class TestValidation:
         assert "times.list" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_one_time_refused_where_tau_int_scans(self, verb, tmp_path):
+        # The cat's tau_int scans the times; sweep reports it whatever the outputs.
+        outputs = ["tau_report"] if verb == "run" else ["dcoef"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_base_config(times={"list": [1.0]}, outputs=outputs)))
+        out = tmp_path / "out"
+        axis = ["--axis", "reservoirs.temperature=0.5:1.0:2"] if verb == "sweep" else []
+        proc = _run_cli(verb, str(path), "--out", str(out), *axis)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: times:")
+        assert not out.exists()
+
+    def test_one_time_runs_without_a_scan(self, tmp_path):
+        # Curves alone scan nothing; a one-component state's tau_int is inf.
+        curves = _base_config(times={"list": [1.0]}, outputs=["dcoef", "entropy_curve"])
+        assert set(run_config(curves, tmp_path / "curves")) == {"dcoef", "entropy_curve"}
+        single = _base_config(
+            times={"list": [1.0]}, state={"kind": "coherent", "branches": [_BRANCH]}
+        )
+        run_config(single, tmp_path / "single")
+        payload = json.loads((tmp_path / "single" / "tau_report.json").read_text())
+        assert payload["tau_int"] == "inf"
+        run_sweep(single, [], tmp_path / "sweep", serial=True)
+        assert ",tau_int,inf" in (tmp_path / "sweep" / "sweep.csv").read_text()
+
     def test_non_integer_wigner_points_names_field(self, tmp_path):
         config = _base_config(outputs=["wigner_grid"])
         config["wigner_grid"] = {"points": "x"}
@@ -793,6 +819,39 @@ class TestLazyPackage:
         assert not hasattr(osc, "__wrapped__")
 
 
+    def test_no_name_in_two_submodules(self):
+        # The package returns the first submodule that lists a name.
+        owners = {}
+        for module in _EXPORTS:
+            for name in importlib.import_module(f"oscnet.{module}").__all__:
+                assert name not in owners, (name, owners.get(name), module)
+                owners[name] = module
+
+    def test_every_listed_name_exists(self):
+        for module in _EXPORTS:
+            defining = importlib.import_module(f"oscnet.{module}")
+            missing = [name for name in defining.__all__ if not hasattr(defining, name)]
+            assert not missing, (module, missing)
+
+    @pytest.mark.parametrize(
+        "probe, printed, loaded",
+        [
+            ("oscnet.ValidationError.__name__", "ValidationError", ["oscnet.errors"]),
+            ("hasattr(oscnet, '__wrapped__')", "False", []),
+        ],
+    )
+    def test_lookup_imports_nothing_it_does_not_need(self, probe, printed, loaded):
+        code = (
+            "import sys, oscnet\n"
+            f"print({probe})\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('oscnet.'))\n"
+            "print('numpy' in sys.modules, loaded)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines() == [printed, f"False {loaded}"]
+
 class TestCommandLineThreads:
     # ``python -m oscnet validate`` in a fresh interpreter, then the number of
     # threads alive and the thread variables it ends with.
@@ -1060,6 +1119,16 @@ class TestMoreConfigs:
         rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
         assert float(rows[0][0]) == 0.0 and 0.0 <= float(rows[0][1]) < 1e-12
         assert all(0.0 <= float(entropy) <= 1.0 for _, entropy in rows)
+
+    def test_overlap_without_common_reservoir_rejected(self, tmp_path, capsys):
+        config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1})
+        config["reservoirs"]["overlap"] = [[1.0, 0.5], [0.5, 1.0]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "o")]):
+            assert cli.main(argv) == 2
+            assert "config error: reservoirs.overlap:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_common_reservoir_mixed_temperatures_rejected(self):
         config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1})

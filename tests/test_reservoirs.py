@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -216,6 +218,35 @@ class TestOverlapFactors:
     def test_identical_profiles(self):
         p = osc.Lorentzian(gamma=0.1, center=1.0, width=0.2)
         assert_allclose(osc.profile_overlap(p, p), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "kind, center, width",
+        [
+            (osc.Lorentzian, 1.0, 0.2),
+            (osc.Lorentzian, -0.7, 0.3),
+            (osc.GaussianBand, 1.2, 0.05),
+            # Entirely below zero: quadrature on nu >= 0 underflows to 0 / 0.
+            (osc.GaussianBand, -1.3, 0.01),
+        ],
+    )
+    def test_same_shape_is_exactly_one(self, kind, center, width):
+        assert osc.profile_overlap(kind(0.1, center, width), kind(0.7, center, width)) == 1.0
+
+    def test_common_bath_of_one_shape_loads_no_quadrature(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import oscnet as osc\n"
+            "net = osc.NetworkSpec(omega=[1.0, 1.1], coupling=[[0.0, 0.05], [0.05, 0.0]])\n"
+            "p = osc.Lorentzian(gamma=0.05, center=1.0, width=0.5)\n"
+            "res = osc.ReservoirSpec(temperatures=[0.5, 0.5], profiles=(p, p), common=True)\n"
+            "osc.build_model(net, res, 'auto')\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_disjoint_bands(self):
         p = osc.GaussianBand(gamma=0.1, center=1.0, width=0.01)
