@@ -57,7 +57,7 @@ from .oracle import (
     oracle_purity,
     select_cutoff,
 )
-from .phasespace import char_function, moments, wigner_grid
+from .phasespace import _check_components, char_function, moments, wigner_grid
 from .propagation import Model, build_model
 from .reservoirs import GaussianBand, Lorentzian, ReservoirSpec, WhiteNoise
 from .states import (
@@ -283,8 +283,8 @@ def parse_config(config: dict) -> RunSpec:
 
     A requested Wigner grid whose coords and values, points^(2n) rows of
     2n + 1 float64, would exceed the oracle's byte limit is refused here,
-    before ``run`` writes anything, and so is a ``network.n`` whose N x N
-    working set would, before anything of size N is allocated.
+    before ``run`` writes anything, and so are a ``network.n`` and a state
+    whose N x N or K x K work arrays would, before any of them is allocated.
     """
     if not isinstance(config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -315,6 +315,7 @@ def parse_config(config: dict) -> RunSpec:
     )
     regime = _field(config, "regime")
     state = _state(config, n)
+    _build("state.branches", _check_components, sum(len(b.components) for b in state.branches))
     times = _field(config, "times.list")
     if times is None:  # stop <= start gives times that do not increase
         start, stop = _field(config, "times.start"), _field(config, "times.stop")

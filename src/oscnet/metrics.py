@@ -1,6 +1,6 @@
 """Decoherence metrics: diffusion times, interference decay, entropy, concurrence.
 
-The linear entropy is a log-space sum over one K x K Gram matrix, and
+The linear entropy is one factored product over a K x K Gram matrix, and
 concurrence a closed-form sum of coherent overlaps (dissipation-free, pure
 states); both are O(K^3) in the component count.
 
@@ -240,45 +240,39 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     sum over component pairs factorises exactly: ``det(W) Tr rho^2 =
     sum_{s, q} X[s, q] X[q, s]`` with
 
-        log X[s, q] = lse_r(logw[r, s] - H[s, r] + H[q, r]),
+        X[s, q] = sum_r exp(logw[r, s] - H[s, r] + H[q, r]).
 
-    lse a log-sum-exp shifted by its largest real part (the p-sum of the
-    other factor is X transposed).  Every exponent is formed whole in log
-    space, so widely separated components never underflow through
-    intermediate factors; cross-branch and zero-coefficient pairs are -inf
-    and drop out.  The work is O(K^3), in chunks of s whose (s, q, r) array
-    fits in ``phasespace._CHUNK_BYTES``, so memory stays bounded in the
-    component count.
+    By the Wigner grid's core, ``phasespace._shifted_exp``, ``X = Y *
+    exp(sa[s] + sb[q])`` with Y one product of row-shifted exponentials, so
+    ``Tr rho^2 = sum_{s, q} Y[s, q] Y[q, s] c_s c_q`` with ``c = exp(sa + sb
+    - log det(W) / 2)``: O(K^3) in a few K x K arrays.  Cross-branch and
+    zero-coefficient pairs are -inf and drop out.  Where some ``c_s c_q``
+    would pass ``exp(phasespace._FACTOR_LOG_MAX)`` (components of very
+    different amplitude), each X[s, q] is shifted by its own largest term
+    instead, one row of s at a time.
 
-    No eigenvectors are needed: log det W is the sum of the logs of the
-    bundle's cached diffusion coefficients (the eigenvalues of W, which the
-    ``dcoef`` output reads too), and det W is divided out inside the final
-    exponent.  H is the bundle's :meth:`~PropagatorBundle.inverse_form` of
-    the centroids.  Equals 0 for any pure state at t = 0 and stays 0
-    without dissipation.  A W with a coefficient <= 0,
-    or one that gives a purity above 1 by more than 1e-10 (rounding at
-    extreme temperatures), raises :class:`SingularWidth`; an entropy in
-    (-1e-10, 0) is returned as 0.
+    log det W is the sum of the logs of the bundle's cached diffusion
+    coefficients, and H its :meth:`~PropagatorBundle.inverse_form` of the
+    centroids: no eigenvectors.  Equals 0 for any pure state at t = 0 and
+    stays 0 without dissipation.  A W with a coefficient <= 0, or one that
+    gives a purity above 1 by more than 1e-10 (rounding at extreme
+    temperatures), raises :class:`SingularWidth`; an entropy in (-1e-10, 0)
+    is returned as 0.
     """
     betas, logw = phasespace._flat_components(state)
     gram = bundle.inverse_form(bundle.centers(betas.T))  # H[a, b]
     log_det = float(np.sum(np.log(bundle.diffusion_coeffs)))
     head = logw.T - gram  # (s, r): logw[r, s] - H[s, r]
-    k = gram.shape[0]
-    step = max(1, min(k, phasespace._CHUNK_BYTES // (16 * k * k)))
-    work = np.empty((step, k, k), dtype=complex)
-    log_x = np.empty((k, k), dtype=complex)
-    for start in range(0, k, step):
-        exponents = work[: min(step, k - start)]
-        np.add(head[start : start + step, None, :], gram[None, :, :], out=exponents)
-        # Shift by the largest real part; an all -inf row keeps shift 0.
-        shift = exponents.real.max(axis=-1)
-        shift[np.isneginf(shift)] = 0.0
-        exponents -= shift[..., None]
-        np.exp(exponents, out=exponents)
-        with np.errstate(divide="ignore"):
-            log_x[start : start + step] = np.log(exponents.sum(axis=-1)) + shift
-    purity = float(np.exp(log_x + log_x.T - log_det).sum().real)
+    (ea, sa), (eb, sb) = phasespace._shifted_exp(head), phasespace._shifted_exp(gram)
+    x = ea @ eb.T
+    scale = sa + sb - 0.5 * log_det
+    scale = np.add.outer(scale, scale)
+    if np.max(scale) > phasespace._FACTOR_LOG_MAX:
+        for s, row in enumerate(head):
+            terms, scale[s] = phasespace._shifted_exp(row + gram)  # (q, r)
+            x[s] = terms.sum(axis=1)
+        scale = scale + scale.T - log_det
+    purity = float(np.sum((x * x.T).real * np.exp(scale)))
     entropy = 1.0 - purity
     if entropy < -1e-10:
         raise SingularWidth(f"Wigner width at t = {bundle.t} gives a purity of {purity!r}, above 1")

@@ -17,12 +17,13 @@ index maps.  The oracle works in the Fock basis only and shares no formula
 with the Gaussian phase-space code it checks.
 
 Every array the oracle keeps scales with the Fock dimension ``dim =
-(n_max + 1)**n_modes``: the dense mode operators, built only when read, take
-``2 n dim^2`` complex entries and the evolution's working set
-``_WORK_ARRAYS`` dim x dim complex arrays, besides the snapshots it returns.  Sizes whose predicted bytes
-exceed ``_BYTE_LIMIT`` (1 GiB), and evolutions whose planned generator
-products exceed ``_PRODUCT_LIMIT``, are refused with a
-:class:`ValidationError` before anything is allocated or applied.
+(n_max + 1)**n_modes``: a density matrix takes dim^2 complex entries, the
+dense mode operators, built only when read, ``2 n dim^2`` and the
+evolution's working set ``_WORK_ARRAYS`` dim x dim complex arrays, besides
+the snapshots it returns.  Sizes whose predicted bytes exceed
+``_BYTE_LIMIT`` (1 GiB), and evolutions whose planned generator products
+exceed ``_PRODUCT_LIMIT``, are refused with a :class:`ValidationError`
+before anything is allocated or applied.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class FockSpace:
         self.n_max = n_max
         self.levels = n_max + 1
         self.dim = self.levels**n_modes
-        _check_bytes("dense mode operators", self.dim, 2 * n_modes * self.dim**2 * 16)
+        _check_bytes("a density matrix", self.dim, self.dim**2 * 16)
 
     @cached_property
     def lowering(self) -> list[np.ndarray]:
@@ -109,6 +110,7 @@ class FockSpace:
         The oracle's own evolution and observables work from ladder slices
         and index maps and never build these; they serve as references.
         """
+        _check_bytes("dense mode operators", self.dim, 2 * self.n_modes * self.dim**2 * 16)
         low = _mode_lowering(self.levels)
         eye = np.eye(self.levels)
         operators = []

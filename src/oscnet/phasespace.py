@@ -24,16 +24,12 @@ evaluated, off-diagonal ones counted twice, as ``exp(Re e) cos(Im e)``: the
 sum is real by construction.  The characteristic function keeps every
 ordered pair in complex arithmetic.
 
-:func:`wigner_grid` evaluates the same Hermitian sum on a cartesian grid by
-a factored route instead.  The pair part of the exponent is linear in the 2N
-grid coordinates, so it splits into one factor per axis; the factors of the
-first N axes and of the last N form two (points^N, pairs) matrices, built in
-blocks under ``_CHUNK_BYTES``, and the pair sum is their product, times
-``exp(q)`` per point.  Each factor is shifted to modulus <= 1 and the shifts
-are folded into the pair weights, so nothing overflows while the largest
-shifted weight stays under ``exp(_FACTOR_LOG_MAX)``.  Past that, the grid
-falls back to :func:`_pair_sum`: only on that route is the whole exponent
-formed in log space.
+:func:`wigner_grid` and :func:`~oscnet.metrics.linear_entropy` share a
+second core, :func:`_shifted_exp`: ``sum_k exp(a[i, k] + b[j, k])`` is one
+product of the row-shifted exponentials of a and b, the shifts kept in log
+form.  Where an exponent formed from the shifts would pass
+``_FACTOR_LOG_MAX``, the caller takes a log-space form: :func:`_pair_sum`
+for the grid, a per-entry shift for the entropy.
 """
 
 from __future__ import annotations
@@ -43,6 +39,7 @@ import math
 import numpy as np
 
 from .errors import QuadratureNotConverged, SingularWidth, ValidationError
+from .oracle import _BYTE_LIMIT
 from .propagation import PropagatorBundle
 from .states import CoherentMixture, FockMixture, _log_overlaps
 
@@ -61,10 +58,14 @@ _DET_FLOOR = 1e-14
 # Byte budget of the per-chunk arrays in `_pair_sum` and of the factor blocks
 # in `_factored_sum`; it alone sets how many points go in one chunk.
 _CHUNK_BYTES = 8 << 20
-# Largest log of a shifted pair weight that `wigner_grid` factors.  Each
-# factored term is then at most 2 e^600, and where exp(q) underflows
-# (q < -745) the part dropped is at most 2 * pairs * e^-145.
+# Largest exponent a caller of `_shifted_exp` may form from its shifts.
+# Each factored term is then at most e^600, and a term whose factors
+# underflow (below e^-745 of its shifts) is at most e^-145.
 _FACTOR_LOG_MAX = 600.0
+# K x K complex arrays alive at once in a Gaussian sum or the entropy
+# (tracemalloc reads 6.0 for the entropy, 9.0 for a Wigner grid at K = 625);
+# a component count whose arrays would pass the byte limit is refused first.
+_PAIR_ARRAYS = 10
 
 
 def _as_points(xi, n: int):
@@ -82,6 +83,7 @@ def _flat_components(state: CoherentMixture):
     components r, s of one branch, and -inf for cross-branch pairs.
     """
     comps = [c for branch in state.branches for c in branch.components]
+    _check_components(len(comps))
     betas = np.array([c.amplitudes for c in comps])
     coeffs = np.array([c.coefficient for c in comps])
     branch_of = np.array([j for j, b in enumerate(state.branches) for _ in b.components])
@@ -98,6 +100,15 @@ def _flat_components(state: CoherentMixture):
     same = branch_of[:, None] == branch_of[None, :]
     logw = np.where(same, logw, -np.inf + 0j)
     return betas, logw
+
+
+def _check_components(k: int) -> None:
+    predicted = _PAIR_ARRAYS * 16 * k * k
+    if predicted > _BYTE_LIMIT:
+        raise ValidationError(
+            f"{k} components would take {predicted} bytes of {k} x {k} work arrays, "
+            f"above the limit of {_BYTE_LIMIT} bytes"
+        )
 
 
 def _pair_weights(state: CoherentMixture):
@@ -124,49 +135,36 @@ def _pair_sum(pts, const, bra, form, ket=None):
     keep = ~np.isneginf(const.real)
     r_idx, s_idx = np.nonzero(np.triu(keep) if hermitian else keep)
     pair_const = const[r_idx, s_idx]
+    mult = np.where(r_idx == s_idx, 1.0, 2.0)
     count = pts.shape[0]
     # Bytes per point: at most 32 per kept pair, 64 per component and per mode.
     per_point = 32 * r_idx.size + 64 * (const.shape[0] + pts.shape[1])
     step = max(1, min(count, _CHUNK_BYTES // per_point))
     out = np.empty(count, dtype=float if hermitian else complex)
-    if hermitian:
-        mult = np.where(r_idx == s_idx, 1.0, 2.0)
-        x, y, z = (np.empty((step, r_idx.size)) for _ in range(3))
-    else:
-        x, y = (np.empty((step, r_idx.size), dtype=complex) for _ in range(2))
     for start in range(0, count, step):
         block = pts[start : start + step]
-        n = block.shape[0]
         row = block @ bra
         quad = np.einsum("pm,pm->p", block @ form, block.conj())
         if hermitian:
             # Re e = Re row_r + Re row_s + q + Re const and Im e = Im row_r
             # - Im row_s + Im const (q is real for a Hermitian form).
             a = row.real + 0.5 * quad.real[:, None]
-            xs, ys, zs = x[:n], y[:n], z[:n]
-            # mode="clip" lets np.take fill the buffer in place (indexes are valid).
-            np.take(a, r_idx, axis=1, out=xs, mode="clip")
-            np.take(a, s_idx, axis=1, out=ys, mode="clip")
-            xs += ys
-            xs += pair_const.real
+            re = a[:, r_idx]
+            re += a[:, s_idx]
+            re += pair_const.real
+            im = row.imag[:, r_idx]
+            im -= row.imag[:, s_idx]
+            im += pair_const.imag
             with np.errstate(over="ignore"):
-                np.exp(xs, out=xs)
-            np.take(row.imag, r_idx, axis=1, out=ys, mode="clip")
-            np.take(row.imag, s_idx, axis=1, out=zs, mode="clip")
-            ys -= zs
-            ys += pair_const.imag
-            np.cos(ys, out=ys)
-            xs *= ys
-            out[start : start + n] = xs @ mult
+                np.exp(re, out=re)
+            re *= np.cos(im, out=im)
+            out[start : start + step] = re @ mult
         else:
-            xs, ys = x[:n], y[:n]
-            np.take(row + quad[:, None], r_idx, axis=1, out=xs, mode="clip")
-            np.take(block.conj() @ ket, s_idx, axis=1, out=ys, mode="clip")
-            xs += ys
-            xs += pair_const
+            e = (row + quad[:, None])[:, r_idx]
+            e += (block.conj() @ ket)[:, s_idx]
+            e += pair_const
             with np.errstate(over="ignore"):
-                np.exp(xs, out=xs)
-            out[start : start + n] = xs.sum(axis=1)
+                out[start : start + step] = np.exp(e, out=e).sum(axis=1)
     return out
 
 
@@ -364,12 +362,23 @@ def wigner_from_char(
     return fine
 
 
-def _factored_sum(coords, axes, const, bra, form):
-    """The Hermitian `_pair_sum` on a cartesian grid, factored over its axes.
+def _shifted_exp(x):
+    """``(exp(x - shift), shift)``, ``shift`` the largest real part of each row
+    (0 for an all -inf row), so every factor has modulus <= 1.
 
-    Returns None, leaving the grid to `_pair_sum`, when a pair's shifted
-    weight exceeds ``exp(_FACTOR_LOG_MAX)``.
+    With ``(ea, sa)`` and ``(eb, sb)`` those of a and b, ``sum_k exp(a[i, k]
+    + b[j, k]) = (ea @ eb.T)[i, j] * exp(sa[i] + sb[j])``; callers keep every
+    exponent they form from the shifts under ``_FACTOR_LOG_MAX``.
     """
+    shift = x.real.max(axis=-1)
+    shift[np.isneginf(shift)] = 0.0
+    factor = x - shift[..., None]
+    return np.exp(factor, out=factor), shift
+
+
+def _factored_sum(coords, points, const, bra, form):
+    """The Hermitian `_pair_sum` on a cartesian grid, factored over its axes;
+    None where a point's exponent would pass ``_FACTOR_LOG_MAX``."""
     n = bra.shape[0]
     r_idx, s_idx = np.nonzero(np.triu(~np.isneginf(const.real)))
     # Axis a of the grid (re or im part of mode a // 2) enters pair p's
@@ -378,51 +387,41 @@ def _factored_sum(coords, axes, const, bra, form):
     br, bs = bra[:, r_idx], bra[:, s_idx].conj()
     coef[0::2] = br + bs
     coef[1::2] = 1j * (br - bs)
-    # Re(coef * u) is monotone in u, so its largest value over an axis sits
-    # at one of the axis's ends.
-    ends = np.array([[axis[0], axis[-1]] for axis in axes])
-    shift = np.maximum(coef.real * ends[:, :1], coef.real * ends[:, 1:])
-    pair_const = const[r_idx, s_idx]
-    if np.max(pair_const.real + shift.sum(axis=0)) > _FACTOR_LOG_MAX:
-        return None
-    # Grid points in "ij" order: the first n axes pick the row of the
-    # (left, right) table, the last n the column.
-    n_right = len(axes[0]) ** n
-    grid = coords.reshape(-1, n_right, 2 * n)
-    left, right = grid[:, 0, :n], grid[0, :, n:]
-    right_shift = shift[n:].sum(axis=0)
-    mult = np.where(r_idx == s_idx, 1.0, 2.0)
-    left_offset = pair_const + np.log(mult) + right_shift
-    table = np.empty((left.shape[0], n_right))
-    # One left and one right block of complex factors, and the left block's
-    # successor while it is built, stay within _CHUNK_BYTES.
-    step = max(1, _CHUNK_BYTES // (64 * r_idx.size))
-    for k in range(0, n_right, step):
-        rhs = right[k : k + step] @ coef[n:]
-        rhs -= right_shift
-        np.exp(rhs, out=rhs)
-        # Re(L R) = Re L Re R - Im L Im R: a real product of the interleaved
-        # (re, im) views of L and conj(R).
-        rhs = np.conjugate(rhs, out=rhs).view(float)
-        for j in range(0, left.shape[0], step):
-            lhs = left[j : j + step] @ coef[:n]
-            lhs += left_offset
-            np.exp(lhs, out=lhs)
-            np.matmul(lhs.view(float), rhs.T, out=table[j : j + step, k : k + step])
-    values = table.reshape(-1)
+    # Off-diagonal pairs count twice.
+    pair_const = const[r_idx, s_idx] + np.log(np.where(r_idx == s_idx, 1.0, 2.0))
     # q = Re(xi form conj(xi)) as a real quadratic form in the interleaved
     # (re, im) coordinates; form is Hermitian.
     real_form = np.empty((2 * n, 2 * n))
     real_form[0::2, 0::2] = real_form[1::2, 1::2] = form.real
     real_form[0::2, 1::2] = form.imag
     real_form[1::2, 0::2] = -form.imag
-    # Bytes per point: at most 32 per mode, plus q itself.
-    step = max(1, _CHUNK_BYTES // (32 * n + 16))
-    for start in range(0, values.size, step):
-        block = coords[start : start + step]
-        quad = np.einsum("pi,pi->p", block @ real_form, block)
-        values[start : start + step] *= np.exp(quad, out=quad)
-    return values
+    # Grid points in "ij" order: the first n axes pick the row of the
+    # (left, right) table, the last n the column.
+    grid = coords.reshape(-1, points**n, 2 * n)
+    left, right = grid[:, 0, :n], grid[0, :, n:]
+    table = np.empty(grid.shape[:2])
+    # The left and right factor blocks, and a (step, step) block of points
+    # with its coordinates, stay within _CHUNK_BYTES.
+    step = max(1, min(_CHUNK_BYTES // (64 * r_idx.size), math.isqrt(_CHUNK_BYTES // (16 * n + 32))))
+    for k in range(0, right.shape[0], step):
+        rhs, sb = _shifted_exp(right[k : k + step] @ coef[n:])
+        # Re(L R^T) = Re L Re R^T - Im L Im R^T: a real product of the
+        # interleaved (re, im) views of L and conj(R).
+        rhs = np.conjugate(rhs, out=rhs).view(float)
+        for j in range(0, left.shape[0], step):
+            terms = left[j : j + step] @ coef[:n]
+            terms += pair_const
+            lhs, sa = _shifted_exp(terms)
+            block = grid[j : j + step, k : k + step]
+            scale = np.einsum("abi,abi->ab", block @ real_form, block)
+            scale += sa[:, None]
+            scale += sb
+            if np.max(scale) > _FACTOR_LOG_MAX:
+                return None
+            prod = table[j : j + step, k : k + step]
+            np.matmul(lhs.view(float), rhs.T, out=prod)
+            prod *= np.exp(scale, out=scale)
+    return table.reshape(-1)
 
 
 def _grid_coords(axes):
@@ -443,11 +442,10 @@ def wigner_grid(state: CoherentMixture, bundle: PropagatorBundle, ranges, points
 
     The pair part of each exponent is linear in the 2N grid coordinates, so
     the pair sum is one product of a (points^N, pairs) factor matrix over the
-    first N axes with one over the last N, times ``exp(q)`` per point; each
-    factor is shifted to modulus <= 1 and the shifts folded into the pair
-    weight.  Only when a shifted pair weight would exceed
-    ``exp(_FACTOR_LOG_MAX)`` does the grid go through :func:`wigner`'s
-    kernel, the one route that forms the whole exponent in log space.
+    first N axes with one over the last N (:func:`_shifted_exp`), its row
+    shifts added to q in each point's exponent.  Only where such an
+    exponent would pass ``_FACTOR_LOG_MAX`` does the grid go through
+    :func:`wigner`'s kernel, which forms the whole exponent in log space.
     """
     n = state.n_modes
     if len(ranges) != n:
@@ -458,7 +456,7 @@ def wigner_grid(state: CoherentMixture, bundle: PropagatorBundle, ranges, points
         axes.append(np.linspace(im_min, im_max, points))
     coords = _grid_coords(axes)
     det, const, bra, form = _gaussian_terms(state, bundle, bundle.wigner_width)
-    total = _factored_sum(coords, axes, const, bra, form)
+    total = _factored_sum(coords, points, const, bra, form)
     if total is None:
         total = _pair_sum(coords[:, 0::2] + 1j * coords[:, 1::2], const, bra, form)
     return coords, (2.0 / np.pi) ** n / det * total

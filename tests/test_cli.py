@@ -253,6 +253,18 @@ class TestValidation:
         assert info.value.path == "--axis network.n"
         assert str(cli._BYTE_LIMIT) in info.value.message
 
+    def test_component_count_bytes_checked(self, monkeypatch):
+        # Three components: ten complex 3 x 3 work arrays take 10 * 16 * 3^2 bytes.
+        branch = {"weight": 1.0, "components": [_BRANCH["components"][0]] * 3}
+        config = _base_config(state={"kind": "coherent", "branches": [branch]})
+        monkeypatch.setattr(phasespace, "_BYTE_LIMIT", 10 * 16 * 3**2)
+        parse_config(config)
+        monkeypatch.setattr(phasespace, "_BYTE_LIMIT", 10 * 16 * 3**2 - 1)
+        with pytest.raises(ConfigError) as info:
+            parse_config(config)
+        assert info.value.path == "state.branches"
+        assert str(phasespace._BYTE_LIMIT) in info.value.message
+
     @pytest.mark.parametrize("n", [20000, 10**6])
     def test_oversized_network_refused_before_allocation(self, n, tmp_path, capsys):
         # A scalar omega and coupling stand for N and N x N arrays; at these

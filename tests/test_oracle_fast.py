@@ -332,10 +332,23 @@ def test_observables_match_dense_traces(rng, n_modes, n_max):
 
 
 def test_oversized_space_raises_typed_error():
+    # Its one density matrix alone would take 1.3e14 bytes.
     with pytest.raises(ValidationError, match="Fock dimension 2825761") as info:
         osc.FockSpace(4, 40)
     assert isinstance(info.value, OscnetError)
     assert str(oracle._BYTE_LIMIT) in str(info.value)
+
+
+def test_space_refuses_only_the_operators_it_would_build():
+    # dim 2048: the evolution's working set fits the limit, the dense mode
+    # operators do not, so the space constructs and refuses them when read.
+    space = osc.FockSpace(11, 1)
+    assert oracle._WORK_ARRAYS * space.dim**2 * 16 == 536_870_912 < oracle._BYTE_LIMIT
+    for name in ("lowering", "raising"):
+        with pytest.raises(ValidationError, match="dense mode operators for Fock dimension 2048") as info:
+            getattr(space, name)
+        assert "1476395008 bytes" in str(info.value)
+        assert str(oracle._BYTE_LIMIT) in str(info.value)
 
 
 def test_oversized_generator_refused_before_allocation():

@@ -1,19 +1,23 @@
-"""The chunked pair-sum kernels behind char_function, p_function, wigner and
-linear_entropy.
+"""The pair-sum kernels behind char_function, p_function, wigner, wigner_grid
+and linear_entropy.
 
 The reference formulas below are the earlier evaluators, which built the full
-(points, K, K) exponent, or the K^4 purity kernel, at once, or took the
-purity's Gram matrix in the eigenframe of the Wigner width; the kernels must
-reproduce them.
+(points, K, K) exponent, or the K^4 purity kernel, at once, took the purity's
+Gram matrix in the eigenframe of the Wigner width, or summed it in log space
+in chunks of rows; the kernels must reproduce them.  Extended-precision sums
+judge the factored core against its log-space forms.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import oscnet as osc
 from oscnet import phasespace, propagation
+
+from oscnet.errors import SingularWidth, ValidationError
 
 from conftest import two_branch_mixture, white_model, zero_coefficient_state
 
@@ -218,16 +222,35 @@ def test_large_cat_stays_pure_without_dissipation():
         assert abs(osc.linear_entropy(cat, model.propagator.bundle(t))) < 1e-10
 
 
-def test_purity_chunks_over_s(pair_model, monkeypatch):
+def _chunked_linear_entropy(state, bundle, chunk_bytes):
+    # The log-space kernel linear_entropy used before its factored form:
+    # log X[s, q] = lse_r(logw[r, s] - H[s, r] + H[q, r]) in chunks of s.
+    betas, logw = phasespace._flat_components(state)
+    gram = bundle.inverse_form(bundle.centers(betas.T))
+    log_det = float(np.sum(np.log(bundle.diffusion_coeffs)))
+    head = logw.T - gram
+    k = gram.shape[0]
+    step = max(1, min(k, chunk_bytes // (16 * k * k)))
+    log_x = np.empty((k, k), dtype=complex)
+    for start in range(0, k, step):
+        exponents = head[start : start + step, None, :] + gram[None, :, :]
+        shift = exponents.real.max(axis=-1)
+        shift[np.isneginf(shift)] = 0.0
+        with np.errstate(divide="ignore"):
+            log_x[start : start + step] = (
+                np.log(np.exp(exponents - shift[..., None]).sum(axis=-1)) + shift
+            )
+    return 1.0 - float(np.exp(log_x + log_x.T - log_det).sum().real)
+
+
+def test_purity_chunks_over_s(pair_model):
     ring = osc.fock_state_ring([1, 1], radius=0.6, points=8)  # K = 64
     bundle = pair_model.propagator.bundle(2.0)
     whole = osc.linear_entropy(ring, bundle)
     # One (s, q, r) row of 64 x 64 complex numbers is 64 KiB: five rows per
-    # chunk leave a short last chunk of four.
-    monkeypatch.setattr(phasespace, "_CHUNK_BYTES", 5 * 16 * 64 * 64 + 100)
-    assert abs(osc.linear_entropy(ring, bundle) - whole) <= 1e-14
-    monkeypatch.setattr(phasespace, "_CHUNK_BYTES", 1)  # one row per chunk
-    assert abs(osc.linear_entropy(ring, bundle) - whole) <= 1e-14
+    # chunk leave a short last chunk of four; then one row per chunk.
+    for chunk_bytes in (5 * 16 * 64 * 64 + 100, 1):
+        assert abs(_chunked_linear_entropy(ring, bundle, chunk_bytes) - whole) <= 1e-14
 
 
 def test_ring144_purity_memory_bounded(pair_model):
@@ -322,3 +345,137 @@ def test_distinct_lorentzian_n150_purity_matches_frame_kernel(rng):
         for state in states:
             expected = _frame_linear_entropy(state, bundle)
             assert abs(osc.linear_entropy(state, bundle) - expected) <= 1e-12, t
+
+
+def test_component_count_refused_before_allocation(pair_model, monkeypatch):
+    ring = osc.fock_state_ring([1, 1], radius=0.6, points=8)  # K = 64
+    bundle = pair_model.propagator.bundle(2.0)
+    bundle.diffusion_coeffs
+    monkeypatch.setattr(phasespace, "_BYTE_LIMIT", phasespace._PAIR_ARRAYS * 16 * 64**2 - 1)
+    grid = [(-1.0, 1.0, -1.0, 1.0)] * 2
+    for evaluate in (
+        lambda: osc.linear_entropy(ring, bundle),
+        lambda: osc.wigner_grid(ring, bundle, grid, 3),
+        lambda: osc.char_function(ring, np.zeros(2), bundle),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=str(phasespace._BYTE_LIMIT)):
+                evaluate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 64**2  # not one K x K complex array
+
+
+# The factored core against its log-space forms, both summed from the same
+# float64 inputs and judged by sums in extended precision.  Cases: separated
+# cats at |alpha| = 10 and 25, the one-mode |alpha| = 20 cat, the
+# 144-component ring, and (entropy only) components of very different
+# amplitude, where the factored form overflows.
+_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+_ONE_MODE = white_model(n=1, gamma=0.25, nbar=0.5)
+_PAIR_MODEL = white_model(n=2, coupling=0.2, gamma=0.05, nbar=0.5)
+_JUDGED = {
+    # name: (model, state, grid half-width, grid points)
+    "cat10": (_PAIR_MODEL, lambda: osc.build_cat_family(2, 1, 1, 10.0), 14.0, 9),
+    "cat25": (_PAIR_MODEL, lambda: osc.build_cat_family(2, 1, 1, 25.0), 33.0, 9),
+    "cat20": (_ONE_MODE, lambda: osc.build_cat_family(1, 1, 0, 20.0), 28.0, 41),
+    "ring144": (
+        _PAIR_MODEL,
+        lambda: osc.fock_state_ring([1, 1], radius=0.6, points=12),
+        2.5,
+        3,
+    ),
+    "far_apart": (
+        _PAIR_MODEL,
+        lambda: osc.coherent_mixture(
+            [osc.coherent_superposition([1.0, 1.0], [[0.0, 0.0], [30.0, 0.0]])]
+        ),
+        None,
+        None,
+    ),
+}
+
+
+def _both_routes(monkeypatch, evaluate):
+    """``evaluate()`` as routed, then forced onto the factored and the log-space form."""
+    routed = evaluate()
+    forced = []
+    for log_max in (np.inf, -np.inf):
+        with monkeypatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(phasespace, "_FACTOR_LOG_MAX", log_max)
+            try:
+                forced.append(evaluate())
+            except SingularWidth:  # an overflowed purity reads above 1
+                forced.append(np.nan)
+    return routed, forced
+
+
+def _assert_closer_form_taken(routed, forced, error, slack):
+    errors = [error(value) for value in forced]
+    errors = [e if np.isfinite(e) else np.inf for e in errors]
+    taken = 0 if np.array_equal(routed, forced[0]) else 1
+    assert np.array_equal(routed, forced[taken])
+    # Taken: the closer form, or one within rounding of it.
+    assert errors[taken] <= errors[1 - taken] + slack, errors
+    return taken
+
+
+@pytest.mark.skipif(not _EXTENDED, reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("name", sorted(_JUDGED))
+def test_entropy_route_against_extended_precision(name, monkeypatch):
+    model, make, _, _ = _JUDGED[name]
+    state = make()
+    taken = set()
+    # The ring's extended-precision sums take about a second per time.
+    for t in (0.5,) if name == "ring144" else (0.0, 0.5, 5.0):
+        bundle = model.propagator.bundle(t)
+        betas, logw = phasespace._flat_components(state)
+        gram = bundle.inverse_form(bundle.centers(betas.T)).astype(np.clongdouble)
+        head = logw.T.astype(np.clongdouble) - gram
+        x = np.array([np.exp(row + gram).sum(axis=1) for row in head])  # (s, q)
+        log_det = np.longdouble(float(np.sum(np.log(bundle.diffusion_coeffs))))
+        purity = (x * x.T).sum().real / np.exp(log_det)
+        routed, forced = _both_routes(monkeypatch, lambda: osc.linear_entropy(state, bundle))
+        error = lambda entropy: float(abs(1 - np.longdouble(entropy) - purity))  # noqa: E731
+        assert error(routed) <= 1e-13
+        taken.add(_assert_closer_form_taken(routed, forced, error, 1e-15))
+    # Only the far-apart components, and only before damping has drawn them
+    # together, take the log-space form.
+    assert taken == ({0, 1} if name == "far_apart" else {0})
+
+
+@pytest.mark.skipif(not _EXTENDED, reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("name", sorted(set(_JUDGED) - {"far_apart"}))
+def test_grid_route_against_extended_precision(name, monkeypatch):
+    model, make, half, points = _JUDGED[name]
+    state = make()
+    taken = set()
+    for t in (0.5,) if name == "ring144" else (0.0, 0.5, 2.0):
+        bundle = model.propagator.bundle(t)
+        ranges = [(-half, half, -half, half)] * state.n_modes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            routed, forced = _both_routes(
+                monkeypatch, lambda: osc.wigner_grid(state, bundle, ranges, points)[1]
+            )
+        coords, _ = osc.wigner_grid(state, bundle, ranges, points)
+        det, const, bra, form = phasespace._gaussian_terms(state, bundle, bundle.wigner_width)
+        xi = (coords[:, 0::2] + 1j * coords[:, 1::2]).astype(np.clongdouble)
+        keep = ~np.isneginf(const.real)
+        row = xi @ bra.astype(np.clongdouble)
+        quad = np.einsum("pm,mn,pn->p", xi, form.astype(np.clongdouble), xi.conj()).real
+        exponent = (
+            const.astype(np.clongdouble)[keep]
+            + row[:, np.nonzero(keep)[0]]
+            + row.conj()[:, np.nonzero(keep)[1]]
+            + quad[:, None]
+        )
+        exact = np.exp(exponent).sum(axis=1).real * (2.0 / np.pi) ** state.n_modes / det
+        scale = float(np.max(np.abs(exact)))
+        error = lambda values: float(np.max(np.abs(values - exact))) / scale  # noqa: E731
+        assert error(routed) <= 1e-12
+        taken.add(_assert_closer_form_taken(routed, forced, error, 1e-15))
+    # Only the |alpha| = 25 cat, and only at early times, takes `_pair_sum`.
+    assert taken == ({0, 1} if name == "cat25" else {0})

@@ -462,23 +462,25 @@ class TestWignerGrid:
         _assert_matches_wigner(state, bundle, coords, values)
 
     def test_large_cat_trips_the_guard(self, pair_model, monkeypatch):
-        # |alpha| = 10 on +-14: a shifted pair weight reaches e^719, past the
-        # guard, so the grid goes through the log-space kernel.
-        cat = osc.build_cat_family(2, 1, 1, 10.0)
+        # |alpha| = 25 on +-33: the row shifts of the factors put exponents up
+        # to e^1250 on some points, past the guard, so the grid goes through
+        # the log-space kernel.
+        cat = osc.build_cat_family(2, 1, 1, 25.0)
         bundle = pair_model.propagator.bundle(0.0)
-        ranges = [(-14.0, 14.0, -14.0, 14.0)] * 2
+        ranges = [(-33.0, 33.0, -33.0, 33.0)] * 2
         coords, values, fallbacks = _grid_route(monkeypatch, cat, bundle, ranges, 9)
         assert fallbacks == 1
         assert np.all(np.isfinite(values))
         _assert_matches_wigner(cat, bundle, coords, values, rel=0.0)
 
     def test_guard_is_needed(self, pair_model, monkeypatch):
-        # Without the guard the same grid overflows its factors.
+        # |alpha| = 25 on +-33: without the guard, the row shifts of the
+        # factors put exponents up to e^1250 on some points, which overflow.
         monkeypatch.setattr(phasespace, "_FACTOR_LOG_MAX", np.inf)
-        cat = osc.build_cat_family(2, 1, 1, 10.0)
+        cat = osc.build_cat_family(2, 1, 1, 25.0)
         bundle = pair_model.propagator.bundle(0.0)
         with pytest.warns(RuntimeWarning):
-            _, values = osc.wigner_grid(cat, bundle, [(-14.0, 14.0, -14.0, 14.0)] * 2, 9)
+            _, values = osc.wigner_grid(cat, bundle, [(-33.0, 33.0, -33.0, 33.0)] * 2, 9)
         assert not np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
