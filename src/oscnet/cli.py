@@ -43,12 +43,12 @@ from pathlib import Path
 import numpy as np
 
 from . import _BLAS_THREAD_VARIABLES, __version__
-from .errors import ConfigError, OscnetError
+from .errors import ConfigError, OscnetError, _check_bytes
 from .metrics import decoherence_report, linear_entropy
 from .network import NetworkSpec
 from .oracle import (
-    _BYTE_LIMIT,
     FockSpace,
+    _check_working_set,
     density_from_coherent,
     evolve_master,
     expect_lowering,
@@ -247,14 +247,8 @@ _MODEL_ARRAYS = 16
 
 
 def _check_network_size(n: int, path: str) -> None:
-    predicted = _MODEL_ARRAYS * 16 * n * n
-    if predicted > _BYTE_LIMIT:
-        raise ConfigError(
-            path,
-            f"a network of {n} oscillators would take {predicted} bytes in "
-            f"{_MODEL_ARRAYS} complex {n} x {n} work arrays, above the limit of "
-            f"{_BYTE_LIMIT} bytes",
-        )
+    what = f"a network of {n} oscillators in {_MODEL_ARRAYS} complex {n} x {n} work arrays"
+    _build(path, _check_bytes, what, _MODEL_ARRAYS * 16 * n * n)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,9 +276,9 @@ def parse_config(config: dict) -> RunSpec:
     """Validate a raw config tree into a :class:`RunSpec`; raises ConfigError.
 
     A requested Wigner grid whose coords and values, points^(2n) rows of
-    2n + 1 float64, would exceed the oracle's byte limit is refused here,
-    before ``run`` writes anything, and so are a ``network.n`` and a state
-    whose N x N or K x K work arrays would, before any of them is allocated.
+    2n + 1 float64, would exceed the byte limit is refused here, before
+    ``run`` writes anything, and so are a ``network.n``, a state and a given
+    ``oracle.n_max`` whose N x N, K x K or requested oracle work arrays would.
     """
     if not isinstance(config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -326,17 +320,15 @@ def parse_config(config: dict) -> RunSpec:
     if "tau_report" in outputs:
         _check_tau_scan(times, state)
     points = _field(config, "wigner_grid.points")
-    predicted = 8 * (2 * n + 1) * points ** (2 * n) if "wigner_grid" in outputs else 0
-    if predicted > _BYTE_LIMIT:
-        raise ConfigError(
-            "wigner_grid.points",
-            f"a grid of {points}^{2 * n} points would take {predicted} bytes, "
-            f"above the limit of {_BYTE_LIMIT} bytes",
-        )
+    if "wigner_grid" in outputs:
+        grid = f"a grid of {points}^{2 * n} points"
+        _build("wigner_grid.points", _check_bytes, grid, 8 * (2 * n + 1) * points ** (2 * n))
     ranges = _field(config, "wigner_grid.ranges", shape=(n, 4))
     index = _field(config, "wigner_grid.time_index", low=-len(times), high=len(times))
     wigner = (points, [[-3.0, 3.0, -3.0, 3.0]] * n if ranges is None else ranges, index)
     n_max = _field(config, "oracle.n_max")
+    if n_max is not None and "oracle_compare" in outputs:
+        _build("oracle.n_max", _check_working_set, (n_max + 1) ** n)
     return RunSpec(network, reservoirs, regime, state, times, outputs, wigner, n_max)
 
 

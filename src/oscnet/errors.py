@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one byte limit.
+
+Every refusal before an allocation passes its predicted bytes to
+:func:`_check_bytes`, which raises a :class:`ValidationError` naming them and
+``_BYTE_LIMIT`` (1 GiB); each caller counts the arrays it allocates itself.
+"""
 
 __all__ = [
     "OscnetError",
@@ -80,3 +85,14 @@ class PositivityLost(OscnetError):
 
 class QuadratureNotConverged(OscnetError):
     """Doubling the quadrature nodes changed the result by more than the tolerance."""
+
+
+_BYTE_LIMIT = 1 << 30  # largest predicted size of one structure any check allows
+
+
+def _check_bytes(what: str, predicted: int) -> None:
+    """Refuse ``what`` if its ``predicted`` bytes pass ``_BYTE_LIMIT``."""
+    if predicted > _BYTE_LIMIT:
+        raise ValidationError(
+            f"{what} would take {predicted} bytes, above the limit of {_BYTE_LIMIT} bytes"
+        )

@@ -189,7 +189,9 @@ def interference_decay_time(
     method closes on it.  If the grid ends with the gap still positive, the
     t -> infinity limit decides between a genuinely absent crossing
     (``inf``) and a too-short grid (:class:`NoBracket`); it needs only the
-    trace tr P + N of the stationary Wigner width, not its spectrum.
+    trace tr P + N of the stationary Wigner width, not its spectrum.  That
+    limit assumes T(t) -> 0; without dissipation T is unitary and W = I, so
+    the gap stays 4 and the time is ``inf`` whatever the grid.
     """
     beta_r, beta_s = _component_pair(state, r, s, branch)
     delta = beta_r - beta_s
@@ -211,6 +213,8 @@ def interference_decay_time(
         f_left = f_right
     if first <= 0:
         raise ValidationError("grid starts past the crossing; start earlier")
+    if not np.any(propagator.dissipative.eigenvalues.real):
+        return math.inf
     n = delta.size
     spread = float(np.trace(propagator.width.matrix).real) + n
     limit = -2.0 * float(np.sum(np.abs(delta) ** 2)) + 4.0 * n / spread
@@ -253,11 +257,11 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
 
     log det W is the sum of the logs of the bundle's cached diffusion
     coefficients, and H its :meth:`~PropagatorBundle.inverse_form` of the
-    centroids: no eigenvectors.  Equals 0 for any pure state at t = 0 and
-    stays 0 without dissipation.  A W with a coefficient <= 0, or one that
-    gives a purity above 1 by more than 1e-10 (rounding at extreme
-    temperatures), raises :class:`SingularWidth`; an entropy in (-1e-10, 0)
-    is returned as 0.
+    centroids: no eigenvectors.  Equals 0, to rounding, for any pure state
+    at t = 0 and stays 0 without dissipation.  A W with a coefficient <= 0,
+    or one that gives a purity above 1 by more than 1e-10 (rounding at
+    extreme temperatures), raises :class:`SingularWidth`; an entropy in
+    (-1e-10, 0) is returned as 0.
     """
     betas, logw = phasespace._flat_components(state)
     gram = bundle.inverse_form(bundle.centers(betas.T))  # H[a, b]

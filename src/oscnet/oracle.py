@@ -20,10 +20,12 @@ Every array the oracle keeps scales with the Fock dimension ``dim =
 (n_max + 1)**n_modes``: a density matrix takes dim^2 complex entries, the
 dense mode operators, built only when read, ``2 n dim^2`` and the
 evolution's working set ``_WORK_ARRAYS`` dim x dim complex arrays, besides
-the snapshots it returns.  Sizes whose predicted bytes exceed
-``_BYTE_LIMIT`` (1 GiB), and evolutions whose planned generator products
-exceed ``_PRODUCT_LIMIT``, are refused with a :class:`ValidationError`
-before anything is allocated or applied.
+the snapshots it returns.  Sizes whose predicted bytes exceed the
+package's byte limit (1 GiB, :func:`oscnet.errors._check_bytes`), and
+evolutions whose planned generator products exceed ``_PRODUCT_LIMIT``, are
+refused with a :class:`ValidationError` before anything is allocated or
+applied; :func:`_check_working_set` lets the CLI refuse an explicit cutoff
+the same way before a run starts.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CutoffOverflow, PositivityLost, ValidationError
+from .errors import CutoffOverflow, PositivityLost, ValidationError, _check_bytes
 from .states import CoherentMixture, FockMixture
 
 __all__ = [
@@ -55,10 +57,6 @@ __all__ = [
 
 _TOP_LEVEL_LIMIT = 1e-6
 _TAIL_LIMIT = 1e-8
-# Largest predicted size of one oracle structure (dense mode operators, or the
-# evolution's working set); larger truncated spaces are refused up front.  The
-# CLI refuses a Wigner grid above the same limit.
-_BYTE_LIMIT = 1 << 30
 # dim x dim complex arrays alive at once while evolve_master runs, besides the
 # snapshots it returns (tracemalloc reads 6.2 at dim 343).
 _WORK_ARRAYS = 8
@@ -68,12 +66,9 @@ _WORK_ARRAYS = 8
 _PRODUCT_LIMIT = 100_000
 
 
-def _check_bytes(what: str, dim: int, predicted: int) -> None:
-    if predicted > _BYTE_LIMIT:
-        raise ValidationError(
-            f"{what} for Fock dimension {dim} would take {predicted} bytes, "
-            f"above the oracle limit of {_BYTE_LIMIT} bytes; lower n_max or n_modes"
-        )
+def _check_working_set(dim: int) -> None:
+    """Refuse a Fock dimension whose evolution working set would pass the byte limit."""
+    _check_bytes(f"generator working set for Fock dimension {dim}", _WORK_ARRAYS * dim**2 * 16)
 
 
 def _mode_lowering(levels: int) -> np.ndarray:
@@ -101,7 +96,7 @@ class FockSpace:
         self.n_max = n_max
         self.levels = n_max + 1
         self.dim = self.levels**n_modes
-        _check_bytes("a density matrix", self.dim, self.dim**2 * 16)
+        _check_bytes(f"a density matrix for Fock dimension {self.dim}", self.dim**2 * 16)
 
     @cached_property
     def lowering(self) -> list[np.ndarray]:
@@ -110,7 +105,8 @@ class FockSpace:
         The oracle's own evolution and observables work from ladder slices
         and index maps and never build these; they serve as references.
         """
-        _check_bytes("dense mode operators", self.dim, 2 * self.n_modes * self.dim**2 * 16)
+        predicted = 2 * self.n_modes * self.dim**2 * 16
+        _check_bytes(f"dense mode operators for Fock dimension {self.dim}", predicted)
         low = _mode_lowering(self.levels)
         eye = np.eye(self.levels)
         operators = []
@@ -303,7 +299,7 @@ class _Generator:
         scale = max(1.0, float(np.max(np.abs(hamiltonian))))
         if not np.max(np.abs(hamiltonian - hamiltonian.conj().T)) <= 1e-12 * scale:
             raise ValidationError("hamiltonian matrix is not Hermitian")
-        _check_bytes("generator working set", dim, _WORK_ARRAYS * dim**2 * 16)
+        _check_working_set(dim)
         self.dim = dim
         self._view = (levels,) * n + (dim,)
         occupations = np.indices((levels,) * n).reshape(n, dim)

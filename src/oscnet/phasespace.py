@@ -38,8 +38,7 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureNotConverged, SingularWidth, ValidationError
-from .oracle import _BYTE_LIMIT
+from .errors import QuadratureNotConverged, SingularWidth, ValidationError, _check_bytes
 from .propagation import PropagatorBundle
 from .states import CoherentMixture, FockMixture, _log_overlaps
 
@@ -103,12 +102,7 @@ def _flat_components(state: CoherentMixture):
 
 
 def _check_components(k: int) -> None:
-    predicted = _PAIR_ARRAYS * 16 * k * k
-    if predicted > _BYTE_LIMIT:
-        raise ValidationError(
-            f"{k} components would take {predicted} bytes of {k} x {k} work arrays, "
-            f"above the limit of {_BYTE_LIMIT} bytes"
-        )
+    _check_bytes(f"the {k} x {k} work arrays of {k} components", _PAIR_ARRAYS * 16 * k * k)
 
 
 def _pair_weights(state: CoherentMixture):

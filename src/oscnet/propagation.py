@@ -86,15 +86,15 @@ class PropagatorBundle:
     coefficients never depend on which was read first.  :meth:`centers`
     gives the evolved centroids.
 
-    A bundle built in the normal-mode frame also carries ``frame`` (the
-    real orthogonal C) and ``frame_width`` (the real diagonal of
-    ``C @ wigner_width @ C.T``, which is diagonal there), and takes its
-    coefficients, quadratic forms and centroids without the dense matrices:
-    its ``transition``, ``noise`` and ``wigner_width`` are built on first
-    read and cached.  ``frame`` and ``frame_width`` are ``init=False``
-    fields that default to ``None``: a bundle derived with
-    ``dataclasses.replace`` has no frame and falls back to its dense
-    fields, diagonalizing its width afresh.
+    A bundle from :meth:`Propagator.bundle` builds its ``transition``,
+    ``noise`` and ``wigner_width`` on first read and caches them.  One built
+    in the normal-mode frame also carries ``frame`` (the real orthogonal C)
+    and ``frame_width`` (the real diagonal of ``C @ wigner_width @ C.T``,
+    which is diagonal there), and takes its coefficients, quadratic forms
+    and centroids without the dense matrices.  ``frame`` and
+    ``frame_width`` are ``init=False`` fields that default to ``None``: a
+    bundle derived with ``dataclasses.replace`` has no frame and falls back
+    to its dense fields, diagonalizing its width afresh.
     """
 
     t: float
@@ -104,26 +104,15 @@ class PropagatorBundle:
     frame: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     frame_width: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    @classmethod
-    def _in_frame(cls, t: float, dis: DissipativeMatrix, excess: np.ndarray):
-        # A frame bundle sets no dense field; __getattr__ builds each on
-        # first read from the generator and the excess X * (1 - |e|^2).
-        bundle = object.__new__(cls)
-        bundle.__dict__.update(
-            t=t, frame=dis.frame, frame_width=excess + 1.0, _dis=dis, _excess=excess
-        )
-        return bundle
-
     def __getattr__(self, name):
-        # Reached only for an attribute with no value: on a frame bundle, a
-        # dense field not read yet.
-        if name not in _DENSE_FIELDS or "_dis" not in self.__dict__:
+        # Reached only for an attribute with no value: on a bundle from
+        # Propagator.bundle, a dense field not read yet.
+        if name not in _DENSE_FIELDS or "_propagator" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         if name == "transition":
-            value = transition_matrix(self._dis, self.t)
+            value = transition_matrix(self._propagator.dissipative, self.t)
         elif name == "noise":
-            value = (self.frame.T * self._excess) @ self.frame
-            value = 0.5 * (value + value.T) + 0j
+            value = self._propagator._noise(self)
         else:
             value = self.noise + np.eye(self.n)
         self.__dict__[name] = value
@@ -158,7 +147,7 @@ class PropagatorBundle:
         """
         if self.frame is None:
             return self.transition @ betas
-        return transition_matrix(self._dis, self.t, betas)
+        return transition_matrix(self._propagator.dissipative, self.t, betas)
 
     def inverse_form(self, vectors: np.ndarray):
         """Quadratic form ``v^T W^-1 conj(v)`` of the Wigner width W.
@@ -269,8 +258,8 @@ class Propagator:
     parallel.  When the generator was read off the normal modes
     (``dis.frame`` is their real orthogonal transform C) and ``C P C.T`` is
     diagonal to rounding (equal temperatures), it builds each width in that
-    frame in O(N) and leaves the dense matrices to first read; otherwise it
-    takes the dense route.
+    frame in O(N); otherwise it takes the dense route.  Either way a bundle
+    builds its dense matrices on first read.
     """
 
     def __init__(self, dis: DissipativeMatrix, width: StationaryWidth):
@@ -289,22 +278,28 @@ class Propagator:
         return self.dissipative.matrix.shape[0]
 
     def bundle(self, t: float) -> PropagatorBundle:
-        if self._core is None:
-            transition = transition_matrix(self.dissipative, t)
-            noise = noise_width(self.width.matrix, transition)
-            noise = 0.5 * (noise + noise.conj().T)
-            return PropagatorBundle(
-                t=float(t),
-                transition=transition,
-                noise=noise,
-                wigner_width=noise + np.eye(self.n),
-            )
+        """The bundle at time t; its dense fields are built on first read."""
         if t < 0:
             raise ValidationError("time must be >= 0")
-        # 1 - |e|^2 = -expm1(-2 Re(lambda) t), exact at small t where the
-        # difference would cancel.
-        excess = self._core * -np.expm1(-2.0 * self.dissipative.eigenvalues.real * t)
-        return PropagatorBundle._in_frame(float(t), self.dissipative, excess)
+        bundle = object.__new__(PropagatorBundle)
+        bundle.__dict__.update(t=float(t), _propagator=self)
+        if self._core is not None:
+            # 1 - |e|^2 = -expm1(-2 Re(lambda) t), exact at small t where the
+            # difference would cancel.
+            excess = self._core * -np.expm1(-2.0 * self.dissipative.eigenvalues.real * t)
+            bundle.__dict__.update(
+                frame=self.dissipative.frame, frame_width=excess + 1.0, _excess=excess
+            )
+        return bundle
+
+    def _noise(self, bundle: PropagatorBundle) -> np.ndarray:
+        """Hermitian noise width of one of this propagator's bundles: the frame
+        product ``C.T diag(X * (1 - |e|^2)) C``, or ``noise_width(P, T)``."""
+        if bundle.frame is not None:
+            noise = (bundle.frame.T * bundle._excess) @ bundle.frame
+            return 0.5 * (noise + noise.T) + 0j
+        noise = noise_width(self.width.matrix, bundle.transition)
+        return 0.5 * (noise + noise.conj().T)
 
     def bundles(self, times) -> list[PropagatorBundle]:
         return [self.bundle(t) for t in times]

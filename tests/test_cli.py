@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
-from oscnet import cli, metrics, phasespace, propagation
+from oscnet import cli, errors, metrics, phasespace, propagation
 from oscnet.cli import canonical_json, config_hash, parse_config, run_config, run_sweep
 from oscnet.errors import ConfigError
 
@@ -225,45 +225,47 @@ class TestValidation:
         assert not out.exists()
 
     def test_wigner_grid_bytes_checked_only_when_requested(self, monkeypatch):
-        # One mode: coords and values take 8 * 3 * points^2 bytes.
-        assert cli._BYTE_LIMIT is osc.oracle._BYTE_LIMIT
+        # One mode: coords and values take 8 * 3 * points^2 bytes.  The one
+        # limit lives in oscnet.errors; no module keeps a copy to patch.
+        for module in (cli, phasespace, osc.oracle):
+            assert not hasattr(module, "_BYTE_LIMIT"), module
         config = _base_config(outputs=["wigner_grid"], wigner_grid={"points": 10})
-        monkeypatch.setattr(cli, "_BYTE_LIMIT", 8 * 3 * 10**2)
+        monkeypatch.setattr(errors, "_BYTE_LIMIT", 8 * 3 * 10**2)
         parse_config(config)
-        monkeypatch.setattr(cli, "_BYTE_LIMIT", 8 * 3 * 10**2 - 1)
+        monkeypatch.setattr(errors, "_BYTE_LIMIT", 8 * 3 * 10**2 - 1)
         with pytest.raises(ConfigError) as info:
             parse_config(config)
         assert info.value.path == "wigner_grid.points"
-        assert str(cli._BYTE_LIMIT) in info.value.message
+        assert str(errors._BYTE_LIMIT) in info.value.message
         parse_config(dict(config, outputs=["tau_report", "entropy_curve"]))
 
     def test_network_size_bytes_checked(self, monkeypatch):
         # Ten modes: 16 complex 10 x 10 work arrays take 16 * 16 * 10^2 bytes.
         config = _base_config(network={"n": 10, "omega": 1.0, "coupling": 0.01})
-        monkeypatch.setattr(cli, "_BYTE_LIMIT", 16 * 16 * 10**2)
+        monkeypatch.setattr(errors, "_BYTE_LIMIT", 16 * 16 * 10**2)
         parse_config(config)
         assert cli._parse_axis("network.n=2:10:3")[1] == [2, 6, 10]
-        monkeypatch.setattr(cli, "_BYTE_LIMIT", 16 * 16 * 10**2 - 1)
+        monkeypatch.setattr(errors, "_BYTE_LIMIT", 16 * 16 * 10**2 - 1)
         with pytest.raises(ConfigError) as info:
             parse_config(config)
         assert info.value.path == "network.n"
-        assert str(cli._BYTE_LIMIT) in info.value.message
+        assert str(errors._BYTE_LIMIT) in info.value.message
         with pytest.raises(ConfigError) as info:
             cli._parse_axis("network.n=2:10:3")
         assert info.value.path == "--axis network.n"
-        assert str(cli._BYTE_LIMIT) in info.value.message
+        assert str(errors._BYTE_LIMIT) in info.value.message
 
     def test_component_count_bytes_checked(self, monkeypatch):
         # Three components: ten complex 3 x 3 work arrays take 10 * 16 * 3^2 bytes.
         branch = {"weight": 1.0, "components": [_BRANCH["components"][0]] * 3}
         config = _base_config(state={"kind": "coherent", "branches": [branch]})
-        monkeypatch.setattr(phasespace, "_BYTE_LIMIT", 10 * 16 * 3**2)
+        monkeypatch.setattr(errors, "_BYTE_LIMIT", 10 * 16 * 3**2)
         parse_config(config)
-        monkeypatch.setattr(phasespace, "_BYTE_LIMIT", 10 * 16 * 3**2 - 1)
+        monkeypatch.setattr(errors, "_BYTE_LIMIT", 10 * 16 * 3**2 - 1)
         with pytest.raises(ConfigError) as info:
             parse_config(config)
         assert info.value.path == "state.branches"
-        assert str(phasespace._BYTE_LIMIT) in info.value.message
+        assert str(errors._BYTE_LIMIT) in info.value.message
 
     @pytest.mark.parametrize("n", [20000, 10**6])
     def test_oversized_network_refused_before_allocation(self, n, tmp_path, capsys):
@@ -276,7 +278,7 @@ class TestValidation:
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith("config error: network.n: ") and str(cli._BYTE_LIMIT) in err
+            assert err.startswith("config error: network.n: ") and str(errors._BYTE_LIMIT) in err
         assert not out.exists()
         small = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.0})
         path.write_text(json.dumps(small))
@@ -294,6 +296,7 @@ class TestValidation:
             ({"n_max": True}, "oracle.n_max"),
             ([1], "oracle"),
             ("big", "oracle"),
+            ({"n_max": 3000}, "oracle.n_max"),  # a 1.15e9-byte generator working set
         ],
     )
     def test_malformed_oracle_rejected_before_any_output(self, node, field, tmp_path, capsys):
@@ -467,6 +470,21 @@ class TestRun:
         run_config(config, tmp_path)
         payload = json.loads((tmp_path / "tau_report.json").read_text())
         assert payload["tau_diff"] == "inf"
+
+    def test_dissipation_free_tau_int_serialized(self, tmp_path, capsys):
+        # No damping: the gap never moves, so no grid could bracket a crossing.
+        config = _base_config(
+            network={"n": 2, "omega": [1.0, 1.02], "coupling": 0.1},
+            reservoirs={"temperature": 0.0, "profile": {"kind": "white", "gamma": 0.0}},
+            state={"kind": "cat", "r": 1, "s": 1, "alpha": 0.7},
+            times={"start": 0.0, "stop": 4.0, "steps": 5},
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads((tmp_path / "out" / "tau_report.json").read_text())
+        assert payload["tau_int"] == "inf" and payload["tau_d"] == "inf"
 
     def test_curve_outputs(self, tmp_path):
         config = _base_config(outputs=["dcoef", "entropy_curve"])
@@ -689,6 +707,18 @@ class TestStartup:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_gaussian_modules_load_no_oracle(self):
+        # The oracle is the independent judge of the Gaussian code: nothing
+        # Gaussian imports it, not even for the byte limit.
+        code = (
+            "import sys, oscnet.metrics, oscnet.phasespace\n"
+            "print('oscnet.oracle' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_gaussian_run_loads_no_scipy(self, tmp_path):
         # Mixed white-noise and Lorentzian baths, every Gaussian output: the

@@ -252,6 +252,21 @@ class TestInterferenceDecayTime:
         tau = osc.interference_decay_time(cat, 0, 1, model.propagator, grid)
         assert math.isinf(tau)
 
+    @pytest.mark.parametrize("stop", [4.0, 400.0])
+    def test_dissipation_free_pair_is_infinite(self, stop):
+        # Without damping T is unitary and W = I: the decay function stays 1
+        # on any grid, and the t -> infinity limit of a damped model does not
+        # apply.
+        net = osc.NetworkSpec(omega=[1.0, 1.02], coupling=[[0.0, 0.1], [0.1, 0.0]])
+        res = osc.ReservoirSpec(temperatures=[0.0, 0.0], profiles=(osc.WhiteNoise(0.0),) * 2)
+        model = osc.build_model(net, res)
+        cat = osc.build_cat_family(2, 1, 1, 0.7)
+        grid = np.linspace(0.0, stop, 5)
+        for t in grid:
+            assert_allclose(osc.decay_function(cat, 0, 1, model.propagator.bundle(t)), 1.0)
+        assert osc.interference_decay_time(cat, 0, 1, model.propagator, grid) == math.inf
+        assert osc.decoherence_report(cat, model, grid).tau_int == math.inf
+
 
 class TestDecoherenceTime:
     def test_harmonic(self):

@@ -30,7 +30,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
-from oscnet import oracle
+from oscnet import errors, oracle
 from oscnet.cli import main, parse_config, run_config
 from oscnet.errors import OscnetError, PositivityLost, ValidationError
 
@@ -63,7 +63,8 @@ def _generator(space, hamiltonian, damping, diffusion) -> scipy.sparse.csr_array
     if damping.shape != (n, n) or diffusion.shape != (n, n):
         raise ValidationError("rate matrices have the wrong shape")
     dim = space.dim
-    oracle._check_bytes("sparse generator", dim, (1 + 4 * n * n) * dim**2 * _ENTRY_BYTES)
+    what = f"sparse generator for Fock dimension {dim}"
+    errors._check_bytes(what, (1 + 4 * n * n) * dim**2 * _ENTRY_BYTES)
     lowering = [scipy.sparse.csr_array(op) for op in space.lowering]
     raising = [scipy.sparse.csr_array(op) for op in space.raising]
     loss = 0.5 * (damping + diffusion)
@@ -336,19 +337,19 @@ def test_oversized_space_raises_typed_error():
     with pytest.raises(ValidationError, match="Fock dimension 2825761") as info:
         osc.FockSpace(4, 40)
     assert isinstance(info.value, OscnetError)
-    assert str(oracle._BYTE_LIMIT) in str(info.value)
+    assert str(errors._BYTE_LIMIT) in str(info.value)
 
 
 def test_space_refuses_only_the_operators_it_would_build():
     # dim 2048: the evolution's working set fits the limit, the dense mode
     # operators do not, so the space constructs and refuses them when read.
     space = osc.FockSpace(11, 1)
-    assert oracle._WORK_ARRAYS * space.dim**2 * 16 == 536_870_912 < oracle._BYTE_LIMIT
+    assert oracle._WORK_ARRAYS * space.dim**2 * 16 == 536_870_912 < errors._BYTE_LIMIT
     for name in ("lowering", "raising"):
         with pytest.raises(ValidationError, match="dense mode operators for Fock dimension 2048") as info:
             getattr(space, name)
         assert "1476395008 bytes" in str(info.value)
-        assert str(oracle._BYTE_LIMIT) in str(info.value)
+        assert str(errors._BYTE_LIMIT) in str(info.value)
 
 
 def test_oversized_generator_refused_before_allocation():
@@ -356,8 +357,8 @@ def test_oversized_generator_refused_before_allocation():
     # working set would not; a stand-in space shows the check runs before
     # anything is built.
     space = types.SimpleNamespace(n_modes=2, n_max=59, levels=60, dim=60**2)
-    assert 4 * space.dim**2 * 16 < oracle._BYTE_LIMIT
-    assert oracle._WORK_ARRAYS * space.dim**2 * 16 > oracle._BYTE_LIMIT
+    assert 4 * space.dim**2 * 16 < errors._BYTE_LIMIT
+    assert oracle._WORK_ARRAYS * space.dim**2 * 16 > errors._BYTE_LIMIT
     rates = np.zeros((2, 2))
     tracemalloc.start()
     try:

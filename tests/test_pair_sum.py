@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oscnet as osc
-from oscnet import phasespace, propagation
+from oscnet import errors, phasespace, propagation
 
 from oscnet.errors import SingularWidth, ValidationError
 
@@ -351,7 +351,7 @@ def test_component_count_refused_before_allocation(pair_model, monkeypatch):
     ring = osc.fock_state_ring([1, 1], radius=0.6, points=8)  # K = 64
     bundle = pair_model.propagator.bundle(2.0)
     bundle.diffusion_coeffs
-    monkeypatch.setattr(phasespace, "_BYTE_LIMIT", phasespace._PAIR_ARRAYS * 16 * 64**2 - 1)
+    monkeypatch.setattr(errors, "_BYTE_LIMIT", phasespace._PAIR_ARRAYS * 16 * 64**2 - 1)
     grid = [(-1.0, 1.0, -1.0, 1.0)] * 2
     for evaluate in (
         lambda: osc.linear_entropy(ring, bundle),
@@ -360,7 +360,7 @@ def test_component_count_refused_before_allocation(pair_model, monkeypatch):
     ):
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match=str(phasespace._BYTE_LIMIT)):
+            with pytest.raises(ValidationError, match=str(errors._BYTE_LIMIT)):
                 evaluate()
             _, peak = tracemalloc.get_traced_memory()
         finally:
