@@ -23,6 +23,13 @@ restore the earlier count afterwards.  Setting ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` leaves the count to the user.
 ``dcoef`` and ``entropy_curve`` share one pass over the times, building each
 time's propagator bundle once.
+
+A run loads only what its outputs read.  The config hash is SHA-256 from
+CPython's built-in module, not ``hashlib``, so no run maps OpenSSL.  The Fock
+oracle (``oscnet.oracle``) is a lazy module whose source is read and run only
+by ``oracle_compare`` and by the check of a given ``oracle.n_max``.  ``run``
+hashes the config before it builds the model, so the hash's JSON text is
+gone before the model's arrays exist.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import argparse
 import contextlib
 import ctypes
 import dataclasses
-import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -43,20 +50,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _BLAS_THREAD_VARIABLES, __version__
-from .errors import ConfigError, OscnetError, _check_bytes
+from .errors import ConfigError, OscnetError, _check_bytes, _count
 from .metrics import decoherence_report, linear_entropy
 from .network import NetworkSpec
-from .oracle import (
-    FockSpace,
-    _check_working_set,
-    density_from_coherent,
-    evolve_master,
-    expect_lowering,
-    expect_number_matrix,
-    oracle_char,
-    oracle_purity,
-    select_cutoff,
-)
 from .phasespace import _check_components, char_function, moments, wigner_grid
 from .propagation import Model, build_model
 from .reservoirs import GaussianBand, Lorentzian, ReservoirSpec, WhiteNoise
@@ -66,6 +62,36 @@ from .states import (
     coherent_mixture,
     coherent_superposition,
 )
+
+# SHA-256 from CPython's built-in module, as random.py takes SHA-512: hashlib
+# would map OpenSSL's libcrypto (about 3.5 MB resident) for the same digest.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+
+def _lazy_import(name: str):
+    """Module ``name``, put in ``sys.modules`` unexecuted if not loaded yet:
+    its source is read, compiled and run on the first attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# The Fock oracle serves only oracle_compare and the check of a given
+# oracle.n_max, so a Gaussian run never runs its source.  It sits in
+# sys.modules all the same, for tools that patch the loaded modules'
+# functions (bench/tracing.py).
+_oracle = _lazy_import(f"{__package__}.oracle")
 
 OUTPUT_KINDS = ("tau_report", "dcoef", "wigner_grid", "entropy_curve", "oracle_compare")
 
@@ -247,7 +273,8 @@ _MODEL_ARRAYS = 16
 
 
 def _check_network_size(n: int, path: str) -> None:
-    what = f"a network of {n} oscillators in {_MODEL_ARRAYS} complex {n} x {n} work arrays"
+    size = _count(n)
+    what = f"a network of {size} oscillators in {_MODEL_ARRAYS} complex {size} x {size} work arrays"
     _build(path, _check_bytes, what, _MODEL_ARRAYS * 16 * n * n)
 
 
@@ -328,7 +355,7 @@ def parse_config(config: dict) -> RunSpec:
     wigner = (points, [[-3.0, 3.0, -3.0, 3.0]] * n if ranges is None else ranges, index)
     n_max = _field(config, "oracle.n_max")
     if n_max is not None and "oracle_compare" in outputs:
-        _build("oracle.n_max", _check_working_set, (n_max + 1) ** n)
+        _build("oracle.n_max", _oracle._check_working_set, (n_max + 1) ** n)
     return RunSpec(network, reservoirs, regime, state, times, outputs, wigner, n_max)
 
 
@@ -336,8 +363,13 @@ def canonical_json(config: dict) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
+def _text_hash(text: str) -> str:
+    """The hash of a config's canonical JSON ``text``."""
+    return _sha256(text.encode()).hexdigest()[:16]
+
+
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
+    return _text_hash(canonical_json(config))
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +516,10 @@ def _oracle_table(spec: RunSpec, model: Model):
         model.rates.damping.diagonal(), 1e-300
     )
     if n_max is None:
-        n_max = select_cutoff(largest_amp, float(np.max(occupations)))
-    space = FockSpace(model.network.n, n_max)
-    rho0 = density_from_coherent(space, state)
-    evolved = evolve_master(
+        n_max = _oracle.select_cutoff(largest_amp, float(np.max(occupations)))
+    space = _oracle.FockSpace(model.network.n, n_max)
+    rho0 = _oracle.density_from_coherent(space, state)
+    evolved = _oracle.evolve_master(
         rho0,
         model.hamiltonian,
         model.rates.damping,
@@ -500,10 +532,10 @@ def _oracle_table(spec: RunSpec, model: Model):
     for snapshot in evolved:
         bundle = model.propagator.bundle(snapshot.t)
         chi_model = char_function(state, eta_pts, bundle)
-        chi_oracle = oracle_char(snapshot.rho, eta_pts, space)
+        chi_oracle = _oracle.oracle_char(snapshot.rho, eta_pts, space)
         first, second = moments(state, bundle)
-        err_first = np.max(np.abs(first - expect_lowering(snapshot.rho, space)))
-        err_second = np.max(np.abs(second - expect_number_matrix(snapshot.rho, space)))
+        err_first = np.max(np.abs(first - _oracle.expect_lowering(snapshot.rho, space)))
+        err_second = np.max(np.abs(second - _oracle.expect_number_matrix(snapshot.rho, space)))
         purity_model = 1.0 - linear_entropy(state, bundle)
         rows.append(
             [
@@ -511,7 +543,7 @@ def _oracle_table(spec: RunSpec, model: Model):
                 float(np.max(np.abs(chi_model - chi_oracle))),
                 float(err_first),
                 float(err_second),
-                abs(purity_model - oracle_purity(snapshot.rho)),
+                abs(purity_model - _oracle.oracle_purity(snapshot.rho)),
             ]
         )
     columns = ["t", "max_chi_err", "max_first_moment_err", "max_second_moment_err", "purity_err"]
@@ -575,9 +607,9 @@ def run_config(config: dict, out_dir: Path) -> dict:
     Wigner grid comes last, so its arrays never coexist with the oracle's.
     """
     spec = parse_config(config)
+    digest = config_hash(config)  # its JSON text is freed before the model exists
     model = build_model(spec.network, spec.reservoirs, spec.regime)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = config_hash(config)
     curves = _time_curves(spec, model)
     artifacts = {}
     for kind in sorted(spec.outputs, key="wigner_grid".__eq__):
@@ -730,7 +762,7 @@ def _load_config(path: str) -> dict:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError("<file>", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4 300 digits
         raise ConfigError("<file>", f"invalid JSON: {exc}")
 
 
@@ -764,8 +796,9 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         if args.command == "validate":
             parse_config(config)
-            print(canonical_json(config))
-            print(f"config_hash {config_hash(config)}")
+            text = canonical_json(config)
+            print(text)
+            print(f"config_hash {_text_hash(text)}")
         elif args.command == "run":
             for kind, path in run_config(config, Path(args.out)).items():
                 print(f"{kind}: {path}")

@@ -5,6 +5,8 @@ Every refusal before an allocation passes its predicted bytes to
 ``_BYTE_LIMIT`` (1 GiB); each caller counts the arrays it allocates itself.
 """
 
+import math
+
 __all__ = [
     "OscnetError",
     "ValidationError",
@@ -90,9 +92,15 @@ class QuadratureNotConverged(OscnetError):
 _BYTE_LIMIT = 1 << 30  # largest predicted size of one structure any check allows
 
 
+def _count(n: int) -> str:
+    """``n`` in decimal below 2^64, from there as its power of ten: Python
+    refuses to print an int of more than 4 300 digits."""
+    return str(n) if n.bit_length() <= 64 else f"about 10^{math.log10(n):.0f}"
+
+
 def _check_bytes(what: str, predicted: int) -> None:
     """Refuse ``what`` if its ``predicted`` bytes pass ``_BYTE_LIMIT``."""
     if predicted > _BYTE_LIMIT:
         raise ValidationError(
-            f"{what} would take {predicted} bytes, above the limit of {_BYTE_LIMIT} bytes"
+            f"{what} would take {_count(predicted)} bytes, above the limit of {_BYTE_LIMIT} bytes"
         )

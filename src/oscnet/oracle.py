@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CutoffOverflow, PositivityLost, ValidationError, _check_bytes
+from .errors import CutoffOverflow, PositivityLost, ValidationError, _check_bytes, _count
 from .states import CoherentMixture, FockMixture
 
 __all__ = [
@@ -68,7 +68,8 @@ _PRODUCT_LIMIT = 100_000
 
 def _check_working_set(dim: int) -> None:
     """Refuse a Fock dimension whose evolution working set would pass the byte limit."""
-    _check_bytes(f"generator working set for Fock dimension {dim}", _WORK_ARRAYS * dim**2 * 16)
+    what = f"generator working set for Fock dimension {_count(dim)}"
+    _check_bytes(what, _WORK_ARRAYS * dim**2 * 16)
 
 
 def _mode_lowering(levels: int) -> np.ndarray:
@@ -96,7 +97,7 @@ class FockSpace:
         self.n_max = n_max
         self.levels = n_max + 1
         self.dim = self.levels**n_modes
-        _check_bytes(f"a density matrix for Fock dimension {self.dim}", self.dim**2 * 16)
+        _check_bytes(f"a density matrix for Fock dimension {_count(self.dim)}", self.dim**2 * 16)
 
     @cached_property
     def lowering(self) -> list[np.ndarray]:
@@ -106,7 +107,7 @@ class FockSpace:
         and index maps and never build these; they serve as references.
         """
         predicted = 2 * self.n_modes * self.dim**2 * 16
-        _check_bytes(f"dense mode operators for Fock dimension {self.dim}", predicted)
+        _check_bytes(f"dense mode operators for Fock dimension {_count(self.dim)}", predicted)
         low = _mode_lowering(self.levels)
         eye = np.eye(self.levels)
         operators = []

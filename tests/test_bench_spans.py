@@ -8,6 +8,9 @@ function fails here too.  The benchmark's modules are imported, not changed.
 """
 
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,32 @@ def test_required_spans_fire(bench, name, tmp_path):
 def test_every_smoke_workload_is_covered(bench):
     _, workloads = bench
     assert set(workloads.SMOKE_SIZES) == {"big_network", "ring_wigner", "oracle_check", "size_sweep"}
+
+
+def test_traced_run_after_importing_the_cli_alone(bench, tmp_path):
+    # bench/traced_run.py imports only oscnet.cli before the tracer patches
+    # the oscnet modules then in sys.modules, so the oracle must be there
+    # already (unexecuted) for its spans to fire.
+    _, workloads = bench
+    workload = workloads.generate("oracle_check", workloads.DEFAULT_SEED, smoke=True)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workload.config))
+    job = {
+        "workload": "oracle_check",
+        "workload_id": "oracle_check:smoke",
+        "config": str(config),
+        "out": str(tmp_path / "out"),
+        "axes": [],
+        "spans": str(tmp_path / "spans.jsonl"),
+    }
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps(job))
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "traced_run.py"), str(job_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["missing_spans"] == []
+    assert result["metrics"]["oracle.evolve_master.calls"] == 1

@@ -287,6 +287,36 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("config error: --axis network.n: ")
         assert not out.exists()
 
+    def test_astronomic_wigner_grid_refused_by_field(self, tmp_path, capsys):
+        # 1100 modes pass the network check; a 100-point grid on them would
+        # take about 10^4404 bytes, a count Python will not print in decimal.
+        config = _base_config(
+            network={"n": 1100, "omega": 1.0, "coupling": 0.0},
+            outputs=["wigner_grid"],
+            wigner_grid={"points": 100},
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_config(config)
+        assert info.value.path == "wigner_grid.points"
+        assert "would take about 10^4404 bytes" in info.value.message
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: wigner_grid.points: ")
+
+    def test_astronomic_network_refused_by_field(self, tmp_path, capsys):
+        # In process any int goes; a config file's integer of over 4 300
+        # digits is refused by the JSON reader itself.
+        config = _base_config(network={"n": 10**5000, "omega": 1.0, "coupling": 0.0})
+        with pytest.raises(ConfigError) as info:
+            parse_config(config)
+        assert info.value.path == "network.n"
+        assert "a network of about 10^5000 oscillators" in info.value.message
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_base_config()).replace('"n": 1', '"n": 1' + "0" * 5000))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: <file>: invalid JSON: ")
+
     @pytest.mark.parametrize(
         "node, field",
         [
@@ -778,6 +808,89 @@ class TestStartup:
         )
         assert proc.stdout.strip() == "[]"
         assert (tmp_path / "out" / "oracle_compare.csv").exists()
+
+    @staticmethod
+    def _run_main(config, tmp_path):
+        """Modules of interest whose code ran in ``oscnet run`` in a fresh
+        interpreter.  The oracle sits in sys.modules from the start as a lazy
+        module, which becomes a plain module object when its code runs."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = (
+            "import sys, types\n"
+            "from oscnet.__main__ import main\n"
+            f"assert main(['run', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "names = ('_hashlib', 'oscnet.oracle')\n"
+            "print([m for m in names if type(sys.modules.get(m)) is types.ModuleType])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_gaussian_run_loads_no_openssl_and_no_oracle(self, tmp_path):
+        config = _base_config(outputs=["tau_report", "dcoef", "entropy_curve"])
+        assert self._run_main(config, tmp_path) == "[]"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "dcoef.csv",
+            "entropy_curve.csv",
+            "tau_report.json",
+        ]
+
+    def test_oracle_run_loads_the_oracle(self, tmp_path):
+        config = _base_config(
+            state={"kind": "cat", "r": 1, "s": 0, "alpha": 0.5},
+            times={"start": 0.0, "stop": 2.0, "steps": 3},
+            outputs=["oracle_compare"],
+            oracle={"n_max": 8},
+        )
+        assert self._run_main(config, tmp_path) == "['oscnet.oracle']"
+        table = (tmp_path / "out" / "oracle_compare.csv").read_text().splitlines()
+        assert len(table) == 6  # two header lines, the columns, three times
+
+    def test_cli_keeps_an_oracle_loaded_before_it(self):
+        code = (
+            "import oscnet.oracle, oscnet.cli\n"
+            "print(oscnet.cli._oracle is oscnet.oracle, type(oscnet.oracle).__name__)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == ["True", "module"]
+
+    def test_config_hash_is_sha256_of_the_canonical_json(self, monkeypatch, tmp_path):
+        import hashlib
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        configs = [
+            _base_config(),
+            _base_config(state={"kind": "coherent", "branches": [_BRANCH]}, regime="weak"),
+            {"unicode": "é", "nested": {"b": [1, 2.5, None], "a": True}},
+            workloads.generate("big_network", workloads.DEFAULT_SEED).config,  # 150 modes
+        ]
+        assert configs[-1]["network"]["n"] == 150
+        digests = [config_hash(c) for c in configs]
+        for config, digest in zip(configs, digests):
+            assert digest == hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
+        assert len(set(digests)) == len(digests)
+        # Without CPython's built-in SHA-256 modules the hash falls back to
+        # hashlib and gives the same digests.
+        path = tmp_path / "configs.json"
+        path.write_text(json.dumps(configs))
+        code = (
+            "import json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from oscnet import cli\n"
+            "assert cli._sha256 is hashlib.sha256\n"
+            f"configs = json.load(open({str(path)!r}))\n"
+            "print(json.dumps([cli.config_hash(c) for c in configs]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert json.loads(proc.stdout) == digests
 
 
 # Every name ``oscnet`` exported before its exports became lazy, by defining

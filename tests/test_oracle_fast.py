@@ -340,6 +340,26 @@ def test_oversized_space_raises_typed_error():
     assert str(errors._BYTE_LIMIT) in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "n_modes, dim_digits, byte_digits", [(2048, 4105, 8211), (4096, 8210, 16421)]
+)
+def test_astronomic_space_refused_as_powers_of_ten(n_modes, dim_digits, byte_digits):
+    # Python prints no int of more than 4 300 digits: at 2048 modes the
+    # predicted bytes pass it, at 4096 the Fock dimension itself does.
+    with pytest.raises(ValidationError) as info:
+        osc.FockSpace(n_modes, 100)
+    message = str(info.value)
+    assert f"Fock dimension about 10^{dim_digits} " in message
+    assert f"would take about 10^{byte_digits} bytes" in message
+    assert str(errors._BYTE_LIMIT) in message
+
+
+def test_byte_counts_print_exactly_below_two_to_the_64():
+    assert errors._count(2**64 - 1) == "18446744073709551615"
+    assert errors._count(2**64) == "about 10^19"
+    assert errors._count(10**5000) == "about 10^5000"
+
+
 def test_space_refuses_only_the_operators_it_would_build():
     # dim 2048: the evolution's working set fits the limit, the dense mode
     # operators do not, so the space constructs and refuses them when read.
