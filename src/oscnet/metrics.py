@@ -285,9 +285,7 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     return entropy
 
 
-def concurrence(
-    state: CoherentMixture, part_a, bundle: PropagatorBundle, nodes: int = 64
-) -> float:
+def concurrence(state: CoherentMixture, part_a, bundle: PropagatorBundle) -> float:
     """Bipartite concurrence 1 - Tr_A[(Tr_B rho)^2] for dissipation-free evolution.
 
     Without dissipation the pure state stays a superposition sum_s c_s |y_s>
@@ -301,8 +299,7 @@ def concurrence(
     overlap matrices A, B of the two sides, and the purity is
     ``c @ (half * half.T) @ c``: closed form, O(K^3), with no limit on the
     mode count.  Requires a pure (single-branch) state and a dissipation-free
-    bundle; symmetric under swapping the partition.  ``nodes`` is unused and
-    kept for signature compatibility.
+    bundle; symmetric under swapping the partition.
     """
     branch = state.single_branch()
     n = state.n_modes
@@ -357,13 +354,11 @@ def decoherence_report(
     t_grid,
     pair: tuple[int, int] = (0, 1),
     branch: int = 0,
-    fd_step: float = 1e-6,
 ) -> DecoherenceReport:
     """Assemble the full decoherence report for one state and model.
 
     Both diffusion times are closed forms in the diffusion matrix; only the
-    interference time scans ``t_grid``.  ``fd_step`` is unused, kept for
-    signature compatibility.
+    interference time scans ``t_grid``.
     """
     tau_diff = mean_diffusion_time(model.rates.diffusion)
     directional = tuple(directional_diffusion_times(model.rates.diffusion))

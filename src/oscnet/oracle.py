@@ -468,8 +468,6 @@ def evolve_master(
     diffusion,
     t_grid,
     space: FockSpace,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> list[TruncatedDensityMatrix]:
     """Exact propagator action of the master equation over a time grid.
 
@@ -480,15 +478,15 @@ def evolve_master(
     mean of diag(H); L' has a far smaller norm.  exp(t L') is applied from 0
     to each grid time in turn by :func:`_expm_action`, on L' - mu I with mu =
     tr L / dim^2, to double-precision accuracy.  rho0 must be Hermitian (to
-    1e-10); its Hermitian part is evolved, and a grid time 0 returns rho0.  ``rtol`` and ``atol`` are unused,
-    kept so existing calls still work.  The trajectory is never renormalized;
-    trace drift shows up in the validated snapshots (and fails them loudly
-    past 1e-8).  Raises :class:`CutoffOverflow` if any mode's cutoff level
-    accumulates more than 1e-6 probability at a grid time, and
-    :class:`PositivityLost` if a snapshot has an eigenvalue below -1e-8.  An
-    evolution that plans more than ``_PRODUCT_LIMIT`` generator products
-    (or whose generator has no finite 1-norm) is refused with a
-    :class:`ValidationError` before the first product.
+    1e-10); its Hermitian part is evolved, and a grid time 0 returns rho0.
+    The trajectory is never renormalized; trace drift shows up in the
+    validated snapshots (and fails them loudly past 1e-8).  Raises
+    :class:`CutoffOverflow` if any mode's cutoff level accumulates more than
+    1e-6 probability at a grid time, and :class:`PositivityLost` if a
+    snapshot has an eigenvalue below -1e-8.  An evolution that plans more
+    than ``_PRODUCT_LIMIT`` generator products (or whose generator has no
+    finite 1-norm) is refused with a :class:`ValidationError` before the
+    first product.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):

@@ -54,8 +54,9 @@ __all__ = [
 ]
 
 _DET_FLOOR = 1e-14
-# Byte budget of the per-chunk arrays in `_pair_sum` and of the factor blocks
-# in `_factored_sum`; it alone sets how many points go in one chunk.
+# Byte budget of the per-chunk arrays in `_pair_sum`, `_wigner_quadrature`
+# and of the factor blocks in `_factored_sum`; it alone sets how many points
+# go in one chunk.
 _CHUNK_BYTES = 8 << 20
 # Largest exponent a caller of `_shifted_exp` may form from its shifts.
 # Each factored term is then at most e^600, and a term whose factors
@@ -312,12 +313,13 @@ def _hermite_rule(nodes: int):
     return np.sqrt(2.0) * u, np.sqrt(2.0) * w
 
 
-def _wigner_quadrature(chi, xi, n_modes: int, nodes: int, chunk: int) -> float:
+def _wigner_quadrature(chi, xi, n_modes: int, nodes: int) -> float:
     x, w = _hermite_rule(nodes)
     points = _grid_coords([x] * (2 * n_modes))
     eta = points[:, 0::2] + 1j * points[:, 1::2]
     weight = np.prod(_grid_coords([w] * (2 * n_modes)), axis=1)
     xi = np.asarray(xi, dtype=complex)
+    chunk = _CHUNK_BYTES // 128  # block, phase, chi and products: <= 128 bytes a point
     total = 0.0 + 0.0j
     for start in range(0, eta.shape[0], chunk):
         block = eta[start : start + chunk]
@@ -328,14 +330,7 @@ def _wigner_quadrature(chi, xi, n_modes: int, nodes: int, chunk: int) -> float:
     return float((total / np.pi ** (2 * n_modes)).real)
 
 
-def wigner_from_char(
-    chi,
-    xi,
-    n_modes: int,
-    nodes: int = 64,
-    tol: float = 1e-5,
-    chunk: int = 1 << 16,
-) -> float:
+def wigner_from_char(chi, xi, n_modes: int, nodes: int = 64, tol: float = 1e-5) -> float:
     """Wigner value from a characteristic-function evaluator by quadrature.
 
     Computes the symmetric-order Fourier transform
@@ -343,12 +338,19 @@ def wigner_from_char(
     with tensor-product Gauss-Hermite nodes (the exp(-|eta|^2/2) factor is the
     quadrature weight).  ``chi`` must accept a batch of eta rows.  Limited to
     two modes; the node count is doubled once and the result rejected if the
-    two estimates differ by more than ``tol``.
+    two estimates differ by more than ``tol``.  The doubled pass holds its
+    whole node grid, (2 nodes)^2N points of 48N + 8 bytes, so a grid above
+    the byte limit is refused before either pass: on two modes ``nodes``
+    may be at most 28 (the default 64 is for one mode).
     """
     if n_modes > 2:
         raise ValidationError("quadrature transform is limited to two modes")
-    coarse = _wigner_quadrature(chi, xi, n_modes, nodes, chunk)
-    fine = _wigner_quadrature(chi, xi, n_modes, 2 * nodes, chunk)
+    _check_bytes(
+        f"the quadrature grid of {2 * nodes} nodes per axis on {n_modes} modes",
+        (2 * nodes) ** (2 * n_modes) * (48 * n_modes + 8),
+    )
+    coarse = _wigner_quadrature(chi, xi, n_modes, nodes)
+    fine = _wigner_quadrature(chi, xi, n_modes, 2 * nodes)
     if abs(fine - coarse) > tol:
         raise QuadratureNotConverged(
             f"doubling nodes moved the result by {abs(fine - coarse):.3g} > {tol}"

@@ -193,10 +193,20 @@ def transition_matrix(dis: DissipativeMatrix, t: float, vectors: np.ndarray | No
 
     With ``vectors`` (N,) or (N, K) it returns ``T @ vectors`` as
     ``V (e * (V^-1 vectors))``, an O(N^2 K) product that never forms T.
+    An eigenvalue whose real or imaginary part times t passes the float
+    range (where exp would return nan) is refused with a
+    :class:`ValidationError` before the product.
     """
     if t < 0:
         raise ValidationError("time must be >= 0")
-    decay = np.exp(-dis.eigenvalues * t)
+    lam = dis.eigenvalues
+    parts = np.maximum(np.abs(lam.real), np.abs(lam.imag))
+    # Python float division: a quotient past the float range is inf, unwarned.
+    if t > 0 and parts.max() > float(np.finfo(float).max) / float(t):
+        raise ValidationError(
+            f"eigenvalue {lam[np.argmax(parts)]:.6g} x time {t:g} overflows the float range"
+        )
+    decay = np.exp(-lam * t)
     if vectors is None:
         return (dis.eigenvectors * decay) @ dis.eigenvectors_inv
     return dis.eigenvectors @ (decay * (dis.eigenvectors_inv @ vectors).T).T

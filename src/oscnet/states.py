@@ -188,9 +188,6 @@ class FockBranch:
     probability: float
     coefficients: tuple  # ((occupation tuple, complex coefficient), ...)
 
-    def occupations(self):
-        return [occ for occ, _ in self.coefficients]
-
 
 @dataclass(frozen=True)
 class FockMixture:

@@ -149,29 +149,20 @@ def _solve_pi_sylvester(dis: DissipativeMatrix, diffusion: np.ndarray) -> Statio
     return _validated(pi, dis, diffusion)
 
 
-def stationary_width(
-    dis: DissipativeMatrix, diffusion: np.ndarray, method: str = "auto"
-) -> StationaryWidth:
-    """Stationary width by the chosen route; zero diffusion short-circuits to zero.
+def stationary_width(dis: DissipativeMatrix, diffusion: np.ndarray) -> StationaryWidth:
+    """Stationary width; zero diffusion short-circuits to zero.
 
-    ``"auto"`` uses the O(N^3) eigen route and falls back to the O(N^3)
-    Bartels-Stewart Sylvester solve if the eigen result fails its accuracy
-    checks (marginally conditioned eigenvector matrices).  ``"vec"`` is the
-    O(N^6) dense oracle, meant for small N.  The zero short-circuit keeps
-    dissipation-free or zero-temperature models usable even when the full
-    linear system would be singular.
+    Takes the O(N^3) eigen route (:func:`solve_pi_eigen`) and falls back to
+    the O(N^3) Bartels-Stewart Sylvester solve if the eigen result fails its
+    accuracy checks (marginally conditioned eigenvector matrices).  The zero
+    short-circuit keeps dissipation-free or zero-temperature models usable
+    even when the full linear system would be singular.
     """
     diffusion = np.asarray(diffusion, dtype=float)
     if not np.any(diffusion):
         n = dis.matrix.shape[0]
         return StationaryWidth(matrix=np.zeros((n, n), dtype=complex), residual=0.0)
-    if method == "auto":
-        try:
-            return solve_pi_eigen(dis, diffusion)
-        except ValidationError:
-            return _solve_pi_sylvester(dis, diffusion)
-    if method == "eigen":
+    try:
         return solve_pi_eigen(dis, diffusion)
-    if method == "vec":
-        return solve_pi_vec(dis, diffusion)
-    raise ValidationError(f"unknown method {method!r}")
+    except ValidationError:
+        return _solve_pi_sylvester(dis, diffusion)

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -1007,6 +1008,29 @@ class TestLazyPackage:
         )
         assert proc.stdout.splitlines() == [printed, f"False {loaded}"]
 
+
+class TestNoIdleSettings:
+    """Settings that changed no result are gone: passing one is a TypeError."""
+
+    @pytest.mark.parametrize(
+        "name, positional, keyword",
+        [
+            ("concurrence", 3, {"nodes": 64}),
+            ("decoherence_report", 3, {"fd_step": 1e-6}),
+            ("evolve_master", 6, {"rtol": 1e-10}),
+            ("evolve_master", 6, {"atol": 1e-12}),
+            ("stationary_width", 2, {"method": "auto"}),
+            ("wigner_from_char", 3, {"chunk": 1 << 16}),
+        ],
+    )
+    def test_removed_keyword_is_a_type_error(self, name, positional, keyword):
+        with pytest.raises(TypeError, match=next(iter(keyword))):
+            getattr(osc, name)(*[None] * positional, **keyword)
+
+    def test_fock_branch_has_no_occupations_method(self):
+        assert not hasattr(osc.FockBranch, "occupations")
+
+
 class TestCommandLineThreads:
     # ``python -m oscnet validate`` in a fresh interpreter, then the number of
     # threads alive and the thread variables it ends with.
@@ -1429,13 +1453,15 @@ class TestLeafSweep:
             yield from cls._leaves(child, (*path, key))
 
     # Huge values may overflow on the way to a typed error; what counts here
-    # is the exit code and the absence of a traceback.
+    # is the exit code, the absence of a traceback, and no nan in what a
+    # run that exits 0 writes.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name", ["ORACLE", "COHERENT"])
     def test_every_leaf_exits_with_a_code(self, name, tmp_path, capsys):
         config = getattr(self, name)
         cfg = tmp_path / "cfg.json"
         failures = []
+        out = tmp_path / "out"
         for leaf in self._leaves(config):
             for value in self.VALUES:
                 job = copy.deepcopy(config)
@@ -1444,10 +1470,17 @@ class TestLeafSweep:
                     node = node[key]
                 node[leaf[-1]] = value
                 cfg.write_text(json.dumps(job))
+                shutil.rmtree(out, ignore_errors=True)
                 try:
-                    code = cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
+                    code = cli.main(["run", str(cfg), "--out", str(out)])
                 except Exception as exc:  # collected, so one run names every failure
                     code = repr(exc)
                 if code not in (0, 1, 2) or "Traceback" in capsys.readouterr().err:
                     failures.append((leaf, value, code))
+                elif code == 0:
+                    failures += [
+                        (leaf, value, path.name)
+                        for path in out.iterdir()
+                        if "nan" in path.read_text().lower()
+                    ]
         assert not failures

@@ -128,21 +128,6 @@ class TestEvolveMaster:
                 np.diag(numbers).real, np.abs(trans[:, 0]) ** 2, atol=1e-7
             )
 
-    def test_tolerance_halving_stability(self):
-        model = white_model(n=1, gamma=0.3, nbar=0.4)
-        state = osc.build_cat_family(1, 1, 0, 0.8)
-        space = osc.FockSpace(1, 14)
-        rho0 = osc.density_from_coherent(space, state)
-        times = np.array([1.2])
-        values = []
-        for rtol in (1e-10, 5e-11):
-            snaps = osc.evolve_master(
-                rho0, model.hamiltonian, model.rates.damping,
-                model.rates.diffusion, times, space, rtol=rtol,
-            )
-            values.append(osc.expect_number_matrix(snaps[0].rho, space)[0, 0].real)
-        assert abs(values[0] - values[1]) < 1e-7
-
     def test_cutoff_overflow_detected(self):
         # Hot reservoir pushes population into the cutoff level.
         nbar = 3.0

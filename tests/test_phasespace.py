@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
-from oscnet import phasespace
+from oscnet import errors, phasespace
 from oscnet.errors import QuadratureNotConverged, SingularWidth, ValidationError
 
 from conftest import two_branch_mixture, white_model, zero_coefficient_state
@@ -300,6 +301,39 @@ class TestWignerFromChar:
     def test_mode_limit(self):
         with pytest.raises(ValidationError):
             osc.wigner_from_char(lambda e: np.ones(e.shape[0]), np.zeros(3), 3)
+
+    def test_default_two_mode_grid_refused_before_allocating(self):
+        # 128^4 doubled-pass nodes would take 28 GB; the check comes first.
+        calls = []
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="quadrature grid of 128 nodes"):
+                osc.wigner_from_char(lambda e: calls.append(e), np.zeros(2), 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert not calls
+        assert peak < 1 << 20
+
+    def test_node_limit_from_byte_model(self):
+        def grid_bytes(nodes):
+            return (2 * nodes) ** 4 * (48 * 2 + 8)
+
+        assert grid_bytes(28) <= errors._BYTE_LIMIT < grid_bytes(29)
+        with pytest.raises(ValidationError):
+            osc.wigner_from_char(lambda e: np.ones(e.shape[0]), np.zeros(2), 2, nodes=29)
+
+    def test_quadrature_peak_within_byte_model(self):
+        # One pass at 16 nodes per axis on two modes: 16^4 points.
+        tracemalloc.start()
+        try:
+            phasespace._wigner_quadrature(lambda e: np.ones(e.shape[0]), np.zeros(2), 2, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16**4 * (48 * 2 + 8) + phasespace._CHUNK_BYTES
 
     def test_not_converged(self, thermal_model):
         # A displaced state needs more than a handful of nodes.

@@ -32,6 +32,14 @@ class TestTransitionMatrix:
         with pytest.raises(ValidationError):
             osc.transition_matrix(dis, -0.1)
 
+    def test_exponent_past_float_range_refused_without_warning(self):
+        # Im(lambda) t = 5e308 would reach exp as inf and come back nan.
+        dis = osc.dissipative_matrix(np.array([[1e308]]), np.array([[0.05]]))
+        for vectors in (None, np.array([1.0 + 0j])):
+            with pytest.raises(ValidationError, match=r"x time 5 overflows the float range"):
+                osc.transition_matrix(dis, 5.0, vectors)
+        assert np.all(np.isfinite(osc.transition_matrix(dis, 1e-300)))
+
     def test_eta_flow_derivative(self, rng):
         # d eta / dt = -eta . conj(G) checked by central finite differences.
         _, _, _, dis = random_instance(rng, 3)

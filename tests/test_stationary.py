@@ -165,10 +165,5 @@ class TestWidthProperties:
     def test_auto_route_matches_eigen(self, rng):
         _, _, diffusion, dis = random_instance(rng, 3)
         auto = osc.stationary_width(dis, diffusion)
-        eig = osc.stationary_width(dis, diffusion, method="eigen")
+        eig = osc.solve_pi_eigen(dis, diffusion)
         assert np.array_equal(auto.matrix, eig.matrix)
-
-    def test_unknown_method_rejected(self, rng):
-        _, _, diffusion, dis = random_instance(rng, 2)
-        with pytest.raises(ValidationError):
-            osc.stationary_width(dis, diffusion, method="other")
