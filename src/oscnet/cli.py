@@ -11,6 +11,8 @@ Verbs:
 Outputs are deterministic for identical configs.  ``sweep`` runs its points
 sequentially in process; ``--serial`` is accepted and has no effect.  Every
 file starts with a header block carrying the config hash and package version.
+Every CSV table is written by one block formatter, :func:`_row_blocks`: a
+number as its Python ``repr`` (``inf``, ``-inf``, ``nan``), a text as it is.
 ``run`` computes every requested artifact before it writes any: a run that
 fails leaves no artifact.
 
@@ -53,7 +55,14 @@ from . import _BLAS_THREAD_VARIABLES, __version__
 from .errors import ConfigError, OscnetError, _check_bytes, _count
 from .metrics import decoherence_report, linear_entropy
 from .network import NetworkSpec
-from .phasespace import _check_components, char_function, moments, wigner_grid
+from .phasespace import (
+    _check_components,
+    _check_ranges,
+    _grid_axes,
+    char_function,
+    moments,
+    wigner_grid,
+)
 from .propagation import Model, build_model
 from .reservoirs import GaussianBand, Lorentzian, ReservoirSpec, WhiteNoise
 from .states import (
@@ -278,7 +287,7 @@ def _check_network_size(n: int, path: str) -> None:
     _build(path, _check_bytes, what, _MODEL_ARRAYS * 16 * n * n)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class RunSpec:
     """A validated config: the model inputs, the outputs, the Wigner grid's
     (points, ranges, time index) and the oracle's ``n_max`` (None: chosen)."""
@@ -351,6 +360,8 @@ def parse_config(config: dict) -> RunSpec:
         grid = f"a grid of {points}^{2 * n} points"
         _build("wigner_grid.points", _check_bytes, grid, 8 * (2 * n + 1) * points ** (2 * n))
     ranges = _field(config, "wigner_grid.ranges", shape=(n, 4))
+    if ranges is not None:
+        _build("wigner_grid.ranges", _check_ranges, ranges)
     index = _field(config, "wigner_grid.time_index", low=-len(times), high=len(times))
     wigner = (points, [[-3.0, 3.0, -3.0, 3.0]] * n if ranges is None else ranges, index)
     n_max = _field(config, "oracle.n_max")
@@ -388,27 +399,23 @@ def _write(path: Path, blocks):
 _CSV_BLOCK_ROWS = 4096
 
 
-def _table(digest, columns, blocks):
-    """A CSV artifact's text blocks: the header, the column names, then ``blocks``."""
+def _table(digest, columns, rows, row_format):
+    """A CSV artifact's text blocks: the header, the column names, then
+    ``rows`` written as ``row_format`` by :func:`_row_blocks`."""
     yield f"# oscnet {__version__}\n# config_hash {digest}\n" + ",".join(columns) + "\n"
-    yield from blocks
+    yield from _row_blocks(rows, row_format)
 
 
-def _row_blocks(rows):
-    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-        block = rows[start : start + _CSV_BLOCK_ROWS]
-        yield "".join(",".join(map(_format_value, row)) + "\n" for row in block)
+def _row_blocks(rows, row_format):
+    """Text blocks of ``rows``, each row written as ``row_format``.
 
-
-def _format_value(value):
-    if type(value) is float and not math.isinf(value):
-        return repr(value)  # fast path: plain finite floats fill most tables
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    return "inf" if math.isinf(value) else repr(value)
+    A row holds Python numbers and strings; ``row_format`` puts ``%r`` at a
+    number (``repr`` writes ``inf``, ``-inf`` and ``nan`` as they are) and
+    ``%s`` at a text.  Each block of ``_CSV_BLOCK_ROWS`` rows is one ``%``.
+    """
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+        yield (row_format * len(block)) % tuple(itertools.chain.from_iterable(block))
 
 
 def _json_time(value: float):
@@ -432,12 +439,11 @@ def _time_curves(spec: RunSpec, model: Model) -> dict:
     """The requested ``dcoef`` and ``entropy_curve`` tables, {kind: (columns, rows)}.
 
     One pass over the times builds each time's bundle once, feeds both tables
-    and drops it, so no more than one time's bundle is held at once.  The
-    coefficients are appended as Python floats, which the CSV writer formats
-    on its fast path.
+    and drops it, so no more than one time's bundle is held at once.  Rows
+    hold Python floats, as the CSV writer takes them.
     """
     rows = {kind: [] for kind in ("dcoef", "entropy_curve") if kind in spec.outputs}
-    for t in spec.times if rows else ():
+    for t in spec.times.tolist() if rows else ():
         bundle = model.propagator.bundle(t)
         if "dcoef" in rows:
             rows["dcoef"].append([t, *bundle.diffusion_coeffs.tolist()])
@@ -451,52 +457,25 @@ def _time_curves(spec: RunSpec, model: Model) -> dict:
 
 
 def _wigner_table(spec: RunSpec, model: Model):
-    """The Wigner table as (columns, text blocks); the grid is evaluated now."""
+    """The Wigner table as (columns, rows, row format); the grid is evaluated now.
+
+    A row is the text of its 2N coordinates, joined from the per-axis texts
+    in the grid's order (the last axis fastest), and its Wigner value.  The
+    values are taken as Python floats one block at a time.
+    """
     points, ranges, index = spec.wigner
     bundle = model.propagator.bundle(spec.times[index])
-    coords, values = wigner_grid(spec.state, bundle, ranges, points)
+    values = wigner_grid(spec.state, bundle, ranges, points)[1]
     columns = []
     for m in range(model.network.n):
         columns += [f"re_xi{m + 1}", f"im_xi{m + 1}"]
     columns.append("wigner")
-    return columns, _grid_blocks(coords, values, points)
-
-
-def _grid_blocks(coords, values, points):
-    """Text blocks of the Wigner table, each coordinate formatted once.
-
-    ``coords`` is the cartesian product of 2N axes of ``points`` values, the
-    last varying fastest, so axis j is every ``points**(2N-1-j)``-th entry
-    of column j and is read from there.  Each run of ``points`` rows shares
-    the text of its first 2N-1 coordinates; a block builds those prefixes
-    for its own rows only, joins them with the last axis into one format
-    string and formats its Wigner values with a single ``%``.  Blocks holding
-    an infinity format it through ``_format_value``.  The text never covers
-    more than one block of rows.
-    """
-    dims = coords.shape[1]
-    axes = [
-        [
-            _format_value(v)
-            for v in coords[: points ** (dims - j) : points ** (dims - 1 - j), j].tolist()
-        ]
-        for j in range(dims)
-    ]
-    tails = [f"{text},%r\n" for text in axes[-1]]
-    strides = [points ** (dims - 2 - j) for j in range(dims - 1)]
-    for start in range(0, values.size, _CSV_BLOCK_ROWS):
-        block = values[start : start + _CSV_BLOCK_ROWS]
-        first, last = start // points, (start + block.size - 1) // points
-        prefixes = [
-            "".join(axes[j][q // stride % points] + "," for j, stride in enumerate(strides))
-            for q in range(first, last + 1)
-        ]
-        skip = start - first * points
-        fmt = "".join([p + t for p in prefixes for t in tails][skip : skip + block.size])
-        if np.isinf(block).any():
-            yield fmt.replace("%r", "%s") % tuple(map(_format_value, block.tolist()))
-        else:
-            yield fmt % tuple(block.tolist())
+    texts = [list(map(repr, axis.tolist())) for axis in _grid_axes(ranges, points)]
+    floats = itertools.chain.from_iterable(
+        values[start : start + _CSV_BLOCK_ROWS].tolist()
+        for start in range(0, values.size, _CSV_BLOCK_ROWS)
+    )
+    return columns, zip(map(",".join, itertools.product(*texts)), floats), "%s,%r\n"
 
 
 def _default_eta_grid(n):
@@ -617,11 +596,11 @@ def run_config(config: dict, out_dir: Path) -> dict:
             artifacts[kind] = (out_dir / "tau_report.json", [_tau_report(digest, spec, model)])
             continue
         if kind == "wigner_grid":
-            columns, blocks = _wigner_table(spec, model)
+            columns, rows, row_format = _wigner_table(spec, model)
         else:
             columns, rows = curves[kind] if kind in curves else _oracle_table(spec, model)
-            blocks = _row_blocks(rows)
-        artifacts[kind] = (out_dir / f"{kind}.csv", _table(digest, columns, blocks))
+            row_format = ",".join(["%r"] * len(columns)) + "\n"
+        artifacts[kind] = (out_dir / f"{kind}.csv", _table(digest, columns, rows, row_format))
     for path, blocks in artifacts.values():
         _write(path, blocks)
     return {kind: str(artifacts[kind][0]) for kind in spec.outputs}
@@ -674,11 +653,7 @@ def _sweep_metrics(config: dict) -> list[tuple[str, float]]:
     _check_tau_scan(spec.times, spec.state)
     model = build_model(spec.network, spec.reservoirs, spec.regime)
     report = decoherence_report(spec.state, model, spec.times)
-    return [
-        ("tau_diff", report.tau_diff),
-        ("tau_int", report.tau_int),
-        ("tau_d", report.tau_d),
-    ]
+    return [(name, float(getattr(report, name))) for name in ("tau_diff", "tau_int", "tau_d")]
 
 
 @_one_blas_thread()
@@ -696,18 +671,13 @@ def run_sweep(config: dict, axes, out_dir: Path, serial: bool) -> Path:
         job = json.loads(canonical_json(config))
         for path, value in combo:
             _set_path(job, path, value)
-        if not combo:
-            label, value = "none", 0.0
-        elif len(combo) == 1:
-            label, value = combo[0]
-        else:
-            label = ";".join(path for path, _ in combo)
-            value = ";".join(_format_value(v) for _, v in combo)
+        label = ";".join(path for path, _ in combo) or "none"
+        value = ";".join(repr(v) for _, v in combo) or "0.0"
         rows.extend((label, value, name, metric) for name, metric in _sweep_metrics(job))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
     columns = ["axis", "value", "metric", "result"]
-    _write(path, _table(config_hash(config), columns, _row_blocks(rows)))
+    _write(path, _table(config_hash(config), columns, rows, "%s,%s,%s,%r\n"))
     return path
 
 

@@ -52,7 +52,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * (lead.conj() / np.abs(lead))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSpec:
     """Natural frequencies and symmetric coupling matrix of an oscillator network.
 
@@ -111,7 +111,7 @@ def build_hamiltonian(spec: NetworkSpec) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalModes:
     """Normal-mode frequencies and the orthogonal transform that produces them.
 
@@ -152,7 +152,7 @@ def normal_modes(h: np.ndarray) -> NormalModes:
     return NormalModes(frequencies=freqs, transform=transform)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DissipativeMatrix:
     """Complex generator damping/2 + i*H and its eigendecomposition.
 

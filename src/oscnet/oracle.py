@@ -180,7 +180,7 @@ class _NegativeEigenvalue(ValidationError):
         super().__init__(f"negative eigenvalue {value:.3g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedDensityMatrix:
     """Density matrix on the truncated space at one time, validated on build."""
 

@@ -62,6 +62,10 @@ _CHUNK_BYTES = 8 << 20
 # Each factored term is then at most e^600, and a term whose factors
 # underflow (below e^-745 of its shifts) is at most e^-145.
 _FACTOR_LOG_MAX = 600.0
+# Largest |entry| of a Wigner grid range: its square, 1e300, is 1e8 below the
+# float range, so |xi|^2, the quadratic form q (the inverse Wigner width is at
+# most the identity) and the factor exponents stay finite.
+_RANGE_MAX = 1e150
 # K x K complex arrays alive at once in a Gaussian sum or the entropy
 # (tracemalloc reads 6.0 for the entropy, 9.0 for a Wigner grid at K = 625);
 # a component count whose arrays would pass the byte limit is refused first.
@@ -429,10 +433,22 @@ def _grid_coords(axes):
     return coords.reshape(-1, d)
 
 
+def _check_ranges(ranges) -> None:
+    """Refuse a Wigner grid range entry outside +-``_RANGE_MAX``."""
+    if not np.all(np.abs(np.asarray(ranges, dtype=float)) <= _RANGE_MAX):
+        raise ValidationError(f"grid range entries must lie within +-{_RANGE_MAX:g}")
+
+
+def _grid_axes(ranges, points: int):
+    """The 2N axes of a Wigner grid, re then im per mode, ``points`` values each."""
+    return [np.linspace(lo, hi, points) for r in ranges for lo, hi in (r[:2], r[2:])]
+
+
 def wigner_grid(state: CoherentMixture, bundle: PropagatorBundle, ranges, points: int):
     """Evaluate the Wigner function on a cartesian re/im grid per mode.
 
-    ``ranges`` is one (re_min, re_max, im_min, im_max) tuple per mode.
+    ``ranges`` is one (re_min, re_max, im_min, im_max) tuple per mode, each
+    entry within +-``_RANGE_MAX`` (1e150), or :class:`ValidationError`.
     Returns ``(coords, values)`` with coords of shape (P, 2N) holding the
     real and imaginary parts per mode, and values of shape (P,).
 
@@ -446,11 +462,8 @@ def wigner_grid(state: CoherentMixture, bundle: PropagatorBundle, ranges, points
     n = state.n_modes
     if len(ranges) != n:
         raise ValidationError("one range tuple per mode is required")
-    axes = []
-    for re_min, re_max, im_min, im_max in ranges:
-        axes.append(np.linspace(re_min, re_max, points))
-        axes.append(np.linspace(im_min, im_max, points))
-    coords = _grid_coords(axes)
+    _check_ranges(ranges)
+    coords = _grid_coords(_grid_axes(ranges, points))
     det, const, bra, form = _gaussian_terms(state, bundle, bundle.wigner_width)
     total = _factored_sum(coords, points, const, bra, form)
     if total is None:

@@ -73,7 +73,7 @@ __all__ = [
 _DENSE_FIELDS = ("transition", "noise", "wigner_width")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagatorBundle:
     """Everything time-dependent the phase-space evaluators need at one time.
 
@@ -101,8 +101,8 @@ class PropagatorBundle:
     transition: np.ndarray
     noise: np.ndarray
     wigner_width: np.ndarray
-    frame: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    frame_width: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    frame: np.ndarray | None = field(default=None, init=False, repr=False)
+    frame_width: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __getattr__(self, name):
         # Reached only for an attribute with no value: on a bundle from
@@ -315,7 +315,7 @@ class Propagator:
         return [self.bundle(t) for t in times]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """Assembled network model: spec, rates, generator, width, and propagator."""
 

@@ -120,7 +120,7 @@ def temperature_for_occupation(nbar: float, omega: float) -> float:
     return omega / np.log1p(1.0 / nbar)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReservoirSpec:
     """Per-oscillator temperatures and spectral profiles, plus the common flag.
 
@@ -173,7 +173,7 @@ class ReservoirSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateMatrices:
     """Damping (loss) and diffusion (gain) rate matrices of the master equation."""
 

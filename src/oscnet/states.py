@@ -57,7 +57,7 @@ def coherent_overlap(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.exp(_log_overlaps(a, b)[0, 0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentComponent:
     """One coherent product in a superposition: coefficient and amplitude vector."""
 
@@ -71,13 +71,13 @@ class CoherentComponent:
         object.__setattr__(self, "coefficient", complex(self.coefficient))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentBranch:
     probability: float
     components: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentMixture:
     """Probability mixture of normalized coherent superpositions."""
 

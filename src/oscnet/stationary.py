@@ -37,7 +37,7 @@ _HERMITICITY_TOL = 1e-10
 _PSD_TOL = -1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryWidth:
     """Stationary width matrix and the max-norm defect of the matrix equation."""
 

@@ -1,6 +1,7 @@
 import cmath
 import copy
 import ctypes
+import dataclasses
 import importlib
 import json
 import math
@@ -210,6 +211,7 @@ class TestValidation:
             ("grid", "wigner_grid"),
             ([], "wigner_grid"),
             ({"points": 100000}, "wigner_grid.points"),  # 2.4e11 bytes of grid
+            ({"ranges": [[-2.0, 2.0, -2.0, 1e308]]}, "wigner_grid.ranges"),  # overflows
         ],
     )
     def test_malformed_wigner_grid_rejected_before_any_output(
@@ -557,8 +559,8 @@ class TestRun:
 
     @staticmethod
     def _row_path_bytes(config):
-        # The Wigner table as it was written before per-axis formatting: every
-        # value of ``np.column_stack(...).tolist()`` through ``_format_value``.
+        # The Wigner table written row by row: every value of
+        # ``np.column_stack(...).tolist()`` as its ``repr``.
         spec = parse_config(config)
         model = osc.build_model(spec.network, spec.reservoirs, spec.regime)
         node = config["wigner_grid"]
@@ -571,7 +573,7 @@ class TestRun:
         rows = np.column_stack([coords, values]).tolist()
         text = f"# oscnet {osc.__version__}\n# config_hash {config_hash(config)}\n"
         text += ",".join(columns) + "\n"
-        text += "".join(",".join(map(cli._format_value, row)) + "\n" for row in rows)
+        text += "".join(",".join(map(repr, row)) + "\n" for row in rows)
         return text.encode()
 
     @pytest.mark.parametrize(
@@ -639,7 +641,7 @@ class TestRun:
 
     def test_formatter_matches_earlier_one(self, tmp_path):
         def earlier(value):
-            # The formatter before its plain-float fast path, kept verbatim.
+            # The per-value formatter the tables were written with before.
             if isinstance(value, str):
                 return value
             if isinstance(value, (int, np.integer)):
@@ -647,28 +649,65 @@ class TestRun:
             value = float(value)
             return "inf" if math.isinf(value) else repr(value)
 
-        rows = [
-            [1.5, -0.0, 0.0, 3, np.int64(-7), "abc", math.inf, -math.inf],
-            [np.float64(-math.inf), np.float64(1e-5), 5e-324, 1e300, math.nan],
-            [True, np.float32(0.1), np.float64(-0.0), 0.1 + 0.2, -2.5e-17, ""],
-            np.array([[-2.5, 0.125, math.inf, -math.inf]]).tolist()[0],
+        # Every Python number and string a table row holds, but -inf: the
+        # earlier formatter wrote it as "inf".
+        text, numbers = "%r,%r,%r,%r,%r,%s,%r,%r\n", "%r,%r,%r,%r,%r,%r\n"
+        cases = [
+            ([1.5, -0.0, 0.0, 3, -7, "abc", math.inf, 1e-5], text),
+            ([5e-324, 1e300, math.nan, 0.1 + 0.2, -2.5e-17, "", 2**70, -1], text),
+            (np.array([-2.5, 0.125, math.inf, 1e16, 1e-300, 7.0]).tolist(), numbers),
         ]
-        for row in rows:
-            for value in row:
-                assert cli._format_value(value) == earlier(value)
         path = tmp_path / "table.csv"
-        cli._write(path, cli._table(config_hash(_base_config()), ["a", "b"], cli._row_blocks(rows)))
-        body = path.read_text().splitlines()[3:]
-        assert body == [",".join(earlier(v) for v in row) for row in rows]
+        for row, row_format in cases:
+            cli._write(path, cli._table(config_hash(_base_config()), ["a"], [row], row_format))
+            assert path.read_text().splitlines()[3:] == [",".join(map(earlier, row))]
+
+    def test_time_curves_hold_python_floats(self):
+        config = _base_config(
+            network={"n": 2, "omega": 1.0, "coupling": 0.2}, outputs=["dcoef", "entropy_curve"]
+        )
+        spec = parse_config(config)
+        model = osc.build_model(spec.network, spec.reservoirs, spec.regime)
+        tables = cli._time_curves(spec, model)
+        cells = [value for _, rows in tables.values() for row in rows for value in row]
+        assert len(cells) == 50 * 5 and {type(value) for value in cells} == {float}
+
+    def test_row_blocks_write_repr_or_the_text(self):
+        rows = [
+            (math.inf, -math.inf, math.nan, 0, -3, 2**64, "tau_int", "network.n;x"),
+            (-0.0, 1e-310, -1.5e300, 7, 10**20, -(2**53) - 1, "", "a b"),
+        ]
+        row_format = "%r,%r,%r,%r,%r,%r,%s,%s\n"
+        text = "".join(cli._row_blocks(rows, row_format))
+        cells = [line.split(",") for line in text.splitlines()]
+        assert cells == [[repr(v) if i < 6 else v for i, v in enumerate(row)] for row in rows]
+        assert cells[0][:3] == ["inf", "-inf", "nan"]
+
+    def test_wigner_grid_keeps_the_sign_of_an_infinity(self, tmp_path, monkeypatch):
+        wigner_grid = cli.wigner_grid
+
+        def overflowing(*args):
+            coords, values = wigner_grid(*args)
+            values[[1, 3]] = [-math.inf, math.inf]
+            return coords, values
+
+        monkeypatch.setattr(cli, "wigner_grid", overflowing)
+        config = _base_config(
+            outputs=["wigner_grid"], wigner_grid={"points": 2, "ranges": [[-1, 1, -2, 2]]}
+        )
+        run_config(config, tmp_path)
+        rows = (tmp_path / "wigner_grid.csv").read_text().splitlines()[3:]
+        assert rows[1] == "-1.0,2.0,-inf" and rows[3] == "1.0,2.0,inf"
 
     def test_csv_blocks_do_not_change_bytes(self, tmp_path, monkeypatch):
         table = np.linspace(-1.0, 1.0, 30).reshape(10, 3) ** 3
         whole = tmp_path / "whole.csv"
         digest = config_hash(_base_config())
-        cli._write(whole, cli._table(digest, ["a", "b", "c"], cli._row_blocks(table.tolist())))
+        row_format = "%r,%r,%r\n"
+        cli._write(whole, cli._table(digest, ["a", "b", "c"], table.tolist(), row_format))
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
         blocks = tmp_path / "blocks.csv"
-        cli._write(blocks, cli._table(digest, ["a", "b", "c"], cli._row_blocks(table.tolist())))
+        cli._write(blocks, cli._table(digest, ["a", "b", "c"], table.tolist(), row_format))
         assert blocks.read_bytes() == whole.read_bytes()
         assert not (tmp_path / "blocks.csv.tmp").exists()
 
@@ -1029,6 +1068,72 @@ class TestNoIdleSettings:
 
     def test_fock_branch_has_no_occupations_method(self):
         assert not hasattr(osc.FockBranch, "occupations")
+
+
+class TestRecordEquality:
+    """Records holding arrays compare and hash by identity; records of floats,
+    tuples and strings compare by value."""
+
+    ARRAY_RECORDS = [
+        "NetworkSpec",
+        "NormalModes",
+        "DissipativeMatrix",
+        "ReservoirSpec",
+        "RateMatrices",
+        "StationaryWidth",
+        "PropagatorBundle",
+        "Model",
+        "CoherentComponent",
+        "CoherentBranch",
+        "CoherentMixture",
+        "TruncatedDensityMatrix",
+        "RunSpec",
+    ]
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        spec = parse_config(_base_config())
+        model = osc.build_model(spec.network, spec.reservoirs, spec.regime)
+        branch = spec.state.branches[0]
+        found = [
+            spec.network,
+            model.modes,
+            model.dissipative,
+            spec.reservoirs,
+            model.rates,
+            model.width,
+            model.propagator.bundle(1.0),
+            model,
+            branch.components[0],
+            branch,
+            spec.state,
+            osc.TruncatedDensityMatrix(t=0.0, rho=np.diag([1.0, 0.0]), n_max=1),
+            spec,
+        ]
+        return {type(record).__name__: record for record in found}
+
+    @pytest.mark.parametrize("name", ARRAY_RECORDS)
+    def test_array_record_compares_by_identity(self, records, name):
+        record = records[name]
+        twin = dataclasses.replace(record)
+        assert record == record and record != twin and not record == twin
+        assert hash(record) == object.__hash__(record)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            osc.WhiteNoise(0.05),
+            osc.Lorentzian(0.05, 1.0, 0.5),
+            osc.GaussianBand(0.05, 1.0, 0.5),
+            osc.DecoherenceReport(1.0, (1.0, math.inf), 2.0, 2.0 / 3.0, "weak"),
+            osc.FockBranch(1.0, (((1,), 1 + 0j),)),
+            osc.FockMixture((osc.FockBranch(1.0, (((1,), 1 + 0j),)),)),
+        ],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_value_record_compares_by_value(self, record):
+        twin = dataclasses.replace(record)
+        assert twin is not record and twin == record and hash(twin) == hash(record)
 
 
 class TestCommandLineThreads:

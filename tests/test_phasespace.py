@@ -545,6 +545,27 @@ class TestWignerGrid:
         direct = osc.wigner(ring, xi, bundle)
         assert np.max(np.abs(values[some] - direct)) <= 1e-12 * np.max(np.abs(values))
 
+    @pytest.mark.parametrize("bound", [1e308, -1e308, np.nextafter(1e150, np.inf)])
+    def test_range_past_the_bound_refused(self, thermal_model, bound):
+        state = osc.single_coherent_state([0.3])
+        bundle = thermal_model.propagator.bundle(0.4)
+        with pytest.raises(ValidationError, match="range entries"):
+            osc.wigner_grid(state, bundle, [(-2.0, 2.0, -2.0, bound)], points=5)
+
+    @pytest.mark.parametrize("log_space", [False, True])
+    def test_range_at_the_bound_stays_finite(self, pair_model, monkeypatch, log_space):
+        # Every entry at +-1e150: |xi|^2 reaches 4e300 and no exponent
+        # overflows (pytest turns a RuntimeWarning into an error), on the
+        # factored route and on the log-space kernel alike.
+        if log_space:
+            monkeypatch.setattr(phasespace, "_FACTOR_LOG_MAX", -np.inf)
+        cat = osc.build_cat_family(2, 1, 1, 3.0)
+        bundle = pair_model.propagator.bundle(0.5)
+        bound = phasespace._RANGE_MAX
+        _, values = osc.wigner_grid(cat, bundle, [(-bound, bound, -bound, bound)] * 2, 3)
+        # Only the center point, all four coordinates 0, is not 1e150 away.
+        assert np.all(np.isfinite(values)) and np.flatnonzero(values).tolist() == [40]
+
     def test_grid_coords_are_meshgrid_in_one_array(self):
         # A two-mode 21^4 grid: meshgrid plus stack peaks at twice the coords.
         axes = [np.linspace(lo, -lo, 21) for lo in (-2.5, -2.0, -1.5, -3.0)]
