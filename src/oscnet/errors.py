@@ -60,8 +60,8 @@ class SingularSystem(OscnetError):
 
 
 class SingularWidth(OscnetError):
-    """A width matrix is singular (no diffusion has accumulated in the P
-    width) or not positive definite (a Wigner width broken by rounding)."""
+    """A width matrix is not positive definite, so no Gaussian has it, or its
+    determinant is below the floor of the P and Wigner evaluators."""
 
 
 class NullState(ValidationError):

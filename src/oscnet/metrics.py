@@ -239,7 +239,7 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
 
     With the centroids ``C = T beta^T`` (N x K, column c_a per component)
     and the Wigner width W, one K x K Gram matrix ``H[a, b] = c_a^T W^-1
-    conj(c_b)``, formed as ``C^T solve(W, conj(C))``, gives the pair-sum
+    conj(c_b)`` (:meth:`~PropagatorBundle.inverse_form`) gives the pair-sum
     kernel ``-(H[s, r] - H[s, p] - H[q, r] + H[q, p])``, and the quadruple
     sum over component pairs factorises exactly: ``det(W) Tr rho^2 =
     sum_{s, q} X[s, q] X[q, s]`` with
@@ -256,12 +256,11 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     instead, one row of s at a time.
 
     log det W is the sum of the logs of the bundle's cached diffusion
-    coefficients, and H its :meth:`~PropagatorBundle.inverse_form` of the
-    centroids: no eigenvectors.  Equals 0, to rounding, for any pure state
-    at t = 0 and stays 0 without dissipation.  A W with a coefficient <= 0,
-    or one that gives a purity above 1 by more than 1e-10 (rounding at
-    extreme temperatures), raises :class:`SingularWidth`; an entropy in
-    (-1e-10, 0) is returned as 0.
+    coefficients: no eigenvectors.  Equals 0, to rounding, for any pure
+    state at t = 0 and stays 0 without dissipation.  A W that is not
+    positive definite, or one that gives a purity above 1 by more than 1e-10
+    (rounding at extreme temperatures), raises :class:`SingularWidth`; an
+    entropy in (-1e-10, 0) is returned as 0.
     """
     betas, logw = phasespace._flat_components(state)
     gram = bundle.inverse_form(bundle.centers(betas.T))  # H[a, b]

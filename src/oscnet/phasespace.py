@@ -7,9 +7,10 @@ through a :class:`~oscnet.propagation.PropagatorBundle`.
 The evolved state of a coherent mixture is a Gaussian sum.  Each ordered pair
 of components (r bra-side, s ket-side) contributes a Gaussian centered at the
 evolved centroids with a common width: the accumulated noise J for the
-P-function, J + I for the Wigner function.  Pair weights are assembled in log
-space so widely separated components never underflow through intermediate
-factors.
+P-function, J + I for the Wigner function.  As in the metrics, a width that is
+not positive definite has no such Gaussian and raises :class:`SingularWidth`.
+Pair weights are assembled in log space, so widely separated components never
+underflow.
 
 The characteristic, P- and Wigner functions share one kernel,
 :func:`_pair_sum`: per point, the sum over pairs of
@@ -39,7 +40,7 @@ import math
 import numpy as np
 
 from .errors import QuadratureNotConverged, SingularWidth, ValidationError, _check_bytes
-from .propagation import PropagatorBundle
+from .propagation import PropagatorBundle, _positive_factor
 from .states import CoherentMixture, FockMixture, _log_overlaps
 
 __all__ = [
@@ -187,18 +188,20 @@ def char_function(state: CoherentMixture, eta, bundle: PropagatorBundle):
     return complex(value[0]) if scalar else value
 
 
-def _gaussian_terms(state: CoherentMixture, bundle: PropagatorBundle, width: np.ndarray):
+def _gaussian_terms(state: CoherentMixture, bundle: PropagatorBundle, kind: str):
     """Determinant and Hermitian kernel terms (const, bra, form) of a Gaussian sum.
 
     The exponent of pair (r, s) at xi is ``logw[r, s] - 2 (xi A conj(xi)
     - xi A conj(K_r) - K_s A conj(xi) + K_s A conj(K_r))`` with A the inverse
     of the Hermitized width: const = logw - 2 K_s A conj(K_r), bra = 2 A
-    conj(K)^T, form = -2 A.
+    conj(K)^T, form = -2 A.  The ``kind`` (``"noise"`` or ``"Wigner"``) width
+    must be positive definite, its determinant at least ``_DET_FLOOR``.
     """
-    hermitized = 0.5 * (width + width.conj().T)
-    det = np.linalg.det(hermitized).real
-    if abs(det) < _DET_FLOOR:
-        raise SingularWidth(f"width determinant {det:.3g} below {_DET_FLOOR}")
+    width = bundle.noise if kind == "noise" else bundle.wigner_width
+    hermitized, lower = _positive_factor(width, f"{kind} width at t = {bundle.t}")
+    det = np.prod(np.diag(lower).real) ** 2
+    if det < _DET_FLOOR:
+        raise SingularWidth(f"{kind} width determinant {det:.3g} below {_DET_FLOOR}")
     betas, logw = _flat_components(state)
     centers = bundle.centers(betas.T).T  # (K, N)
     inv = np.linalg.inv(hermitized)
@@ -207,10 +210,10 @@ def _gaussian_terms(state: CoherentMixture, bundle: PropagatorBundle, width: np.
     return det, logw - 2.0 * c_pair.T, 2.0 * (inv @ centers.conj().T), -2.0 * inv
 
 
-def _gaussian_sum(state: CoherentMixture, xi, bundle: PropagatorBundle, width: np.ndarray):
+def _gaussian_sum(state: CoherentMixture, xi, bundle: PropagatorBundle, kind: str):
     n = state.n_modes
     pts, scalar = _as_points(xi, n)
-    det, const, bra, form = _gaussian_terms(state, bundle, width)
+    det, const, bra, form = _gaussian_terms(state, bundle, kind)
     total = _pair_sum(pts.reshape(-1, n), const, bra, form).reshape(pts.shape[:-1])
     value = (2.0 / np.pi) ** n / det * total
     return value[0] if scalar else value
@@ -220,11 +223,11 @@ def p_function(state: CoherentMixture, xi, bundle: PropagatorBundle):
     """Glauber-Sudarshan P-function of the evolved mixture (complex per point).
 
     Evaluated by the Hermitian pair-sum kernel over pairs r <= s, so the
-    imaginary part is exactly zero; the complex dtype is kept.  Diverges
-    without diffusion: raises :class:`SingularWidth` when the noise width is
-    singular (all reservoirs at zero temperature).
+    imaginary part is exactly zero; the complex dtype is kept.  Undefined
+    (:class:`SingularWidth`) where the noise width is not positive definite:
+    without diffusion, and at short times on a non-secular common reservoir.
     """
-    value = _gaussian_sum(state, xi, bundle, bundle.noise)
+    value = _gaussian_sum(state, xi, bundle, "noise")
     return np.asarray(value, dtype=complex) if np.ndim(value) else complex(value)
 
 
@@ -232,11 +235,10 @@ def wigner(state: CoherentMixture, xi, bundle: PropagatorBundle):
     """Wigner function of the evolved mixture (real per point).
 
     Identical to the P-function with the noise width replaced by
-    noise + identity, which is always invertible.  Points are evaluated in
-    chunks under a fixed byte budget, so memory stays bounded in the grid
-    size and the component count.
+    noise + identity.  Points are evaluated in chunks under a fixed byte
+    budget, so memory stays bounded in the grid size and the component count.
     """
-    value = _gaussian_sum(state, xi, bundle, bundle.wigner_width)
+    value = _gaussian_sum(state, xi, bundle, "Wigner")
     return value if np.ndim(value) else float(value)
 
 
@@ -252,7 +254,7 @@ def wigner_elements(state: CoherentMixture, xi_rotated, bundle: PropagatorBundle
     state.single_branch()  # raises unless the state is pure
     n = state.n_modes
     pts, scalar = _as_points(xi_rotated, n)
-    det, const, bra, form = _gaussian_terms(state, bundle, bundle.wigner_width)
+    det, const, bra, form = _gaussian_terms(state, bundle, "Wigner")
     xi = pts @ bundle.rotation.conj().T
     row = xi @ bra  # (..., K)
     quad = np.einsum("...m,mn,...n->...", xi, form, xi.conj()).real
@@ -464,7 +466,7 @@ def wigner_grid(state: CoherentMixture, bundle: PropagatorBundle, ranges, points
         raise ValidationError("one range tuple per mode is required")
     _check_ranges(ranges)
     coords = _grid_coords(_grid_axes(ranges, points))
-    det, const, bra, form = _gaussian_terms(state, bundle, bundle.wigner_width)
+    det, const, bra, form = _gaussian_terms(state, bundle, "Wigner")
     total = _factored_sum(coords, points, const, bra, form)
     if total is None:
         total = _pair_sum(coords[:, 0::2] + 1j * coords[:, 1::2], const, bra, form)

@@ -9,11 +9,11 @@ For each time the network state is summarized by a bundle holding
 * the Wigner width ``J(t) + I``, whose eigenvalues are the diffusion
   coefficients of the rotated frame and whose eigenvectors rotate into it.
 
-The coefficients and the rotation are lazy and cached apart:
-``diffusion_coeffs`` takes the spectrum alone (:func:`rotate_frame` with
-``vectors=False``, one eigenvalue solve) and ``rotation`` the full frame, so
-callers that need only the transition and width matrices pay no eigensolve,
-and the diffusion coefficients and the entropy pay none for eigenvectors.
+The coefficients (an eigenvalue-only solve) and the rotation (the full
+frame) are lazy and cached apart.  A dense width's quadratic forms, here and
+in the P and Wigner evaluators, go through its Cholesky factor
+(:func:`_positive_factor`), the one test that it is positive definite: a
+width that is not has no Gaussian and raises :class:`SingularWidth`.
 The width's slope Y + Y.T at t = 0 and its limit's trace tr P + N need no
 bundle (see :mod:`oscnet.metrics`).  Bundles at distinct times are
 independent and immutable; time grids are caller-supplied and nothing is
@@ -152,40 +152,39 @@ class PropagatorBundle:
     def inverse_form(self, vectors: np.ndarray):
         """Quadratic form ``v^T W^-1 conj(v)`` of the Wigner width W.
 
-        For one vector (length N) a float; for an N x K block the K x K
-        matrix ``H[a, b] = v_a^T W^-1 conj(v_b)`` of its columns.  Raises
-        :class:`SingularWidth` when W is not positive definite.  In the
+        For one vector (length N) a float; for an N x K block the Hermitian
+        K x K matrix ``H[a, b] = v_a^T W^-1 conj(v_b)`` of its columns.
+        Raises :class:`SingularWidth` when W is not positive definite.  In the
         normal-mode frame this divides ``frame @ v`` by the frame width.
-        Otherwise one vector goes through the Cholesky factor W = L L^dag,
-        as ``|L^-1 conj(v)|^2``, which needs no eigensolve (a root scan asks
-        for many), and a block through one linear solve once the cached
-        diffusion coefficients show W positive definite (the entropy reads
-        them for its determinant anyway).
+        Otherwise it is ``z^dag z``, ``z = L^-1 conj(v)`` with W = L L^dag
+        factored by :func:`_positive_factor`: no eigensolve.
         """
         if self.frame is not None:
             moved, width = self.frame @ vectors, self.frame_width
             if not np.all(width > 0):
-                raise _indefinite_width(self)
+                raise SingularWidth(f"Wigner width at t = {self.t} is not positive definite")
             if moved.ndim == 1:
                 return float(np.sum(np.abs(moved) ** 2 / width))
             return moved.T @ (moved.conj() / width[:, None])
-        if vectors.ndim == 1:
-            try:
-                lower = np.linalg.cholesky(self.wigner_width)
-            except np.linalg.LinAlgError:
-                raise _indefinite_width(self) from None
-            solved = np.linalg.solve(lower, vectors.conj())
-            return float(np.vdot(solved, solved).real)
-        if not self.diffusion_coeffs[0] > 0:
-            raise _indefinite_width(self)
-        return vectors.T @ np.linalg.solve(self.wigner_width, vectors.conj())
+        _, lower = _positive_factor(self.wigner_width, f"Wigner width at t = {self.t}")
+        solved = np.linalg.solve(lower, vectors.conj())
+        form = solved.conj().T @ solved
+        return float(form.real) if vectors.ndim == 1 else 0.5 * form + 0.5 * form.conj().T
 
 
-def _indefinite_width(bundle: PropagatorBundle) -> SingularWidth:
-    return SingularWidth(
-        f"Wigner width at t = {bundle.t} is not positive definite: smallest "
-        f"diffusion coefficient {bundle.diffusion_coeffs[0]:.3g}"
-    )
+def _positive_factor(width: np.ndarray, name: str):
+    """Hermitian part of a dense width and its lower Cholesky factor.  The one
+    positive-definiteness test: :class:`SingularWidth`, naming the width, if an
+    entry is not finite (cholesky would return inf or nan) or the Hermitian
+    part is not positive definite.  Adding halves cannot overflow."""
+    if not np.all(np.isfinite(width)):
+        raise SingularWidth(f"{name} is not positive definite: it has a non-finite entry")
+    hermitian = 0.5 * width + 0.5 * width.conj().T
+    try:
+        return hermitian, np.linalg.cholesky(hermitian)
+    except np.linalg.LinAlgError:
+        smallest = np.linalg.eigvalsh(hermitian)[0]
+    raise SingularWidth(f"{name} is not positive definite: smallest coefficient {smallest:.3g}")
 
 
 def transition_matrix(dis: DissipativeMatrix, t: float, vectors: np.ndarray | None = None):

@@ -1364,12 +1364,15 @@ class TestMoreConfigs:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "error: the generator damping/2 + i*h" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("output", ["entropy_curve", "tau_report"])
+    @pytest.mark.parametrize("output", ["entropy_curve", "tau_report", "wigner_grid"])
     def test_width_broken_by_rounding_refused(self, output, tmp_path, capsys):
         # At T = 1e35 rounding in P - conj(T) P T^T leaves the t = 0 Wigner
         # width with a negative eigenvalue.  Unequal damping rates keep the
         # dense route, where that difference is formed.
         config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1}, outputs=[output])
+        if output == "wigner_grid":
+            ranges = [[-2.0, 2.0, -2.0, 2.0]] * 2
+            config["wigner_grid"] = {"points": 5, "ranges": ranges, "time_index": 0}
         config["reservoirs"]["temperature"] = 1e35
         config["reservoirs"]["profile"] = [
             {"kind": "white", "gamma": 0.05},

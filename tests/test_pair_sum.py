@@ -134,8 +134,8 @@ def test_large_cat_stays_finite(t):
 def test_pair_constants_hermitian(name, pair_model):
     state = STATES[name]()
     bundle = pair_model.propagator.bundle(0.9)
-    for width in (bundle.noise, bundle.wigner_width):
-        _, const, _, form = phasespace._gaussian_terms(state, bundle, width)
+    for kind in ("noise", "Wigner"):
+        _, const, _, form = phasespace._gaussian_terms(state, bundle, kind)
         dropped = np.isneginf(const.real)
         assert np.array_equal(dropped, dropped.T)
         finite = const[~dropped]
@@ -461,7 +461,7 @@ def test_grid_route_against_extended_precision(name, monkeypatch):
                 monkeypatch, lambda: osc.wigner_grid(state, bundle, ranges, points)[1]
             )
         coords, _ = osc.wigner_grid(state, bundle, ranges, points)
-        det, const, bra, form = phasespace._gaussian_terms(state, bundle, bundle.wigner_width)
+        det, const, bra, form = phasespace._gaussian_terms(state, bundle, "Wigner")
         xi = (coords[:, 0::2] + 1j * coords[:, 1::2]).astype(np.clongdouble)
         keep = ~np.isneginf(const.real)
         row = xi @ bra.astype(np.clongdouble)

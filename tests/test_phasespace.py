@@ -623,3 +623,64 @@ class TestMixedStates:
         overlap = abs(osc.coherent_overlap(np.array([0.9]), np.array([-0.9]))) ** 2
         expected = 1.0 - 0.5 * (1.0 + overlap)
         assert abs(entropy - expected) < 1e-12
+
+
+class TestIndefiniteWidth:
+    """Every Gaussian evaluator refuses a width that is not positive definite,
+    whatever the sign of its determinant."""
+
+    @staticmethod
+    def _doctored_bundle():
+        # Two negative eigenvalues leave both determinants positive.
+        model = white_model(n=3, coupling=0.1, gamma=0.05, nbar=0.5)
+        return dataclasses.replace(
+            model.propagator.bundle(1.0),
+            wigner_width=np.diag([-0.5, -0.5, 3.0]) + 0j,
+            noise=np.diag([-1.5, -1.5, 2.0]) + 0j,
+        )
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda state, bundle: osc.wigner(state, np.full(3, 0.2 + 0.1j), bundle),
+            lambda state, bundle: osc.p_function(state, np.full(3, 0.2 + 0.1j), bundle),
+            lambda state, bundle: osc.wigner_grid(state, bundle, [(-1, 1, -1, 1)] * 3, 3),
+            lambda state, bundle: osc.wigner_elements(state, np.full(3, 0.2 + 0.1j), bundle),
+        ],
+        ids=["wigner", "p_function", "wigner_grid", "wigner_elements"],
+    )
+    def test_doctored_width_with_positive_determinant_refused(self, evaluate):
+        bundle = self._doctored_bundle()
+        state = osc.build_cat_family(3, 1, 0, 0.8)
+        with pytest.raises(SingularWidth, match=r"width at t = 1\.0 is not positive definite"):
+            evaluate(state, bundle)
+
+    @staticmethod
+    def _common_bath_model(seed):
+        # Two oscillators on one reservoir with two Lorentzian profiles: the
+        # non-secular diffusion can make the noise width indefinite at short
+        # times, where the P-function is then undefined.
+        rng = np.random.default_rng(seed)
+        omega = rng.uniform(0.8, 1.2, size=2)
+        coupling = rng.uniform(0.0, 0.3)
+        gamma = rng.uniform(0.02, 0.1, size=2)
+        center = rng.uniform(0.8, 1.2, size=2)
+        width = rng.uniform(0.2, 0.6, size=2)
+        temperature = rng.uniform(0.05, 0.5)
+        network = osc.NetworkSpec(omega=list(omega), coupling=[[0.0, coupling], [coupling, 0.0]])
+        profiles = tuple(osc.Lorentzian(*args) for args in zip(gamma, center, width))
+        reservoirs = osc.ReservoirSpec([temperature] * 2, profiles, common=True)
+        return osc.build_model(network, reservoirs)
+
+    @pytest.mark.parametrize("seed, indefinite", [(0, False), (3, True), (4, True)])
+    def test_p_function_refused_exactly_when_the_noise_width_is_indefinite(self, seed, indefinite):
+        bundle = self._common_bath_model(seed).propagator.bundle(0.01)
+        assert (np.linalg.eigvalsh(bundle.noise)[0] < 0) == indefinite
+        cat = osc.build_cat_family(2, 1, 1, 1.0)
+        xi = np.array([0.1 + 0.2j, -0.3j])
+        if indefinite:
+            with pytest.raises(SingularWidth, match=r"noise width at t = 0\.01 is not positive"):
+                osc.p_function(cat, xi, bundle)
+        else:
+            osc.p_function(cat, xi, bundle)
+        assert np.isfinite(osc.wigner(cat, xi, bundle))

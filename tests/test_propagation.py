@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
-from oscnet.errors import ValidationError
+from oscnet.errors import SingularWidth, ValidationError
 
-from conftest import random_instance, white_model
+from conftest import dense_propagator, random_instance, white_model
 
 
 class TestTransitionMatrix:
@@ -191,6 +195,46 @@ class TestBundles:
             assert abs(
                 bundle.diffusion_coeffs.sum() - (n + np.trace(bundle.noise).real)
             ) < 1e-10
+
+
+class TestInverseForm:
+    """The dense route's one quadratic-form path, through the Cholesky factor."""
+
+    def test_block_matches_the_per_column_forms(self, rng):
+        bundle = dense_propagator(white_model(n=3, coupling=0.1, nbar=0.5)).bundle(1.3)
+        assert bundle.frame is None
+        vectors = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        block = bundle.inverse_form(vectors)
+        assert np.array_equal(block, block.conj().T)
+        form = bundle.inverse_form
+        expected = np.empty((4, 4), dtype=complex)
+        for a, b in itertools.product(range(4), repeat=2):
+            # Polarization: v_a^T W^-1 conj(v_b) from forms of single vectors.
+            va, vb = vectors[:, a], vectors[:, b]
+            re = form(va + vb) - form(va) - form(vb)
+            im = form(va + 1j * vb) - form(va) - form(vb)
+            expected[a, b] = 0.5 * (re + 1j * im)
+        assert np.max(np.abs(block - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(np.inf, "a non-finite entry"), (np.nan, "a non-finite entry"), (1.7e308, "smallest")],
+    )
+    def test_width_past_the_float_range_refused_without_warning(self, entry, message):
+        # 1.7e308 is finite, but halving the sum of the width and its adjoint
+        # would overflow.
+        bundle = dataclasses.replace(
+            dense_propagator(white_model(n=2, coupling=0.1)).bundle(1.0),
+            wigner_width=np.array([[1.0, entry], [entry, 1.0]], dtype=complex),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refusal = rf"t = 1\.0 is not positive definite: .*{message}"
+            for vectors in (np.array([1.0, 0.5j]), np.eye(2, dtype=complex)):
+                with pytest.raises(SingularWidth, match=refusal):
+                    bundle.inverse_form(vectors)
+            with pytest.raises(SingularWidth, match=message):
+                osc.wigner(osc.build_cat_family(2, 1, 0, 0.5), np.zeros(2), bundle)
 
 
 class TestBuildModel:
