@@ -56,7 +56,7 @@ from .errors import ConfigError, OscnetError, _check_bytes, _count
 from .metrics import decoherence_report, linear_entropy
 from .network import NetworkSpec
 from .phasespace import (
-    _check_components,
+    _check_grid,
     _check_ranges,
     _grid_axes,
     char_function,
@@ -345,7 +345,7 @@ def parse_config(config: dict) -> RunSpec:
     )
     regime = _field(config, "regime")
     state = _state(config, n)
-    _build("state.branches", _check_components, sum(len(b.components) for b in state.branches))
+    _build("state.branches", getattr, state, "pairs")  # the K byte check
     times = _field(config, "times.list")
     if times is None:  # stop <= start gives times that do not increase
         start, stop = _field(config, "times.start"), _field(config, "times.stop")
@@ -357,8 +357,7 @@ def parse_config(config: dict) -> RunSpec:
         _check_tau_scan(times, state)
     points = _field(config, "wigner_grid.points")
     if "wigner_grid" in outputs:
-        grid = f"a grid of {points}^{2 * n} points"
-        _build("wigner_grid.points", _check_bytes, grid, 8 * (2 * n + 1) * points ** (2 * n))
+        _build("wigner_grid.points", _check_grid, n, points)
     ranges = _field(config, "wigner_grid.ranges", shape=(n, 4))
     if ranges is not None:
         _build("wigner_grid.ranges", _check_ranges, ranges)
@@ -486,11 +485,7 @@ def _default_eta_grid(n):
 
 def _oracle_table(spec: RunSpec, model: Model):
     state, n_max = spec.state, spec.n_max
-    largest_amp = max(
-        float(np.max(np.abs(c.amplitudes)))
-        for b in state.branches
-        for c in b.components
-    )
+    largest_amp = float(np.max(np.abs(state.pairs.amplitudes)))
     occupations = model.rates.diffusion.diagonal() / np.maximum(
         model.rates.damping.diagonal(), 1e-300
     )

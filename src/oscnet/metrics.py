@@ -262,7 +262,7 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     (rounding at extreme temperatures), raises :class:`SingularWidth`; an
     entropy in (-1e-10, 0) is returned as 0.
     """
-    betas, logw = phasespace._flat_components(state)
+    betas, _, logw = state.pairs
     gram = bundle.inverse_form(bundle.centers(betas.T))  # H[a, b]
     log_det = float(np.sum(np.log(bundle.diffusion_coeffs)))
     head = logw.T - gram  # (s, r): logw[r, s] - H[s, r]
@@ -300,7 +300,7 @@ def concurrence(state: CoherentMixture, part_a, bundle: PropagatorBundle) -> flo
     mode count.  Requires a pure (single-branch) state and a dissipation-free
     bundle; symmetric under swapping the partition.
     """
-    branch = state.single_branch()
+    state.single_branch()  # raises unless the state is pure
     n = state.n_modes
     part_a = sorted(int(m) for m in part_a)
     if not part_a or len(part_a) >= n or len(set(part_a)) != len(part_a):
@@ -315,8 +315,7 @@ def concurrence(state: CoherentMixture, part_a, bundle: PropagatorBundle) -> flo
     ):
         raise ValidationError("concurrence requires a dissipation-free bundle")
 
-    betas = np.array([c.amplitudes for c in branch.components])
-    coeffs = np.array([c.coefficient for c in branch.components])
+    betas, coeffs, _ = state.pairs
     centers = bundle.centers(betas.T).T  # (K, N)
     # Every overlap exponent has real part <= 0, so a product of the two
     # factors underflows only where the combined exponent would.

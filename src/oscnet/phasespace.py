@@ -8,9 +8,11 @@ The evolved state of a coherent mixture is a Gaussian sum.  Each ordered pair
 of components (r bra-side, s ket-side) contributes a Gaussian centered at the
 evolved centroids with a common width: the accumulated noise J for the
 P-function, J + I for the Wigner function.  As in the metrics, a width that is
-not positive definite has no such Gaussian and raises :class:`SingularWidth`.
-Pair weights are assembled in log space, so widely separated components never
-underflow.
+not positive definite has no such Gaussian and raises :class:`SingularWidth`,
+and so does a value of :func:`p_function` or :func:`wigner` past the float
+range.  The amplitudes and the log pair weights, assembled in log space so
+widely separated components never underflow, come from the mixture's one
+record, :attr:`~oscnet.states.CoherentMixture.pairs`.
 
 The characteristic, P- and Wigner functions share one kernel,
 :func:`_pair_sum`: per point, the sum over pairs of
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import QuadratureNotConverged, SingularWidth, ValidationError, _check_bytes
 from .propagation import PropagatorBundle, _positive_factor
-from .states import CoherentMixture, FockMixture, _log_overlaps
+from .states import CoherentMixture, FockMixture
 
 __all__ = [
     "char_function",
@@ -67,10 +69,6 @@ _FACTOR_LOG_MAX = 600.0
 # float range, so |xi|^2, the quadratic form q (the inverse Wigner width is at
 # most the identity) and the factor exponents stay finite.
 _RANGE_MAX = 1e150
-# K x K complex arrays alive at once in a Gaussian sum or the entropy
-# (tracemalloc reads 6.0 for the entropy, 9.0 for a Wigner grid at K = 625);
-# a component count whose arrays would pass the byte limit is refused first.
-_PAIR_ARRAYS = 10
 
 
 def _as_points(xi, n: int):
@@ -79,44 +77,6 @@ def _as_points(xi, n: int):
     if pts.shape[-1] != n:
         raise ValidationError(f"phase-space points must have {n} modes on the last axis")
     return np.atleast_2d(pts) if scalar else pts, scalar
-
-
-def _flat_components(state: CoherentMixture):
-    """Flatten a mixture: amplitude matrix (K, N), log pair-weight matrix (K, K).
-
-    ``logw[r, s] = log(p_branch) + log(conj(L_r) L_s) + overlap exponent`` for
-    components r, s of one branch, and -inf for cross-branch pairs.
-    """
-    comps = [c for branch in state.branches for c in branch.components]
-    _check_components(len(comps))
-    betas = np.array([c.amplitudes for c in comps])
-    coeffs = np.array([c.coefficient for c in comps])
-    branch_of = np.array([j for j, b in enumerate(state.branches) for _ in b.components])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_coeffs = np.log(coeffs)
-        log_probs = np.log(np.array([b.probability for b in state.branches]))
-    log_coeffs[coeffs == 0] = -np.inf
-    logw = (
-        log_coeffs.conj()[:, None]
-        + log_coeffs[None, :]
-        + _log_overlaps(betas, betas)
-        + log_probs[branch_of][:, None]
-    )
-    same = branch_of[:, None] == branch_of[None, :]
-    logw = np.where(same, logw, -np.inf + 0j)
-    return betas, logw
-
-
-def _check_components(k: int) -> None:
-    _check_bytes(f"the {k} x {k} work arrays of {k} components", _PAIR_ARRAYS * 16 * k * k)
-
-
-def _pair_weights(state: CoherentMixture):
-    betas, logw = _flat_components(state)
-    with np.errstate(over="ignore"):
-        weights = np.exp(logw)
-    weights[np.isneginf(logw.real)] = 0.0
-    return betas, weights
 
 
 def _pair_sum(pts, const, bra, form, ket=None):
@@ -176,7 +136,7 @@ def char_function(state: CoherentMixture, eta, bundle: PropagatorBundle):
     accumulated noise width.  ``chi(0) = 1`` for every state and time.
     """
     pts, scalar = _as_points(eta, state.n_modes)
-    betas, logw = _flat_components(state)
+    betas, _, logw = state.pairs
     centers = bundle.centers(betas.T).T  # (K, N)
     value = _pair_sum(
         pts.reshape(-1, state.n_modes),
@@ -202,7 +162,7 @@ def _gaussian_terms(state: CoherentMixture, bundle: PropagatorBundle, kind: str)
     det = np.prod(np.diag(lower).real) ** 2
     if det < _DET_FLOOR:
         raise SingularWidth(f"{kind} width determinant {det:.3g} below {_DET_FLOOR}")
-    betas, logw = _flat_components(state)
+    betas, _, logw = state.pairs
     centers = bundle.centers(betas.T).T  # (K, N)
     inv = np.linalg.inv(hermitized)
     inv = 0.5 * (inv + inv.conj().T)
@@ -214,8 +174,12 @@ def _gaussian_sum(state: CoherentMixture, xi, bundle: PropagatorBundle, kind: st
     n = state.n_modes
     pts, scalar = _as_points(xi, n)
     det, const, bra, form = _gaussian_terms(state, bundle, kind)
-    total = _pair_sum(pts.reshape(-1, n), const, bra, form).reshape(pts.shape[:-1])
-    value = (2.0 / np.pi) ** n / det * total
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _pair_sum(pts.reshape(-1, n), const, bra, form).reshape(pts.shape[:-1])
+        value = (2.0 / np.pi) ** n / det * total
+    if not np.all(np.isfinite(value)):
+        where = f"{kind} width at t = {bundle.t}"
+        raise SingularWidth(f"{where} puts the Gaussian sum past the float range")
     return value[0] if scalar else value
 
 
@@ -226,6 +190,9 @@ def p_function(state: CoherentMixture, xi, bundle: PropagatorBundle):
     imaginary part is exactly zero; the complex dtype is kept.  Undefined
     (:class:`SingularWidth`) where the noise width is not positive definite:
     without diffusion, and at short times on a non-secular common reservoir.
+    A value past the float range, as a nonclassical state's P-function
+    reaches while the noise width is still small, raises
+    :class:`SingularWidth` too, naming the noise width and the time.
     """
     value = _gaussian_sum(state, xi, bundle, "noise")
     return np.asarray(value, dtype=complex) if np.ndim(value) else complex(value)
@@ -265,7 +232,9 @@ def wigner_elements(state: CoherentMixture, xi_rotated, bundle: PropagatorBundle
 
 def moments(state: CoherentMixture, bundle: PropagatorBundle):
     """First and second moments: (<a_m>, <a_m^dag a_n>) of the evolved mixture."""
-    betas, weights = _pair_weights(state)
+    betas, _, logw = state.pairs
+    with np.errstate(over="ignore"):
+        weights = np.where(np.isneginf(logw.real), 0.0, np.exp(logw))
     centers = bundle.centers(betas.T).T
     first = np.einsum("rs,sn->n", weights, centers)
     second = bundle.noise / 2.0 + np.einsum(
@@ -441,6 +410,12 @@ def _check_ranges(ranges) -> None:
         raise ValidationError(f"grid range entries must lie within +-{_RANGE_MAX:g}")
 
 
+def _check_grid(n: int, points: int) -> None:
+    """Refuse a grid whose coords and values, points^(2n) rows of 2n + 1
+    float64, would pass the byte limit."""
+    _check_bytes(f"a grid of {points}^{2 * n} points", 8 * (2 * n + 1) * points ** (2 * n))
+
+
 def _grid_axes(ranges, points: int):
     """The 2N axes of a Wigner grid, re then im per mode, ``points`` values each."""
     return [np.linspace(lo, hi, points) for r in ranges for lo, hi in (r[:2], r[2:])]
@@ -450,7 +425,8 @@ def wigner_grid(state: CoherentMixture, bundle: PropagatorBundle, ranges, points
     """Evaluate the Wigner function on a cartesian re/im grid per mode.
 
     ``ranges`` is one (re_min, re_max, im_min, im_max) tuple per mode, each
-    entry within +-``_RANGE_MAX`` (1e150), or :class:`ValidationError`.
+    entry within +-``_RANGE_MAX`` (1e150), and the grid's coords and values
+    must fit the byte limit, or :class:`ValidationError`.
     Returns ``(coords, values)`` with coords of shape (P, 2N) holding the
     real and imaginary parts per mode, and values of shape (P,).
 
@@ -465,6 +441,7 @@ def wigner_grid(state: CoherentMixture, bundle: PropagatorBundle, ranges, points
     if len(ranges) != n:
         raise ValidationError("one range tuple per mode is required")
     _check_ranges(ranges)
+    _check_grid(n, points)
     coords = _grid_coords(_grid_axes(ranges, points))
     det, const, bra, form = _gaussian_terms(state, bundle, "Wigner")
     total = _factored_sum(coords, points, const, bra, form)

@@ -83,8 +83,9 @@ class PropagatorBundle:
     columns.  Each is computed on first access and cached on its own: the
     coefficients by a spectrum-only :func:`rotate_frame` call, the rotation
     by a full one (whose coefficients agree to rounding), so the
-    coefficients never depend on which was read first.  :meth:`centers`
-    gives the evolved centroids.
+    coefficients never depend on which was read first; a coefficient that is
+    not finite, or a smallest one that is not positive, raises
+    :class:`SingularWidth`.  :meth:`centers` gives the evolved centroids.
 
     A bundle from :meth:`Propagator.bundle` builds its ``transition``,
     ``noise`` and ``wigner_width`` on first read and caches them.  One built
@@ -128,8 +129,14 @@ class PropagatorBundle:
 
     @cached_property
     def diffusion_coeffs(self) -> np.ndarray:
+        refusal = f"Wigner width at t = {self.t} is not positive definite:"
         width = self.wigner_width if self.frame is None else self.frame_width
-        return rotate_frame(width, vectors=False)[1]
+        if not np.all(np.isfinite(width)):
+            raise SingularWidth(f"{refusal} it has a non-finite entry")
+        coeffs = rotate_frame(width, vectors=False)[1]
+        if not (np.all(np.isfinite(coeffs)) and coeffs.min() > 0):
+            raise SingularWidth(f"{refusal} smallest coefficient {coeffs.min():.3g}")
+        return coeffs
 
     @property
     def width_trace(self) -> float:
@@ -244,7 +251,7 @@ def rotate_frame(wigner_width: np.ndarray, vectors: bool = True):
     width = np.asarray(wigner_width)
     if width.ndim == 2:
         width = width.astype(complex, copy=False)
-        width = 0.5 * (width + width.conj().T)
+        width = 0.5 * width + 0.5 * width.conj().T  # halves: no overflow near 1e308
         if not _off_diagonal_at_rounding(width):
             if not vectors:
                 return None, np.linalg.eigvalsh(width)

@@ -6,16 +6,24 @@ explicit occupation-number coefficients on a finite support.  The cat-state
 family used throughout the decoherence analysis is a two-component special
 case with a block of oscillators displaced to +alpha, another to -alpha, and
 the rest parked at a spectator amplitude.
+
+A coherent mixture of K components in all evolves into K^2 Gaussian terms,
+one per ordered pair of components.  Every Gaussian evaluator reads the
+arrays behind them from one record, :attr:`CoherentMixture.pairs`: the
+(K, N) amplitudes, the (K,) coefficients and the (K, K) log pair weights,
+built on the first read, after the component count has passed the byte
+limit, and cached on the frozen mixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NullState, ValidationError
+from .errors import NullState, ValidationError, _check_bytes
 
 __all__ = [
     "CoherentComponent",
@@ -33,6 +41,10 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
+# K x K complex arrays alive at once in a Gaussian sum or the entropy
+# (tracemalloc reads 6.0 for the entropy, 9.0 for a Wigner grid at K = 625);
+# a component count whose arrays would pass the byte limit is refused first.
+_PAIR_ARRAYS = 10
 
 
 def _log_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,6 +89,15 @@ class CoherentBranch:
     components: tuple
 
 
+class PairRecord(NamedTuple):
+    """A mixture's K components as read-only arrays; ``log_weights[r, s]`` is
+    log p_branch + log(conj(c_r) c_s) + overlap exponent, -inf across branches."""
+
+    amplitudes: np.ndarray  # (K, N)
+    coefficients: np.ndarray  # (K,)
+    log_weights: np.ndarray  # (K, K)
+
+
 @dataclass(frozen=True, eq=False)
 class CoherentMixture:
     """Probability mixture of normalized coherent superpositions."""
@@ -86,6 +107,27 @@ class CoherentMixture:
     @property
     def n_modes(self) -> int:
         return self.branches[0].components[0].amplitudes.size
+
+    @cached_property
+    def pairs(self) -> PairRecord:
+        """The :class:`PairRecord`, built on first read and cached; a component
+        count whose K x K work arrays would pass the byte limit is refused first."""
+        comps = [c for branch in self.branches for c in branch.components]
+        k = len(comps)
+        _check_bytes(f"the {k} x {k} work arrays of {k} components", _PAIR_ARRAYS * 16 * k * k)
+        betas = np.array([c.amplitudes for c in comps])
+        coeffs = np.array([c.coefficient for c in comps])
+        branch_of = np.array([j for j, b in enumerate(self.branches) for _ in b.components])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_coeffs = np.log(coeffs)
+            log_probs = np.log(np.array([b.probability for b in self.branches]))
+        log_coeffs[coeffs == 0] = -np.inf
+        logw = log_coeffs.conj()[:, None] + log_coeffs[None, :] + _log_overlaps(betas, betas)
+        logw += log_probs[branch_of][:, None]
+        logw = np.where(branch_of[:, None] == branch_of, logw, -np.inf + 0j)
+        for array in (betas, coeffs, logw):
+            array.setflags(write=False)
+        return PairRecord(betas, coeffs, logw)
 
     def single_branch(self) -> CoherentBranch:
         if len(self.branches) != 1:

@@ -1364,7 +1364,7 @@ class TestMoreConfigs:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "error: the generator damping/2 + i*h" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("output", ["entropy_curve", "tau_report", "wigner_grid"])
+    @pytest.mark.parametrize("output", ["entropy_curve", "tau_report", "wigner_grid", "dcoef"])
     def test_width_broken_by_rounding_refused(self, output, tmp_path, capsys):
         # At T = 1e35 rounding in P - conj(T) P T^T leaves the t = 0 Wigner
         # width with a negative eigenvalue.  Unequal damping rates keep the
@@ -1374,6 +1374,23 @@ class TestMoreConfigs:
             ranges = [[-2.0, 2.0, -2.0, 2.0]] * 2
             config["wigner_grid"] = {"points": 5, "ranges": ranges, "time_index": 0}
         config["reservoirs"]["temperature"] = 1e35
+        config["reservoirs"]["profile"] = [
+            {"kind": "white", "gamma": 0.05},
+            {"kind": "white", "gamma": 0.03},
+        ]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Wigner width at t = 0.0 is not positive definite")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    # The stationary solve overflows, with RuntimeWarnings, on its way to the
+    # non-finite width; the warnings are not what this test checks.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_width_refused_by_dcoef(self, tmp_path, capsys):
+        config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1}, outputs=["dcoef"])
+        config["reservoirs"]["temperature"] = 1e308
         config["reservoirs"]["profile"] = [
             {"kind": "white", "gamma": 0.05},
             {"kind": "white", "gamma": 0.03},

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oscnet as osc
-from oscnet import errors, phasespace, propagation
+from oscnet import errors, phasespace, propagation, states
 
 from oscnet.errors import SingularWidth, ValidationError
 
@@ -23,7 +23,7 @@ from conftest import two_branch_mixture, white_model, zero_coefficient_state
 
 
 def _old_char(state, pts, bundle):
-    betas, logw = phasespace._flat_components(state)
+    betas, _, logw = state.pairs
     centers = (bundle.transition @ betas.T).T
     e_bra = pts @ centers.conj().T
     e_ket = pts.conj() @ centers.T
@@ -40,7 +40,7 @@ def _old_char(state, pts, bundle):
 def _old_gaussian_sum(state, pts, bundle, width):
     n = state.n_modes
     det = np.linalg.det(0.5 * (width + width.conj().T)).real
-    betas, logw = phasespace._flat_components(state)
+    betas, _, logw = state.pairs
     centers = (bundle.transition @ betas.T).T
     inv = np.linalg.inv(0.5 * (width + width.conj().T))
     quad = np.einsum("...m,mn,...n->...", pts, inv, pts.conj())
@@ -172,7 +172,8 @@ def test_ring64_memory_bounded(pair_model):
 
 def _old_linear_entropy(state, bundle):
     # The K^4 kernel that linear_entropy used before its Gram-matrix form.
-    betas, weights = phasespace._pair_weights(state)
+    betas, _, logw = state.pairs
+    weights = np.where(np.isneginf(logw.real), 0.0, np.exp(logw))
     rotation, coeffs = propagation.rotate_frame(bundle.wigner_width)
     det = float(np.prod(coeffs))
     moved = (rotation.T @ (bundle.transition @ betas.T)).T  # (K, N)
@@ -225,7 +226,7 @@ def test_large_cat_stays_pure_without_dissipation():
 def _chunked_linear_entropy(state, bundle, chunk_bytes):
     # The log-space kernel linear_entropy used before its factored form:
     # log X[s, q] = lse_r(logw[r, s] - H[s, r] + H[q, r]) in chunks of s.
-    betas, logw = phasespace._flat_components(state)
+    betas, _, logw = state.pairs
     gram = bundle.inverse_form(bundle.centers(betas.T))
     log_det = float(np.sum(np.log(bundle.diffusion_coeffs)))
     head = logw.T - gram
@@ -271,7 +272,7 @@ def test_ring144_purity_memory_bounded(pair_model):
 def _frame_linear_entropy(state, bundle):
     # The log-space Gram kernel as linear_entropy computed it in the rotated
     # frame, from U and D of one full rotate_frame call, unchunked.
-    betas, logw = phasespace._flat_components(state)
+    betas, _, logw = state.pairs
     rotation, coeffs = propagation.rotate_frame(bundle.wigner_width)
     det = float(np.prod(coeffs))
     moved = (rotation.T @ (bundle.transition @ betas.T)).T  # (K, N)
@@ -351,7 +352,7 @@ def test_component_count_refused_before_allocation(pair_model, monkeypatch):
     ring = osc.fock_state_ring([1, 1], radius=0.6, points=8)  # K = 64
     bundle = pair_model.propagator.bundle(2.0)
     bundle.diffusion_coeffs
-    monkeypatch.setattr(errors, "_BYTE_LIMIT", phasespace._PAIR_ARRAYS * 16 * 64**2 - 1)
+    monkeypatch.setattr(errors, "_BYTE_LIMIT", states._PAIR_ARRAYS * 16 * 64**2 - 1)
     grid = [(-1.0, 1.0, -1.0, 1.0)] * 2
     for evaluate in (
         lambda: osc.linear_entropy(ring, bundle),
@@ -431,7 +432,7 @@ def test_entropy_route_against_extended_precision(name, monkeypatch):
     # The ring's extended-precision sums take about a second per time.
     for t in (0.5,) if name == "ring144" else (0.0, 0.5, 5.0):
         bundle = model.propagator.bundle(t)
-        betas, logw = phasespace._flat_components(state)
+        betas, _, logw = state.pairs
         gram = bundle.inverse_form(bundle.centers(betas.T)).astype(np.clongdouble)
         head = logw.T.astype(np.clongdouble) - gram
         x = np.array([np.exp(row + gram).sum(axis=1) for row in head])  # (s, q)

@@ -172,6 +172,24 @@ class TestPFunction:
         assert np.max(np.abs(p_sub.imag)) < 1e-12
 
 
+    @pytest.mark.parametrize("t", [1e-4, 1e-3, 0.01])
+    def test_value_past_the_float_range_refused(self, t):
+        # Far from the diagonal the cat's interference terms grow as the noise
+        # width shrinks: at these times they pass the float range.
+        model = white_model(n=1, gamma=0.05, nbar=0.5)
+        cat = osc.build_cat_family(1, 1, 0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularWidth, match=rf"noise width at t = {t} puts the"):
+                osc.p_function(cat, np.array([0.1 + 0.2j]), model.propagator.bundle(t))
+
+    def test_large_finite_value_kept(self):
+        model = white_model(n=1, gamma=0.05, nbar=0.5)
+        cat = osc.build_cat_family(1, 1, 0, 1.0)
+        value = osc.p_function(cat, np.array([0.1 + 0.2j]), model.propagator.bundle(0.1))
+        assert value == -4.449290683509489e165
+
+
 class TestWigner:
     def test_zero_temperature_coherent(self):
         model = white_model(n=1, gamma=0.2, nbar=0.0)
@@ -465,6 +483,19 @@ GRID_CASES = {
 
 
 class TestWignerGrid:
+    def test_oversized_grid_refused_before_allocation(self, pair_model):
+        # 10^4 points per axis on two modes: 8 * 5 * 10^16 bytes of coords and values.
+        bundle = pair_model.propagator.bundle(1.0)
+        cat = osc.build_cat_family(2, 1, 1, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"a grid of 10000\^4 points would take"):
+                osc.wigner_grid(cat, bundle, [[-1.0, 1.0, -1.0, 1.0]] * 2, 10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_shape_and_values(self, thermal_model):
         state = osc.single_coherent_state([0.3])
         bundle = thermal_model.propagator.bundle(0.4)
@@ -682,5 +713,8 @@ class TestIndefiniteWidth:
             with pytest.raises(SingularWidth, match=r"noise width at t = 0\.01 is not positive"):
                 osc.p_function(cat, xi, bundle)
         else:
-            osc.p_function(cat, xi, bundle)
+            # The width is positive definite, but this P-value, about
+            # e^766580, lies past the float range and is refused as such.
+            with pytest.raises(SingularWidth, match=r"noise width at t = 0\.01 puts the Gaussian"):
+                osc.p_function(cat, xi, bundle)
         assert np.isfinite(osc.wigner(cat, xi, bundle))

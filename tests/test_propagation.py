@@ -237,6 +237,38 @@ class TestInverseForm:
                 osc.wigner(osc.build_cat_family(2, 1, 0, 0.5), np.zeros(2), bundle)
 
 
+class TestDiffusionCoeffs:
+    def test_indefinite_width_refused(self):
+        bundle = dataclasses.replace(
+            white_model(n=3, coupling=0.1).propagator.bundle(1.0),
+            wigner_width=np.diag([-0.5, -0.5, 3.0]) + 0j,
+        )
+        with pytest.raises(SingularWidth, match=r"t = 1\.0 is not positive definite: smallest"):
+            bundle.diffusion_coeffs
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(np.inf, "a non-finite entry"), (np.nan, "a non-finite entry"), (1.7e308, "smallest")],
+    )
+    def test_width_past_the_float_range_refused_without_warning(self, entry, message):
+        bundle = dataclasses.replace(
+            white_model(n=2, coupling=0.1).propagator.bundle(1.0),
+            wigner_width=np.array([[1.0, entry], [entry, 1.0]], dtype=complex),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refusal = rf"t = 1\.0 is not positive definite: .*{message}"
+            with pytest.raises(SingularWidth, match=refusal):
+                bundle.diffusion_coeffs
+
+    def test_frame_width_not_positive_refused(self):
+        bundle = white_model(n=3, coupling=0.1).propagator.bundle(1.0)
+        assert bundle.frame is not None
+        bundle.__dict__["frame_width"] = np.array([2.0, 0.0, 1.0])
+        with pytest.raises(SingularWidth, match="smallest coefficient 0"):
+            bundle.diffusion_coeffs
+
+
 class TestBuildModel:
     def test_free_evolution_model(self):
         net = osc.degenerate_symmetric_network(2, 1.0, 0.2)

@@ -3,7 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
+from oscnet import states
 from oscnet.errors import NullState, ValidationError
+
+from conftest import two_branch_mixture, white_model
 
 
 class TestCoherentOverlap:
@@ -98,6 +101,41 @@ class TestMixtures:
         )
         with pytest.raises(ValidationError):
             mixed.single_branch()
+
+
+class TestPairRecord:
+    def test_flattens_the_branches(self):
+        state = two_branch_mixture()
+        betas, coeffs, logw = state.pairs
+        comps = [c for b in state.branches for c in b.components]
+        assert np.array_equal(betas, [c.amplitudes for c in comps])
+        assert np.array_equal(coeffs, [c.coefficient for c in comps])
+        # Within a branch, exp(logw) = p conj(c_r) c_s <beta_r|beta_s>.
+        first = state.branches[0]
+        expected = first.probability * np.conj(coeffs[0]) * coeffs[1] * osc.coherent_overlap(
+            betas[0], betas[1]
+        )
+        assert_allclose(np.exp(logw[0, 1]), expected, rtol=1e-13)
+        assert np.all(np.isneginf(logw[:2, 2].real)) and np.all(np.isneginf(logw[2, :2].real))
+        for array in (betas, coeffs, logw):
+            assert not array.flags.writeable
+
+    def test_built_once_per_mixture(self, monkeypatch):
+        model = white_model(n=2, coupling=0.1, gamma=0.05, nbar=0.5)
+        ring = osc.fock_state_ring([1, 1], radius=0.6, points=4)
+        calls = []
+        original = states._log_overlaps
+        monkeypatch.setattr(
+            states, "_log_overlaps", lambda a, b: calls.append(a.shape) or original(a, b)
+        )
+        for t in (0.0, 0.5, 2.0, 8.0):
+            osc.linear_entropy(ring, model.propagator.bundle(t))
+        bundle = model.propagator.bundle(1.0)
+        osc.char_function(ring, np.zeros(2), bundle)
+        osc.moments(ring, bundle)
+        osc.wigner_grid(ring, bundle, [(-1.0, 1.0, -1.0, 1.0)] * 2, 3)
+        assert calls == [(16, 2)]
+        assert ring.pairs is ring.pairs
 
 
 class TestFockMixture:

@@ -167,3 +167,24 @@ class TestWidthProperties:
         auto = osc.stationary_width(dis, diffusion)
         eig = osc.solve_pi_eigen(dis, diffusion)
         assert np.array_equal(auto.matrix, eig.matrix)
+
+
+def test_sylvester_fallback_on_a_near_exceptional_chain():
+    # A three-mode chain 1e-4 (relative) above the coupling of its exceptional
+    # point: the eigenvectors of G have cond 2.1e4, the eigen route's result
+    # fails its Hermiticity check, and the Sylvester route takes over.  At
+    # 1e-3 above it the eigen route still passes.
+    kappa = 0.075 / np.sqrt(2) * (1 + 1e-4)
+    network = osc.NetworkSpec(
+        omega=[1.0] * 3, coupling=[[0.0, kappa, 0.0], [kappa, 0.0, kappa], [0.0, kappa, 0.0]]
+    )
+    profiles = tuple(osc.WhiteNoise(gamma) for gamma in (0.15, 0.10, 0.05))
+    model = osc.build_model(network, osc.ReservoirSpec([0.5] * 3, profiles))
+    dis, diffusion = model.dissipative, model.rates.diffusion
+    assert dis.frame is None  # the dense route
+    with pytest.raises(ValidationError, match="not Hermitian to tolerance"):
+        osc.solve_pi_eigen(dis, diffusion)
+    width = osc.stationary_width(dis, diffusion).matrix
+    reference = osc.solve_pi_vec(dis, diffusion).matrix
+    assert np.max(np.abs(width - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.array_equal(model.width.matrix, width)
