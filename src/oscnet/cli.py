@@ -617,7 +617,9 @@ def _set_path(config: dict, path: str, value):
 def _parse_axis(text: str):
     """``path=start:stop:steps`` as (path, values); an integer field gets integers,
     and a point of it that is not a whole number is refused, as is a
-    ``network.n`` point above the network size limit."""
+    ``network.n`` point above the network size limit.  A non-finite bound or
+    span, or more points than the byte limit allows, is refused before any
+    point is made."""
     path, _, spec = text.partition("=")
     parts = spec.split(":")
     if len(parts) != 3:
@@ -630,13 +632,18 @@ def _parse_axis(text: str):
             f"--axis {path}", "start and stop must be numbers, steps an integer"
         ) from None
     if steps < 1:
-        raise ConfigError("--axis", "steps must be >= 1")
+        raise ConfigError(f"--axis {path}", "steps must be >= 1")
+    # Python float subtraction: a non-finite bound or span is inf or nan, unwarned.
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"--axis {path}", "start, stop and stop - start must be finite")
+    _build(f"--axis {path}", _check_bytes, f"{steps} axis points", 8 * steps)
     kind = _FIELDS.get(path, (None,))[0]
     integer = getattr(kind, "func", kind) is _integer
     values = np.linspace(start, stop, steps)
     if integer and np.any(values % 1):
         raise ConfigError(f"--axis {path}", "an integer field takes whole-number points")
-    values = values.astype(int if integer else float).tolist()
+    # Python ints: a cast of a point past the int64 range would warn and wrap.
+    values = [int(v) for v in values.tolist()] if integer else values.tolist()
     if path == "network.n":
         for n in values:
             _check_network_size(n, f"--axis {path}")

@@ -246,9 +246,12 @@ def rotate_frame(wigner_width: np.ndarray, vectors: bool = True):
     solve, equal to the full frame's D to rounding (bitwise on the diagonal
     shortcut).  A 1-D ``wigner_width`` is taken as the diagonal of an
     already diagonal width and goes straight to that shortcut's sort, with
-    the same result as its ``np.diag``.
+    the same result as its ``np.diag``.  A width with a non-finite entry is
+    refused with :class:`ValidationError`.
     """
     width = np.asarray(wigner_width)
+    if not np.all(np.isfinite(width)):
+        raise ValidationError("width to diagonalize has a non-finite entry")
     if width.ndim == 2:
         width = width.astype(complex, copy=False)
         width = 0.5 * width + 0.5 * width.conj().T  # halves: no overflow near 1e308

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -121,15 +122,25 @@ class TestValidation:
         assert proc.returncode == 0
         assert "config_hash" in proc.stdout
 
-    def test_malformed_axis_names_field(self, tmp_path):
+    def test_malformed_axis_names_field(self, tmp_path, capsys):
+        # In process, so a RuntimeWarning on the way to the refusal fails too.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(_base_config()))
-        proc = _run_cli(
-            "sweep", str(path), "--axis", "network.n=a:64:8", "--out", str(tmp_path)
-        )
-        assert proc.returncode == 2
-        assert "--axis network.n" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        out = tmp_path / "out"
+        for spec in (
+            "network.n=a:64:8",
+            "times.stop=1:2:0",
+            "times.stop=1:2:1000000000000000",  # 8e15 bytes of points
+            "times.stop=1:inf:3",
+            "times.stop=nan:1:2",
+            "times.stop=1e308:-1e308:3",  # the span overflows
+            "network.n=1:inf:2",
+            "network.n=1:1e300:2",  # past the int64 range
+        ):
+            assert cli.main(["sweep", str(path), "--axis", spec, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: --axis {spec.partition('=')[0]}: "), err
+        assert not out.exists()
 
     def test_times_list_instead_of_object_names_field(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -224,7 +235,7 @@ class TestValidation:
         out = tmp_path / "out"
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
             assert cli.main(argv) == 2
-            assert f"config error: {field}:" in capsys.readouterr().err
+            assert capsys.readouterr().err.startswith(f"config error: {field}: ")
         assert not out.exists()
 
     def test_wigner_grid_bytes_checked_only_when_requested(self, monkeypatch):
@@ -281,7 +292,8 @@ class TestValidation:
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith("config error: network.n: ") and str(errors._BYTE_LIMIT) in err
+            assert err.startswith("config error: network.n: ")
+            assert f"above the limit of {errors._BYTE_LIMIT} bytes" in err
         assert not out.exists()
         small = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.0})
         path.write_text(json.dumps(small))
@@ -388,7 +400,7 @@ class TestValidation:
         out = tmp_path / "out"
         for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
             assert cli.main(argv) == 2
-            assert f"config error: {path}:" in capsys.readouterr().err
+            assert capsys.readouterr().err.startswith(f"config error: {path}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -430,6 +442,15 @@ class TestValidation:
                 {"state": {"kind": "coherent", "branches": [{**_BRANCH, "weight": math.nan}]}},
                 "state.branches[0].weight",
             ),
+            (
+                # Two modes at n_max 200: a 2.1e11-byte oracle working set.
+                {
+                    "network": {"n": 2, "omega": [1.0, 1.02], "coupling": 0.1},
+                    "oracle": {"n_max": 200},
+                    "outputs": ["tau_report", "oracle_compare"],
+                },
+                "oracle.n_max",
+            ),
         ],
     )
     def test_malformed_node_named(self, overrides, field, tmp_path, capsys):
@@ -438,7 +459,10 @@ class TestValidation:
         out = tmp_path / "out"
         for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
             assert cli.main(argv) == 2
-            assert f"config error: {field}:" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {field}: ")
+            # A size refusal names the one byte limit.
+            assert "bytes" not in err or f"above the limit of {errors._BYTE_LIMIT} bytes" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -530,6 +554,7 @@ class TestRun:
         first = dcoef[3].split(",")
         assert float(first[1]) == 1.0
         entropy = (tmp_path / "entropy_curve.csv").read_text().splitlines()
+        assert len(entropy) == 3 + 50
         values = [float(line.split(",")[1]) for line in entropy[3:]]
         assert values[0] < 1e-10 and values[-1] > 0.1
 
@@ -791,39 +816,60 @@ class TestStartup:
         assert proc.stdout.strip() == "False"
 
     def test_gaussian_run_loads_no_scipy(self, tmp_path):
-        # Mixed white-noise and Lorentzian baths, every Gaussian output: the
-        # whole run path is numpy-only.
-        config = _base_config(
-            network={"n": 2, "omega": [1.0, 1.1], "coupling": 0.05},
-            reservoirs={
-                "temperature": [0.9, 0.6],
-                "profile": [
-                    {"kind": "white", "gamma": 0.05},
-                    {"kind": "lorentzian", "gamma": 0.05, "center": 1.0, "width": 0.5},
-                ],
-            },
-            times={"start": 0.0, "stop": 40.0, "steps": 20},
-            outputs=["tau_report", "dcoef", "entropy_curve", "wigner_grid"],
-            wigner_grid={"points": 3},
+        # Every Gaussian output on both routes, through the console script's
+        # main: mixed white-noise and Lorentzian baths (the dense route), and
+        # 16- and 64-component rings under identical baths (the normal-mode
+        # frame).  The whole run path is numpy-only.
+        ring = dict(
+            network={"n": 2, "omega": [1.0, 1.03], "coupling": 0.1},
+            reservoirs={"temperature": 0.5, "profile": {"kind": "white", "gamma": 0.05}},
+            times={"start": 0.0, "stop": 10.0, "steps": 5},
+            wigner_grid={"points": 5, "ranges": [[-2.5, 2.5, -2.0, 2.0], [-1.5, 1.5, -2.5, 2.5]]},
+            outputs=["entropy_curve", "wigner_grid"],
         )
+        configs = {
+            "mixed": _base_config(
+                network={"n": 2, "omega": [1.0, 1.1], "coupling": 0.05},
+                reservoirs={
+                    "temperature": [0.9, 0.6],
+                    "profile": [
+                        {"kind": "white", "gamma": 0.05},
+                        {"kind": "lorentzian", "gamma": 0.05, "center": 1.0, "width": 0.5},
+                    ],
+                },
+                times={"start": 0.0, "stop": 40.0, "steps": 20},
+                outputs=["tau_report", "dcoef", "entropy_curve", "wigner_grid"],
+                wigner_grid={"points": 3},
+            ),
+            "ring16": _base_config(state=_ring_state(0.0, points=4), **ring),
+            "ring64": _base_config(state=_ring_state(0.0, points=8), **ring),
+        }
+        for name, config in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
         code = (
             "import sys\n"
-            "from pathlib import Path\n"
-            "from oscnet.cli import run_config\n"
-            f"written = run_config({config!r}, Path({str(tmp_path / 'out')!r}))\n"
-            "print(sorted(written))\n"
+            "from oscnet.__main__ import main\n"
+            f"for path in {[str(tmp_path / name) for name in configs]!r}:\n"
+            "    assert main(['run', path + '.json', '--out', path]) == 0\n"
             "print([m for m in sys.modules if m.startswith('scipy')])\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        outputs, loaded, masked = proc.stdout.strip().splitlines()
-        assert outputs == repr(sorted(config["outputs"]))
+        loaded, masked = proc.stdout.strip().splitlines()[-2:]
         assert loaded == "[]"
         # The Wigner CSV writer reads its axes by stride: no np.unique, whose
         # import of numpy.ma costs every run about 14 ms.
         assert masked == "False"
+        for name, config in configs.items():
+            out = tmp_path / name
+            assert sorted(p.stem for p in out.iterdir()) == sorted(config["outputs"])
+            entropy = (out / "entropy_curve.csv").read_text().splitlines()[3:]
+            assert len(entropy) == config["times"]["steps"]
+            assert all(0.0 <= float(row.split(",")[1]) < 1.0 for row in entropy), name
+            grid = (out / "wigner_grid.csv").read_text().splitlines()
+            assert len(grid) == 3 + config["wigner_grid"]["points"] ** 4
 
     def test_oracle_run_loads_no_scipy(self, tmp_path):
         # The Fock oracle applies its generator with numpy slices and steps it
@@ -847,7 +893,15 @@ class TestStartup:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "[]"
-        assert (tmp_path / "out" / "oracle_compare.csv").exists()
+        lines = (tmp_path / "out" / "oracle_compare.csv").read_text().splitlines()
+        assert len(lines) == 6  # two header lines, the columns, three times
+        # Criterion 10's tolerances: chi and the moments to 1e-5, purity to 1e-4.
+        limits = {"max_chi_err": 1e-5, "max_first_moment_err": 1e-5,
+                  "max_second_moment_err": 1e-5, "purity_err": 1e-4}
+        header = lines[2].split(",")
+        for line in lines[3:]:
+            row = dict(zip(header, map(float, line.split(","))))
+            assert all(row[column] <= limit for column, limit in limits.items()), row
 
     @staticmethod
     def _run_main(config, tmp_path):
@@ -876,6 +930,7 @@ class TestStartup:
             "entropy_curve.csv",
             "tau_report.json",
         ]
+        assert len((tmp_path / "out" / "dcoef.csv").read_text().splitlines()) == 3 + 50
 
     def test_oracle_run_loads_the_oracle(self, tmp_path):
         config = _base_config(
@@ -1005,8 +1060,15 @@ class TestLazyPackage:
         del namespace["__builtins__"]
         expected = {*_EXPORTS, *(name for names in _EXPORTS.values() for name in names)}
         assert set(namespace) == expected
-        assert set(osc.__all__) == expected
+        assert sorted(osc.__all__) == sorted(expected)  # each name once
+        assert all(namespace[name] is getattr(osc, name) for name in expected)
         assert expected <= set(dir(osc))
+
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -1362,7 +1424,7 @@ class TestMoreConfigs:
         cfg.write_text(json.dumps(config))
         assert cli.main(["validate", str(cfg)]) == 0
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert "error: the generator damping/2 + i*h" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: the generator damping/2 + i*h")
 
     @pytest.mark.parametrize("output", ["entropy_curve", "tau_report", "wigner_grid", "dcoef"])
     def test_width_broken_by_rounding_refused(self, output, tmp_path, capsys):
@@ -1518,11 +1580,29 @@ class TestWriteRule:
             },
             "outputs": ["tau_report", "entropy_curve", "wigner_grid"],
         },
+        # An eigenvalue x time past the float range: exp would return nan.
+        "omega": _base_config(
+            network={"n": 1, "omega": 1e308, "coupling": 0.0},
+            times={"start": 0.0, "stop": 20.0, "steps": 5},
+            wigner_grid={"points": 5, "ranges": [[-2.0, 2.0, -2.0, 2.0]]},
+            outputs=["tau_report", "entropy_curve", "wigner_grid"],
+        ),
+        # The oracle's Taylor steps to t = 4 would take 2.2e202 products.
+        "oracle_limit": _base_config(
+            network={"n": 2, "omega": [1e200, 1.0], "coupling": 0.1},
+            state={"kind": "cat", "r": 1, "s": 1, "alpha": [0.553, -0.429]},
+            times={"start": 0.0, "stop": 4.0, "steps": 5},
+            oracle={"n_max": 10},
+            outputs=["oracle_compare"],
+        ),
     }
     ERRORS = {
         "tail_mass": "error: coherent tail mass",
         "positivity": "error: evolved density matrix lost positivity at t = 1.0",
         "purity": "error: Wigner width at t = 0.0 gives a purity of 1.0",
+        "omega": "error: eigenvalue 0.025+1e+308j x time 5 overflows the float range",
+        "oracle_limit": "error: evolution to t = 4.0 plans 2.22e+202 generator products"
+        " (generator 1-norm 1e+201), above the oracle limit of 100000",
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -1532,7 +1612,7 @@ class TestWriteRule:
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(self.ERRORS[name]) and "Traceback" not in err
+        assert err.startswith(self.ERRORS[name]) and "Traceback" not in err, err
         assert list(out.iterdir()) == []
 
 

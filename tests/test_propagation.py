@@ -121,6 +121,18 @@ class TestRotatedFrame:
         assert_allclose(rotation, np.eye(3), atol=1e-14)
         assert_allclose(coeffs, 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_width_refused(self, value):
+        width = np.array([[0.1, value], [value, 0.2]])
+        for call in (
+            lambda: osc.rotate_frame(width),
+            lambda: osc.rotate_frame(width, vectors=False),
+            lambda: osc.rotate_frame(np.diag(width) * value),
+            lambda: osc.directional_diffusion_times(width),
+        ):
+            with pytest.raises(ValidationError, match="non-finite entry"):
+                call()
+
     def test_weak_regime_uniform(self):
         model = white_model(n=3, coupling=0.001, gamma=0.05, nbar=0.6, regime="weak")
         rate = model.rates.damping[0, 0]
