@@ -159,9 +159,9 @@ class DissipativeMatrix:
     ``matrix = eigenvectors @ diag(eigenvalues) @ eigenvectors_inv`` with all
     eigenvalues in the right half plane.  Eigenvalues are sorted by ascending
     imaginary part so that, for identical reservoirs, they line up with the
-    normal-mode frequencies.  ``frame`` is the real orthogonal matrix C with
-    ``eigenvectors_inv == C`` and ``eigenvectors == C.T`` when the
-    decomposition was read off the normal modes, and ``None`` otherwise.
+    normal-mode frequencies.  Read off the normal modes, the decomposition is
+    real: ``frame`` is the read-only orthogonal C, ``eigenvectors_inv`` is C
+    itself and ``eigenvectors`` its view C.T; otherwise ``frame`` is ``None``.
     """
 
     matrix: np.ndarray
@@ -257,12 +257,12 @@ def dissipative_matrix(
         values, frame = values[order], modes.transform[order]
         if np.any(damping):
             _checked_spectrum(values)
-        vectors_inv = frame.astype(complex)
+        frame.setflags(write=False)  # three fields share this one buffer
         return DissipativeMatrix(
             matrix=hd,
             eigenvalues=values,
-            eigenvectors=vectors_inv.T.copy(),
-            eigenvectors_inv=vectors_inv,
+            eigenvectors=frame.T,
+            eigenvectors_inv=frame,
             frame=frame,
         )
     values, vectors = np.linalg.eig(hd)

@@ -42,6 +42,7 @@ import math
 import numpy as np
 
 from .errors import QuadratureNotConverged, SingularWidth, ValidationError, _check_bytes
+from .errors import _MODULUS_MAX as _RANGE_MAX  # largest |entry| of a Wigner grid range
 from .propagation import PropagatorBundle, _positive_factor
 from .states import CoherentMixture, FockMixture
 
@@ -65,10 +66,6 @@ _CHUNK_BYTES = 8 << 20
 # Each factored term is then at most e^600, and a term whose factors
 # underflow (below e^-745 of its shifts) is at most e^-145.
 _FACTOR_LOG_MAX = 600.0
-# Largest |entry| of a Wigner grid range: its square, 1e300, is 1e8 below the
-# float range, so |xi|^2, the quadratic form q (the inverse Wigner width is at
-# most the identity) and the factor exponents stay finite.
-_RANGE_MAX = 1e150
 
 
 def _as_points(xi, n: int):

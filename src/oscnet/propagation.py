@@ -20,8 +20,8 @@ independent and immutable; time grids are caller-supplied and nothing is
 interpolated.
 
 When the generator was read off the normal modes (distinct reservoirs of
-one spectral density, see :func:`oscnet.network.dissipative_matrix`) and
-the reservoirs share one temperature, the real orthogonal mode transform C
+one spectral density, see :func:`oscnet.network.dissipative_matrix`), its
+eigenvectors are the real C.T, and at one temperature the mode transform C
 diagonalizes every width: with ``X = C P C.T`` diagonal (formed once) and
 ``e = exp(-lambda t)``, ``C W(t) C.T = I + X * (1 - |e|^2)``, an O(N)
 build per time.  The bundle keeps that frame width; the diffusion

@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NullState, ValidationError, _check_bytes
+from .errors import _MODULUS_MAX, NullState, ValidationError, _check_bytes
 
 __all__ = [
     "CoherentComponent",
@@ -71,13 +71,16 @@ def coherent_overlap(a: np.ndarray, b: np.ndarray) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class CoherentComponent:
-    """One coherent product in a superposition: coefficient and amplitude vector."""
+    """One coherent product in a superposition: coefficient and amplitude vector,
+    every entry finite and at most 1e150 in modulus (the norms square them)."""
 
     coefficient: complex
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amp = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex))
+        if not np.all(np.abs(amp) <= _MODULUS_MAX) or not abs(self.coefficient) <= _MODULUS_MAX:
+            raise ValidationError(f"coherent entry above {_MODULUS_MAX:g} in modulus or not finite")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "coefficient", complex(self.coefficient))

@@ -71,7 +71,7 @@ def _unvec(vector: np.ndarray, n: int) -> np.ndarray:
 
 
 def _symmetrized(diffusion: np.ndarray) -> np.ndarray:
-    diffusion = np.asarray(diffusion, dtype=complex)
+    diffusion = np.asarray(diffusion)
     return diffusion + diffusion.T
 
 

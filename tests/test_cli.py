@@ -3,6 +3,7 @@ import copy
 import ctypes
 import dataclasses
 import importlib
+import itertools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +132,7 @@ class TestValidation:
         for spec in (
             "network.n=a:64:8",
             "times.stop=1:2:0",
-            "times.stop=1:2:1000000000000000",  # 8e15 bytes of points
+            "times.stop=1:2:1000000000000000",  # 4.8e16 bytes of points
             "times.stop=1:inf:3",
             "times.stop=nan:1:2",
             "times.stop=1e308:-1e308:3",  # the span overflows
@@ -450,6 +452,19 @@ class TestValidation:
                     "outputs": ["tau_report", "oracle_compare"],
                 },
                 "oracle.n_max",
+            ),
+            # Amplitudes past 1e150 are refused before their squares overflow.
+            ({"state": {"kind": "cat", "alpha": 1e154}}, "state"),
+            ({"state": {"kind": "cat", "alpha": 1e160}}, "state"),
+            *(
+                (
+                    {"state": {"kind": "coherent", "branches": [{"components": [component]}]}},
+                    "state.branches[0]",
+                )
+                for component in (
+                    {"amplitude": 1.0, "beta": [1e160]},
+                    {"amplitude": 1e160, "beta": [0.5]},
+                )
             ),
         ],
     )
@@ -1348,6 +1363,38 @@ class TestSweep:
             values = cli._parse_axis(f"{path}=1:3:3")[1]
             assert values == [1, 2, 3] and all(type(v) is int for v in values), path
         assert [type(v) for v in cli._parse_axis("times.stop=1:3:3")[1]] == [float] * 3
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["times.stop=1:2:100000", "times.steps=1:1e5:100000", "times.steps=1e30:2e30:100000"],
+    )
+    def test_axis_bytes_cover_the_sweep_state(self, spec, monkeypatch):
+        # The axis values and the copy itertools.product takes in run_sweep.
+        counted = []
+        monkeypatch.setattr(cli, "_check_bytes", lambda what, predicted: counted.append(predicted))
+        tracemalloc.start()
+        try:
+            _, values = cli._parse_axis(spec)
+            points = itertools.product(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert next(points) == (values[0],)
+        assert len(counted) == 1 and peak <= counted[0]
+
+    def test_axis_past_the_byte_limit_runs_nothing(self, tmp_path, capsys, monkeypatch):
+        per_point = cli._AXIS_SLOT_BYTES + sys.getsizeof(1.0)
+        monkeypatch.setattr(errors, "_BYTE_LIMIT", 1000 * per_point)
+        monkeypatch.setattr(cli, "_sweep_metrics", lambda job: pytest.fail("a point ran"))
+        assert len(cli._parse_axis("times.stop=1:2:1000")[1]) == 1000
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_base_config()))
+        out = tmp_path / "out"
+        argv = ["sweep", str(cfg), "--axis", "times.stop=1:2:1001", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --axis times.stop: 1001 axis points"), err
+        assert not out.exists()
 
     def test_bad_axis_path(self, tmp_path):
         with pytest.raises(ConfigError):

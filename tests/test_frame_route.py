@@ -68,7 +68,7 @@ CASES = [
     for topology in ("ring", "chain", "star", "random")
     for n in (2, 5, 40)
     for mixed in (False, True)
-]
+] + [("lorentzian", "random", 200, False)]
 
 
 @pytest.mark.parametrize("profile, topology, n, mixed", CASES)
@@ -76,7 +76,13 @@ def test_frame_route_matches_dense_route(profile, topology, n, mixed):
     # Mixed temperatures leave C P C^T dense: the generator is still read
     # off the modes, but the bundles take the dense route.
     model = _model(profile, topology, n, mixed)
-    assert model.dissipative.frame is not None
+    dis = model.dissipative
+    assert dis.frame is not None
+    # One real read-only buffer holds the frame and both eigenvector fields.
+    assert dis.eigenvectors_inv is dis.frame
+    assert np.shares_memory(dis.eigenvectors, dis.frame)
+    for array in (dis.frame, dis.eigenvectors):
+        assert array.dtype == np.float64 and not array.flags.writeable
     assert (model.propagator._core is None) == mixed
     dense = dense_propagator(model)
     assert dense.dissipative.frame is None

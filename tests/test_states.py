@@ -78,7 +78,6 @@ class TestMixtures:
         with pytest.raises(ValidationError, match="sum to nan"):
             osc.fock_mixture([(float("nan"), {(1,): 1.0})])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
     def test_overflowing_norm_rejected(self):
         # |1e308|^2 overflows; normalizing by it would zero every coefficient.
         with pytest.raises(ValidationError, match="not finite"):
