@@ -16,6 +16,13 @@ number as its Python ``repr`` (``inf``, ``-inf``, ``nan``), a text as it is.
 ``run`` computes every requested artifact before it writes any: a run that
 fails leaves no artifact.
 
+``parse_config``, ``run_config`` and ``run_sweep`` evaluate under one
+floating-point policy (:func:`_float_policy`): numpy raises on overflow,
+invalid and divide-by-zero operations and ignores underflow, and the
+caller's settings come back on return.  A parse-time error exits 2 naming
+the field being built; a run-time one exits 1 naming numpy's operation and
+writes no artifact.  Library callers keep numpy's settings as they have them.
+
 ``run`` and ``sweep`` use one BLAS thread: their work is many small dense
 eigensolves and products, where the thread pool's hand-offs cost more than
 the flops.  The command line (``oscnet.__main__``) sets
@@ -52,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _BLAS_THREAD_VARIABLES, __version__
-from .errors import ConfigError, OscnetError, _check_bytes, _count
+from .errors import ConfigError, OscnetError, ValidationError, _check_bytes, _count
 from .metrics import decoherence_report, linear_entropy
 from .network import NetworkSpec
 from .phasespace import (
@@ -240,11 +247,24 @@ def _field(config, path, **limits):
     return _read(node, key, path, *_FIELDS.get(path, (_object, {})), **limits)
 
 
+@contextlib.contextmanager
+def _float_policy():
+    """The floating-point policy of the module docstring: numpy raises inside,
+    and a FloatingPointError that :func:`_build` has not made a ConfigError
+    leaves as a ValidationError naming numpy's operation."""
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise ValidationError(f"floating-point error: {exc}") from exc
+
+
 def _build(path, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; a library error becomes a ConfigError at ``path``."""
+    """``make(*args, **kwargs)``; a library error, or a floating-point error
+    raised under :func:`_float_policy`, becomes a ConfigError at ``path``."""
     try:
         return make(*args, **kwargs)
-    except OscnetError as exc:
+    except (OscnetError, FloatingPointError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -308,6 +328,7 @@ def _check_tau_scan(times, state) -> None:
         raise ConfigError("times", "tau_int of this state needs at least two times")
 
 
+@_float_policy()
 def parse_config(config: dict) -> RunSpec:
     """Validate a raw config tree into a :class:`RunSpec`; raises ConfigError.
 
@@ -349,7 +370,7 @@ def parse_config(config: dict) -> RunSpec:
     times = _field(config, "times.list")
     if times is None:  # stop <= start gives times that do not increase
         start, stop = _field(config, "times.start"), _field(config, "times.stop")
-        times = np.linspace(start, stop, _field(config, "times.steps"))
+        times = _build("times", np.linspace, start, stop, _field(config, "times.steps"))
     if times.size < 1 or np.any(times < 0) or np.any(np.diff(times) <= 0):
         raise ConfigError("times", "times must be increasing and >= 0")
     outputs = tuple(dict.fromkeys(_field(config, "outputs")))  # each kind once
@@ -572,6 +593,7 @@ def _one_blas_thread():
 
 
 @_one_blas_thread()
+@_float_policy()
 def run_config(config: dict, out_dir: Path) -> dict:
     """Execute one validated config; returns {output kind: file path}.
 
@@ -667,6 +689,7 @@ def _sweep_metrics(config: dict) -> list[tuple[str, float]]:
 
 
 @_one_blas_thread()
+@_float_policy()
 def run_sweep(config: dict, axes, out_dir: Path, serial: bool) -> Path:
     """Cross-product sweep over one or two axes; long-form CSV output.
 

@@ -90,9 +90,9 @@ class QuadratureNotConverged(OscnetError):
 
 
 _BYTE_LIMIT = 1 << 30  # largest predicted size of one structure any check allows
-# Largest modulus of a coherent amplitude or coefficient and of a Wigner grid range
-# entry: its square, 1e300, is 1e8 below the float range, so the overlap exponents,
-# |xi|^2 and the Wigner quadratic form (its inverse width is at most I) stay finite.
+# Largest modulus of a coherent coefficient and of a Wigner grid range entry: its
+# square, 1e300, is 1e8 below the float range, so a branch norm, |xi|^2 and the
+# Wigner quadratic form (its inverse width is at most I) stay finite.
 _MODULUS_MAX = 1e150
 
 

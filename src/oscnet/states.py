@@ -45,6 +45,17 @@ _WEIGHT_TOL = 1e-12
 # (tracemalloc reads 6.0 for the entropy, 9.0 for a Wigner grid at K = 625);
 # a component count whose arrays would pass the byte limit is refused first.
 _PAIR_ARRAYS = 10
+# Largest Euclidean norm of a component's amplitude vector.  An overlap
+# exponent is a difference of squared norms, so it carries an absolute
+# rounding error of a few 1e-15 |a|^2: at this norm a pure state's t = 0
+# linear entropy, exactly 0, reads at most 3.2e-7 (random phases, 1 to 8
+# modes, both propagation routes), within the oracle tolerance of 1e-6.
+_AMPLITUDE_MAX = 1e4
+
+
+def _check_component_count(k: int) -> None:
+    """Refuse ``k`` components whose K x K work arrays would pass the byte limit."""
+    _check_bytes(f"the {k} x {k} work arrays of {k} components", _PAIR_ARRAYS * 16 * k * k)
 
 
 def _log_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,16 +82,20 @@ def coherent_overlap(a: np.ndarray, b: np.ndarray) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class CoherentComponent:
-    """One coherent product in a superposition: coefficient and amplitude vector,
-    every entry finite and at most 1e150 in modulus (the norms square them)."""
+    """One coherent product in a superposition: a finite coefficient of modulus
+    at most 1e150 (the norm squares it) and a finite amplitude vector of
+    Euclidean norm at most ``_AMPLITUDE_MAX``."""
 
     coefficient: complex
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amp = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex))
-        if not np.all(np.abs(amp) <= _MODULUS_MAX) or not abs(self.coefficient) <= _MODULUS_MAX:
-            raise ValidationError(f"coherent entry above {_MODULUS_MAX:g} in modulus or not finite")
+        if not abs(self.coefficient) <= _MODULUS_MAX:
+            raise ValidationError(f"coherent coefficient above {_MODULUS_MAX:g} or not finite")
+        # Entries first: they bound the norm's squares below the float range.
+        if not (np.all(np.abs(amp) <= _AMPLITUDE_MAX) and np.linalg.norm(amp) <= _AMPLITUDE_MAX):
+            raise ValidationError(f"amplitude vector of norm above {_AMPLITUDE_MAX:g} or not finite")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "coefficient", complex(self.coefficient))
@@ -116,8 +131,7 @@ class CoherentMixture:
         """The :class:`PairRecord`, built on first read and cached; a component
         count whose K x K work arrays would pass the byte limit is refused first."""
         comps = [c for branch in self.branches for c in branch.components]
-        k = len(comps)
-        _check_bytes(f"the {k} x {k} work arrays of {k} components", _PAIR_ARRAYS * 16 * k * k)
+        _check_component_count(len(comps))
         betas = np.array([c.amplitudes for c in comps])
         coeffs = np.array([c.coefficient for c in comps])
         branch_of = np.array([j for j, b in enumerate(self.branches) for _ in b.components])
@@ -152,9 +166,12 @@ def coherent_superposition(
     amplitude_vectors: Sequence[Sequence[complex]],
     probability: float = 1.0,
 ) -> CoherentBranch:
-    """Build one branch, normalizing the superposition coefficients in place."""
+    """Build one branch, normalizing the superposition coefficients in place.
+    A component count whose K x K work arrays would pass the byte limit is
+    refused before the norm builds any of them."""
     if len(coefficients) == 0 or len(coefficients) != len(amplitude_vectors):
         raise ValidationError("need one coefficient per amplitude vector")
+    _check_component_count(len(coefficients))
     components = [
         CoherentComponent(coefficient=c, amplitudes=np.asarray(v, dtype=complex))
         for c, v in zip(coefficients, amplitude_vectors)
@@ -162,9 +179,9 @@ def coherent_superposition(
     sizes = {comp.amplitudes.size for comp in components}
     if len(sizes) != 1:
         raise ValidationError("all components must share the mode count")
+    # Finite: every overlap has modulus 1 at most, to rounding, so |norm| <=
+    # K^2 1e300, below 6.7e306 for the K <= 2590 that pass the byte check.
     norm = _branch_norm(components)
-    if not np.isfinite(norm):
-        raise ValidationError(f"superposition norm {norm} is not finite; the coefficients overflow")
     if norm <= 1e-14:
         raise NullState("superposition has (numerically) zero norm")
     scale = 1.0 / np.sqrt(norm)

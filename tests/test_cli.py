@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose
 import oscnet as osc
 from oscnet import cli, errors, metrics, phasespace, propagation
 from oscnet.cli import canonical_json, config_hash, parse_config, run_config, run_sweep
-from oscnet.errors import ConfigError
+from oscnet.errors import ConfigError, ValidationError
 
 
 def _base_config(**overrides):
@@ -52,9 +52,10 @@ def _set_leaf(config, path, value):
     config[key] = value
 
 
-def _run_cli(*args):
+def _run_cli(*args, flags=()):
+    """``python [flags] -m oscnet args``, its output captured as text."""
     return subprocess.run(
-        [sys.executable, "-m", "oscnet", *args], capture_output=True, text=True
+        [sys.executable, *flags, "-m", "oscnet", *args], capture_output=True, text=True
     )
 
 
@@ -273,15 +274,20 @@ class TestValidation:
 
     def test_component_count_bytes_checked(self, monkeypatch):
         # Three components: ten complex 3 x 3 work arrays take 10 * 16 * 3^2 bytes.
-        branch = {"weight": 1.0, "components": [_BRANCH["components"][0]] * 3}
-        config = _base_config(state={"kind": "coherent", "branches": [branch]})
-        monkeypatch.setattr(errors, "_BYTE_LIMIT", 10 * 16 * 3**2)
-        parse_config(config)
-        monkeypatch.setattr(errors, "_BYTE_LIMIT", 10 * 16 * 3**2 - 1)
-        with pytest.raises(ConfigError) as info:
+        # One branch of three is refused as that branch is built; branches of
+        # two and one pass one by one and are refused together.
+        component = _BRANCH["components"][0]
+        one = [{"weight": 1.0, "components": [component] * 3}]
+        two = [{"weight": 0.5, "components": [component] * k} for k in (2, 1)]
+        for branches, path in ((one, "state.branches[0]"), (two, "state.branches")):
+            config = _base_config(state={"kind": "coherent", "branches": branches})
+            monkeypatch.setattr(errors, "_BYTE_LIMIT", 10 * 16 * 3**2)
             parse_config(config)
-        assert info.value.path == "state.branches"
-        assert str(errors._BYTE_LIMIT) in info.value.message
+            monkeypatch.setattr(errors, "_BYTE_LIMIT", 10 * 16 * 3**2 - 1)
+            with pytest.raises(ConfigError) as info:
+                parse_config(config)
+            assert info.value.path == path
+            assert str(errors._BYTE_LIMIT) in info.value.message
 
     @pytest.mark.parametrize("n", [20000, 10**6])
     def test_oversized_network_refused_before_allocation(self, n, tmp_path, capsys):
@@ -453,7 +459,8 @@ class TestValidation:
                 },
                 "oracle.n_max",
             ),
-            # Amplitudes past 1e150 are refused before their squares overflow.
+            # An amplitude vector of norm past 1e4, or a coefficient past
+            # 1e150, is refused before the overlaps square it.
             ({"state": {"kind": "cat", "alpha": 1e154}}, "state"),
             ({"state": {"kind": "cat", "alpha": 1e160}}, "state"),
             *(
@@ -464,8 +471,12 @@ class TestValidation:
                 for component in (
                     {"amplitude": 1.0, "beta": [1e160]},
                     {"amplitude": 1e160, "beta": [0.5]},
+                    {"amplitude": 1.0, "beta": [[8000.0, 8000.0]]},  # modulus 11314
                 )
             ),
+            ({"state": {"kind": "cat", "alpha": 1.0001e4}}, "state"),
+            # The span of the time grid overflows as it is built.
+            ({"times": {"start": -1e308, "stop": 1e308, "steps": 3}}, "times"),
         ],
     )
     def test_malformed_node_named(self, overrides, field, tmp_path, capsys):
@@ -1460,18 +1471,47 @@ class TestMoreConfigs:
         assert proc.returncode == 1
         assert "real part" in proc.stderr
 
-    # The overflow warns on its way to the typed error; the warning is not
-    # what this test checks.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("path", ["network.coupling", "reservoirs.profile.gamma"])
+    # path -> (exit code of validate and run, run's message).  Symmetrizing
+    # a coupling of 1e308 overflows as the network is built, so both verbs
+    # refuse it naming the field; a rate of 1e308 overflows only as the
+    # model is built, so run refuses it.
+    OVERFLOWS = {
+        "network.coupling": ((2, 2), "config error: network: overflow encountered in add"),
+        "reservoirs.profile.gamma": (
+            (0, 1),
+            "error: floating-point error: overflow encountered in multiply",
+        ),
+    }
+
+    @pytest.mark.parametrize("path", sorted(OVERFLOWS))
     def test_overflowing_generator_refused(self, path, tmp_path, capsys):
         config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1})
         _set_leaf(config, path, 1e308)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        assert cli.main(["validate", str(cfg)]) == 0
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith("error: the generator damping/2 + i*h")
+        out = tmp_path / "out"
+        (validated, ran), message = self.OVERFLOWS[path]
+        assert cli.main(["validate", str(cfg)]) == validated
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == ran
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", sorted(OVERFLOWS))
+    def test_overflow_refused_by_the_script_without_warning(self, path, tmp_path):
+        # The installed entry point, with every RuntimeWarning an error.
+        config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1})
+        _set_leaf(config, path, 1e308)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        flags = ("-W", "error::RuntimeWarning")
+        proc = _run_cli("run", str(cfg), "--out", str(out), flags=flags)
+        (_, code), message = self.OVERFLOWS[path]
+        assert proc.returncode == code
+        assert proc.stderr.startswith(message), proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert list(out.glob("*")) == []
 
     @pytest.mark.parametrize("output", ["entropy_curve", "tau_report", "wigner_grid", "dcoef"])
     def test_width_broken_by_rounding_refused(self, output, tmp_path, capsys):
@@ -1494,9 +1534,8 @@ class TestMoreConfigs:
         assert err.startswith("error: Wigner width at t = 0.0 is not positive definite")
         assert list((tmp_path / "out").iterdir()) == []
 
-    # The stationary solve overflows, with RuntimeWarnings, on its way to the
-    # non-finite width; the warnings are not what this test checks.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # The stationary solve overflows at T = 1e308, and the run stops there,
+    # before any width is formed.
     def test_non_finite_width_refused_by_dcoef(self, tmp_path, capsys):
         config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1}, outputs=["dcoef"])
         config["reservoirs"]["temperature"] = 1e308
@@ -1508,8 +1547,8 @@ class TestMoreConfigs:
         cfg.write_text(json.dumps(config))
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Wigner width at t = 0.0 is not positive definite")
-        assert list((tmp_path / "out").iterdir()) == []
+        assert err.startswith("error: floating-point error: overflow encountered in divide")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("output", ["entropy_curve", "tau_report"])
     def test_separable_width_at_extreme_temperature_is_exact(self, output, tmp_path, capsys):
@@ -1663,10 +1702,63 @@ class TestWriteRule:
         assert list(out.iterdir()) == []
 
 
+class TestFloatPolicy:
+    """``parse_config``, ``run_config`` and ``run_sweep`` run with numpy raising
+    on overflow, invalid and divide-by-zero operations, and hand the caller's
+    settings back as they found them, whether the call succeeds or is refused."""
+
+    GOOD = _base_config()
+    # Refused as the network is built (parse time) and as the model is built (run time).
+    BAD_NETWORK = _base_config(network={"n": 2, "omega": 1.0, "coupling": 1e308})
+    BAD_RATE = _base_config(
+        network={"n": 2, "omega": 1.0, "coupling": 0.1},
+        reservoirs={"temperature": 0.5, "profile": {"kind": "white", "gamma": 1e308}},
+    )
+    # The caller's settings: none of them the policy's.
+    SETTINGS = {"over": "ignore", "invalid": "ignore", "divide": "warn", "under": "raise"}
+
+    def test_caller_settings_restored(self, tmp_path):
+        calls = {
+            "parse_config": parse_config,
+            "run_config": lambda config: run_config(config, tmp_path / "run"),
+            "run_sweep": lambda config: run_sweep(config, [], tmp_path / "sweep", serial=True),
+        }
+        outcomes = {}
+        for name, call in calls.items():
+            for config in (self.GOOD, self.BAD_NETWORK, self.BAD_RATE):
+                with np.errstate(**self.SETTINGS):
+                    try:
+                        call(copy.deepcopy(config))
+                        outcome = None
+                    except ValidationError as exc:
+                        outcome = type(exc)
+                    assert np.geterr() == self.SETTINGS, name
+                outcomes.setdefault(name, []).append(outcome)
+        assert outcomes == {
+            "parse_config": [None, ConfigError, None],
+            "run_config": [None, ConfigError, ValidationError],
+            "run_sweep": [None, ConfigError, ValidationError],
+        }
+
+    def test_policy_holds_inside_a_run(self, tmp_path, monkeypatch):
+        seen = []
+
+        def build_model(*args):
+            seen.append(np.geterr())
+            return propagation.build_model(*args)
+
+        monkeypatch.setattr(cli, "build_model", build_model)
+        with np.errstate(**self.SETTINGS):
+            run_config(copy.deepcopy(self.GOOD), tmp_path / "run")
+            run_sweep(copy.deepcopy(self.GOOD), [], tmp_path / "sweep", serial=True)
+        policy = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
+        assert seen == [policy, policy]
+
+
 class TestLeafSweep:
     """Every leaf of two small configs, replaced in turn by a hostile value."""
 
-    VALUES = ["x", True, None, [], {}, [1], 2.5, -0.5, 0, 1e308, -1e308]
+    VALUES = ["x", True, None, [], {}, [1], 2.5, -0.5, 0, 1e308, -1e308, 1e-308]
     ORACLE = {
         "network": {"n": 2, "omega": [1.0, 1.05], "coupling": 0.1},
         "reservoirs": {"temperature": 0.2, "profile": {"kind": "white", "gamma": 0.05}},
@@ -1704,10 +1796,9 @@ class TestLeafSweep:
         for key, child in node.items() if isinstance(node, dict) else enumerate(node):
             yield from cls._leaves(child, (*path, key))
 
-    # Huge values may overflow on the way to a typed error; what counts here
-    # is the exit code, the absence of a traceback, and no nan in what a
-    # run that exits 0 writes.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # What counts here is the exit code, the absence of a traceback and of a
+    # RuntimeWarning (the suite turns one into an error), and no nan in what
+    # a run that exits 0 writes.
     @pytest.mark.parametrize("name", ["ORACLE", "COHERENT"])
     def test_every_leaf_exits_with_a_code(self, name, tmp_path, capsys):
         config = getattr(self, name)

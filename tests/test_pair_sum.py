@@ -369,6 +369,23 @@ def test_component_count_refused_before_allocation(pair_model, monkeypatch):
         assert peak < 16 * 64**2  # not one K x K complex array
 
 
+def test_branch_count_refused_before_its_norm(monkeypatch):
+    # The branch's norm would build K x K arrays; the count is checked first.
+    ring = osc.fock_state_ring([1, 1], radius=0.6, points=8)  # K = 64
+    components = ring.branches[0].components
+    coefficients = [c.coefficient for c in components]
+    vectors = [c.amplitudes for c in components]
+    monkeypatch.setattr(errors, "_BYTE_LIMIT", states._PAIR_ARRAYS * 16 * 64**2 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=str(errors._BYTE_LIMIT)):
+            osc.coherent_superposition(coefficients, vectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 64**2  # not one K x K complex array
+
+
 # The factored core against its log-space forms, both summed from the same
 # float64 inputs and judged by sums in extended precision.  Cases: separated
 # cats at |alpha| = 10 and 25, the one-mode |alpha| = 20 cat, the

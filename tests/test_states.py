@@ -137,6 +137,34 @@ class TestPairRecord:
         assert ring.pairs is ring.pairs
 
 
+class TestAmplitudeBound:
+    """An amplitude vector's norm is bounded where the overlap exponents'
+    rounding, a few 1e-15 |a|^2, still leaves a pure state's entropy within
+    the oracle tolerance of 1e-6."""
+
+    @staticmethod
+    def _bundle():
+        net = osc.degenerate_symmetric_network(2, 1.0, 0.1)
+        res = osc.ReservoirSpec(temperatures=[0.3, 0.3], profiles=(osc.WhiteNoise(0.05),) * 2)
+        return osc.build_model(net, res).propagator.bundle(0.0)
+
+    def test_cat_at_the_bound_stays_pure(self):
+        # R = S = 1: the amplitude vector (alpha, -alpha) has norm sqrt(2) alpha.
+        alpha = states._AMPLITUDE_MAX / np.sqrt(2.0)
+        cat = osc.build_cat_family(2, 1, 1, alpha)
+        assert np.linalg.norm(cat.branches[0].components[0].amplitudes) <= states._AMPLITUDE_MAX
+        assert abs(osc.linear_entropy(cat, self._bundle())) <= 1e-6
+
+    def test_past_the_bound_refused(self):
+        bound = states._AMPLITUDE_MAX
+        with pytest.raises(ValidationError, match="norm above"):
+            osc.build_cat_family(2, 1, 1, 1.0001 * bound / np.sqrt(2.0))
+        osc.single_coherent_state([bound, 0.0])
+        for amplitudes in ([np.nextafter(bound, np.inf), 0.0], [0.8 * bound, 0.8j * bound]):
+            with pytest.raises(ValidationError, match="norm above"):
+                osc.single_coherent_state(amplitudes)
+
+
 class TestFockMixture:
     def test_normalization(self):
         state = osc.fock_mixture([(1.0, {(0,): 1.0, (2,): 1.0})])
