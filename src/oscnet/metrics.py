@@ -19,7 +19,7 @@ import numpy as np
 from . import phasespace
 from .errors import NoBracket, RootNotConverged, SingularWidth, ValidationError
 from .propagation import Model, Propagator, PropagatorBundle, rotate_frame
-from .states import CoherentMixture, _log_overlaps
+from .states import CoherentMixture, _exponent_rounding, _log_overlaps
 
 __all__ = [
     "DecoherenceReport",
@@ -65,8 +65,8 @@ def directional_diffusion_times(diffusion: np.ndarray) -> np.ndarray:
     return np.array([1.0 / r if r > _FLAT_RATE else math.inf for r in rates])
 
 
-def _component_pair(state: CoherentMixture, r: int, s: int, branch: int):
-    components = state.branches[branch].components
+def _component_pair(state: CoherentMixture, r: int, s: int):
+    components = state.branches[0].components
     if r == s:
         raise ValidationError("decay function needs two distinct components")
     if not (0 <= r < len(components) and 0 <= s < len(components)):
@@ -83,18 +83,18 @@ def _decay_exponent(delta: np.ndarray, bundle: PropagatorBundle) -> float:
     return float(-2.0 * (np.sum(np.abs(delta) ** 2) - reduced))
 
 
-def decay_function(
-    state: CoherentMixture, r: int, s: int, bundle: PropagatorBundle, branch: int = 0
-) -> float:
-    """Interference decay function of a component pair, in (0, 1], equal to 1 at t=0.
+def decay_function(state: CoherentMixture, r: int, s: int, bundle: PropagatorBundle) -> float:
+    """Interference decay function of components r and s of the first branch,
+    in (0, 1], equal to 1 at t=0.
 
     Derived from the ratio of diagonal to off-diagonal Wigner elements in the
     rotated frame; it deducts the spreading common to all elements, so only
     genuine interference loss registers.  At zero temperature it reduces to
     the fourth power of the overlap ratio of the initial and evolved
-    component pairs.
+    component pairs.  It depends only on the two amplitude vectors, so a pair
+    of another branch is that branch rebuilt as a one-branch state.
     """
-    beta_r, beta_s = _component_pair(state, r, s, branch)
+    beta_r, beta_s = _component_pair(state, r, s)
     return math.exp(_decay_exponent(beta_r - beta_s, bundle))
 
 
@@ -106,6 +106,7 @@ def _gap(delta: np.ndarray, bundle: PropagatorBundle) -> float:
 
 
 _BRENT_XTOL = 2e-12  # brentq's default absolute tolerance
+_BRENT_RTOL = 1e-8  # relative tolerance of every interference time
 
 
 def _brentq(f, xa, xb, fa, fb, rtol, maxiter=100):
@@ -157,16 +158,12 @@ def _brentq(f, xa, xb, fa, fb, rtol, maxiter=100):
 
 
 def interference_decay_time(
-    state: CoherentMixture,
-    r: int,
-    s: int,
-    propagator: Propagator,
-    t_grid,
-    branch: int = 0,
-    rtol: float = 1e-8,
+    state: CoherentMixture, r: int, s: int, propagator: Propagator, t_grid
 ) -> float:
-    """Time at which the pair's decay function crosses the diffusion-adjusted
-    threshold exp(-4N / sum(D)); ``inf`` if it never does.
+    """Time at which the decay function of components r and s of the first
+    branch crosses the diffusion-adjusted threshold exp(-4N / sum(D)); ``inf``
+    if it never does.  Like :func:`decay_function` it reads only the two
+    amplitude vectors.
 
     In the weak regime with identical reservoirs of damping rate ``rate`` and
     occupation nbar, for the pair of ``build_cat_family(n, R, S, alpha)``
@@ -181,9 +178,9 @@ def interference_decay_time(
 
     The grid is scanned up to its first sign change, and the crossing in that
     interval is found by Brent's method, ported from scipy's ``brentq`` (same
-    iterates), to relative tolerance ``rtol`` and brentq's default absolute
-    tolerance ``xtol = 2e-12``; the scan's values at the interval ends are
-    reused, not recomputed.  A crossing within ``xtol`` of a grid starting
+    iterates), to relative tolerance ``rtol = 1e-8`` and brentq's default
+    absolute tolerance ``xtol = 2e-12``; the scan's values at the interval
+    ends are reused, not recomputed.  A crossing within ``xtol`` of a grid starting
     at t = 0 (extreme temperatures) is reported as the smaller of ``xtol``
     and the grid's second point, the positive end of the bracket Brent's
     method closes on it.  If the grid ends with the gap still positive, the
@@ -193,7 +190,7 @@ def interference_decay_time(
     limit assumes T(t) -> 0; without dissipation T is unitary and W = I, so
     the gap stays 4 and the time is ``inf`` whatever the grid.
     """
-    beta_r, beta_s = _component_pair(state, r, s, branch)
+    beta_r, beta_s = _component_pair(state, r, s)
     delta = beta_r - beta_s
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
@@ -206,7 +203,7 @@ def interference_decay_time(
     for left, right in zip(t_grid, t_grid[1:]):
         f_right = gap(right)
         if f_left > 0 >= f_right:
-            root = _brentq(gap, left, right, f_left, f_right, rtol)
+            root = _brentq(gap, left, right, f_left, f_right, _BRENT_RTOL)
             # A crossing within the absolute tolerance of t = 0 comes back as
             # t = 0; it lies in (0, xtol), so report that bracket's positive end.
             return root if root > 0 else min(float(right), _BRENT_XTOL)
@@ -258,9 +255,10 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
     log det W is the sum of the logs of the bundle's cached diffusion
     coefficients: no eigenvectors.  Equals 0, to rounding, for any pure
     state at t = 0 and stays 0 without dissipation.  A W that is not
-    positive definite, or one that gives a purity above 1 by more than 1e-10
-    (rounding at extreme temperatures), raises :class:`SingularWidth`; an
-    entropy in (-1e-10, 0) is returned as 0.
+    positive definite, or one that gives a purity above 1 by more than the
+    rounding bound ``tol = max(1e-10, 16 eps max|a|^2)`` over the amplitude
+    vectors a (rounding at extreme temperatures), raises
+    :class:`SingularWidth`; an entropy in (-tol, 0) is returned as 0.
     """
     betas, _, logw = state.pairs
     gram = bundle.inverse_form(bundle.centers(betas.T))  # H[a, b]
@@ -277,7 +275,11 @@ def linear_entropy(state: CoherentMixture, bundle: PropagatorBundle) -> float:
         scale = scale + scale.T - log_det
     purity = float(np.sum((x * x.T).real * np.exp(scale)))
     entropy = 1.0 - purity
-    if entropy < -1e-10:
+    # A pure state's purity at t = 0 read at most 1 + 1.5 eps max|a|^2 (8 000
+    # random superpositions, N and K 1-8, amplitude norm 1e4, both routes);
+    # at _AMPLITUDE_MAX the bound is 3.6e-7, within the oracle tolerance.
+    tol = max(1e-10, 16.0 * _exponent_rounding(betas))
+    if entropy < -tol:
         raise SingularWidth(f"Wigner width at t = {bundle.t} gives a purity of {purity!r}, above 1")
     if entropy < 0:
         entropy = 0.0
@@ -346,24 +348,17 @@ class DecoherenceReport:
     regime: str
 
 
-def decoherence_report(
-    state: CoherentMixture,
-    model: Model,
-    t_grid,
-    pair: tuple[int, int] = (0, 1),
-    branch: int = 0,
-) -> DecoherenceReport:
+def decoherence_report(state: CoherentMixture, model: Model, t_grid) -> DecoherenceReport:
     """Assemble the full decoherence report for one state and model.
 
     Both diffusion times are closed forms in the diffusion matrix; only the
-    interference time scans ``t_grid``.
+    interference time scans ``t_grid``, for the first two components of the
+    first branch (``inf`` when that branch has one component).
     """
     tau_diff = mean_diffusion_time(model.rates.diffusion)
     directional = tuple(directional_diffusion_times(model.rates.diffusion))
-    if len(state.branches[branch].components) >= 2:
-        tau_int = interference_decay_time(
-            state, pair[0], pair[1], model.propagator, t_grid, branch=branch
-        )
+    if len(state.branches[0].components) >= 2:
+        tau_int = interference_decay_time(state, 0, 1, model.propagator, t_grid)
     else:
         tau_int = math.inf
     tau_d = decoherence_time(tau_diff, tau_int)

@@ -286,15 +286,15 @@ def dissipative_matrix(
     )
 
 
-def coupling_regime(spec: NetworkSpec, threshold: float = WEAK_COUPLING_THRESHOLD) -> str:
+def coupling_regime(spec: NetworkSpec) -> str:
     """Classify the network as ``"weak"`` or ``"strong"`` coupling.
 
-    Strong when ``N * max|coupling| >= threshold * min(omega)``.  The label is
-    advisory; every quantitative path works in either regime.
+    Strong when ``N * max|coupling| >= WEAK_COUPLING_THRESHOLD * min(omega)``.
+    The label is advisory; every quantitative path works in either regime.
     """
     if spec.n == 1:
         return "weak"
     strongest = float(np.max(np.abs(spec.coupling)))
-    if spec.n * strongest >= threshold * float(np.min(spec.omega)):
+    if spec.n * strongest >= WEAK_COUPLING_THRESHOLD * float(np.min(spec.omega)):
         return "strong"
     return "weak"

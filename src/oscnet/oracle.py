@@ -122,8 +122,9 @@ class FockSpace:
     def raising(self) -> list[np.ndarray]:
         return [op.conj().T for op in self.lowering]
 
-    def coherent_vector(self, amplitudes, tail_tol: float = _TAIL_LIMIT) -> np.ndarray:
-        """Truncated multimode coherent state; rejects cutoffs losing too much mass."""
+    def coherent_vector(self, amplitudes) -> np.ndarray:
+        """Truncated multimode coherent state; rejects a cutoff that loses more
+        than ``_TAIL_LIMIT`` of its mass."""
         amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
         if amplitudes.size != self.n_modes:
             raise ValidationError("amplitude vector has the wrong mode count")
@@ -143,9 +144,9 @@ class FockSpace:
                 mode = np.exp(log_mag) * np.exp(1j * levels * np.angle(alpha))
             vec = np.kron(vec, mode)
         tail = 1.0 - float(np.vdot(vec, vec).real)
-        if tail > tail_tol:
+        if tail > _TAIL_LIMIT:
             raise ValidationError(
-                f"coherent tail mass {tail:.3g} exceeds {tail_tol}; raise n_max"
+                f"coherent tail mass {tail:.3g} exceeds {_TAIL_LIMIT}; raise n_max"
             )
         return vec
 

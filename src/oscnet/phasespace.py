@@ -66,6 +66,8 @@ _CHUNK_BYTES = 8 << 20
 # Each factored term is then at most e^600, and a term whose factors
 # underflow (below e^-745 of its shifts) is at most e^-145.
 _FACTOR_LOG_MAX = 600.0
+# Largest change of `wigner_from_char`'s value when its node count doubles.
+_QUADRATURE_TOL = 1e-5
 
 
 def _as_points(xi, n: int):
@@ -302,7 +304,7 @@ def _wigner_quadrature(chi, xi, n_modes: int, nodes: int) -> float:
     return float((total / np.pi ** (2 * n_modes)).real)
 
 
-def wigner_from_char(chi, xi, n_modes: int, nodes: int = 64, tol: float = 1e-5) -> float:
+def wigner_from_char(chi, xi, n_modes: int, nodes: int = 64) -> float:
     """Wigner value from a characteristic-function evaluator by quadrature.
 
     Computes the symmetric-order Fourier transform
@@ -310,10 +312,10 @@ def wigner_from_char(chi, xi, n_modes: int, nodes: int = 64, tol: float = 1e-5) 
     with tensor-product Gauss-Hermite nodes (the exp(-|eta|^2/2) factor is the
     quadrature weight).  ``chi`` must accept a batch of eta rows.  Limited to
     two modes; the node count is doubled once and the result rejected if the
-    two estimates differ by more than ``tol``.  The doubled pass holds its
-    whole node grid, (2 nodes)^2N points of 48N + 8 bytes, so a grid above
-    the byte limit is refused before either pass: on two modes ``nodes``
-    may be at most 28 (the default 64 is for one mode).
+    two estimates differ by more than ``_QUADRATURE_TOL = 1e-5``.  The
+    doubled pass holds its whole node grid, (2 nodes)^2N points of 48N + 8
+    bytes, so a grid above the byte limit is refused before either pass: on
+    two modes ``nodes`` may be at most 28 (the default 64 is for one mode).
     """
     if n_modes > 2:
         raise ValidationError("quadrature transform is limited to two modes")
@@ -323,9 +325,9 @@ def wigner_from_char(chi, xi, n_modes: int, nodes: int = 64, tol: float = 1e-5) 
     )
     coarse = _wigner_quadrature(chi, xi, n_modes, nodes)
     fine = _wigner_quadrature(chi, xi, n_modes, 2 * nodes)
-    if abs(fine - coarse) > tol:
+    if abs(fine - coarse) > _QUADRATURE_TOL:
         raise QuadratureNotConverged(
-            f"doubling nodes moved the result by {abs(fine - coarse):.3g} > {tol}"
+            f"doubling nodes moved the result by {abs(fine - coarse):.3g} > {_QUADRATURE_TOL}"
         )
     return fine
 

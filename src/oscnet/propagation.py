@@ -320,9 +320,6 @@ class Propagator:
         noise = noise_width(self.width.matrix, bundle.transition)
         return 0.5 * (noise + noise.conj().T)
 
-    def bundles(self, times) -> list[PropagatorBundle]:
-        return [self.bundle(t) for t in times]
-
 
 @dataclass(frozen=True, eq=False)
 class Model:

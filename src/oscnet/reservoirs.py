@@ -14,6 +14,8 @@ closed form checked by the test-suite is stated under this convention.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -275,19 +277,23 @@ def rates_common(res: ReservoirSpec, modes: NormalModes) -> RateMatrices:
     The Markov-limit cross rate between channels m and k factorizes as
     ``sqrt(gamma_m * gamma_k) * o_mk`` with ``o`` the normalized
     profile-overlap matrix (identity recovers the distinct-reservoir rates
-    bit for bit; all-ones recovers maximal indirect channels).  A single
-    reservoir has a single temperature, so mixed temperatures are rejected.
+    bit for bit; all-ones recovers maximal indirect channels).  A computed
+    overlap evaluates :func:`profile_overlap` once per ordered pair of
+    profile shapes, so a bath of a few shapes costs a few quadratures at
+    any N.  A single reservoir has a single temperature, so
+    mixed temperatures are rejected.
     """
     if not np.all(res.temperatures == res.temperatures[0]):
         raise ValidationError("a common reservoir has a single temperature")
     if res.overlap is not None:
         overlap = res.overlap
     else:
+        # profile_overlap never reads gamma: one call per ordered pair of shapes.
+        shapes = [dataclasses.replace(p, gamma=1.0) for p in res.profiles]
+        overlap_of = functools.cache(profile_overlap)
         n = res.n
         overlap = np.eye(n)
         for i in range(n):
             for j in range(i + 1, n):
-                overlap[i, j] = overlap[j, i] = profile_overlap(
-                    res.profiles[i], res.profiles[j]
-                )
+                overlap[i, j] = overlap[j, i] = overlap_of(shapes[i], shapes[j])
     return _assemble(res, modes.frequencies, modes.transform, overlap)

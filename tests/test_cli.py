@@ -2,6 +2,7 @@ import cmath
 import copy
 import ctypes
 import dataclasses
+import functools
 import importlib
 import itertools
 import json
@@ -1137,7 +1138,8 @@ class TestLazyPackage:
 
 
 class TestNoIdleSettings:
-    """Settings that changed no result are gone: passing one is a TypeError."""
+    """Settings that changed no result, or that every caller set to one value,
+    are gone: passing one is a TypeError."""
 
     @pytest.mark.parametrize(
         "name, positional, keyword",
@@ -1148,14 +1150,25 @@ class TestNoIdleSettings:
             ("evolve_master", 6, {"atol": 1e-12}),
             ("stationary_width", 2, {"method": "auto"}),
             ("wigner_from_char", 3, {"chunk": 1 << 16}),
+            ("interference_decay_time", 5, {"rtol": 1e-8}),
+            ("interference_decay_time", 5, {"branch": 0}),
+            ("decay_function", 4, {"branch": 0}),
+            ("decoherence_report", 3, {"pair": (0, 1)}),
+            ("decoherence_report", 3, {"branch": 0}),
+            ("coupling_regime", 1, {"threshold": 0.1}),
+            ("wigner_from_char", 3, {"tol": 1e-5}),
+            ("FockSpace.coherent_vector", 2, {"tail_tol": 1e-8}),
         ],
     )
     def test_removed_keyword_is_a_type_error(self, name, positional, keyword):
         with pytest.raises(TypeError, match=next(iter(keyword))):
-            getattr(osc, name)(*[None] * positional, **keyword)
+            functools.reduce(getattr, name.split("."), osc)(*[None] * positional, **keyword)
 
     def test_fock_branch_has_no_occupations_method(self):
         assert not hasattr(osc.FockBranch, "occupations")
+
+    def test_propagator_has_no_bundles_method(self):
+        assert not hasattr(osc.Propagator, "bundles")
 
 
 class TestRecordEquality:

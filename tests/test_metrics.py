@@ -130,7 +130,7 @@ class TestDirectionalTimes:
             ),
         }[case]()
         exact = osc.directional_diffusion_times(model.rates.diffusion)
-        reference = _forward_difference_times(model.propagator.bundles([0.0, 1e-6]))
+        reference = _forward_difference_times([model.propagator.bundle(t) for t in (0.0, 1e-6)])
         assert np.array_equal(np.isinf(exact), np.isinf(reference))
         finite = np.isfinite(exact)
         assert finite.any()
@@ -293,6 +293,19 @@ class TestDecoherenceTime:
         )
         assert report.regime == "weak"
 
+    def test_report_reads_the_first_branch_pair(self):
+        # Of a mixture, the report reads components 0 and 1 of the first branch.
+        model = white_model(n=1, gamma=0.05, nbar=0.5)
+        grid = np.linspace(0.0, 150.0, 80)
+        coherent = osc.coherent_superposition([1.0], [[0.4]], probability=0.5)
+        cat = osc.coherent_superposition([1.0, 1.0], [[1.0], [-1.0]], probability=0.5)
+        state = osc.coherent_mixture([coherent, cat])
+        assert osc.decoherence_report(state, model, grid).tau_int == math.inf
+        state = osc.coherent_mixture([cat, coherent])
+        tau = osc.interference_decay_time(state, 0, 1, model.propagator, grid)
+        assert math.isfinite(tau)
+        assert osc.decoherence_report(state, model, grid).tau_int == tau
+
 
 class TestLinearEntropy:
     def test_no_dissipation_stays_zero(self):
@@ -315,6 +328,25 @@ class TestLinearEntropy:
         model = white_model(n=2, coupling=0.1, gamma=0.05, nbar=0.8)
         cat = osc.build_cat_family(2, 1, 0, 1.3)
         assert abs(osc.linear_entropy(cat, model.propagator.bundle(0.0))) < 1e-10
+
+    def test_pure_at_the_amplitude_bound(self):
+        # Overlap exponents round to about eps |a|^2, so the norm's imaginary
+        # part and the purity's excess over 1 grow with the amplitudes.
+        rng = np.random.default_rng(7)
+        bundles = {}
+        for i in range(240):
+            n, k = rng.integers(1, 9), rng.integers(2, 9)
+            dense = bool(i % 2)  # mixed temperatures take the dense route
+            if (n, dense) not in bundles:
+                net = osc.NetworkSpec(omega=np.ones(n), coupling=np.zeros((n, n)))
+                temps = np.linspace(0.5, 1.3, n) if dense else np.full(n, 0.9)
+                res = osc.ReservoirSpec(temps, (osc.WhiteNoise(0.05),) * n)
+                bundles[n, dense] = osc.build_model(net, res).propagator.bundle(0.0)
+            amps = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+            amps *= 0.999 * osc.states._AMPLITUDE_MAX / np.linalg.norm(amps, axis=1)[:, None]
+            coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+            state = osc.coherent_mixture([osc.coherent_superposition(coeffs, amps)])
+            assert abs(osc.linear_entropy(state, bundles[n, dense])) <= 1e-6
 
     def test_thermalized_coherent_state(self):
         # Long-time purity of a single mode is 1/(1 + 2 nbar).

@@ -309,3 +309,32 @@ class TestComputedOverlap:
         rates = osc.rates_common(res, modes)
         # full overlap: indirect channels as strong as direct ones
         assert_allclose(rates.damping[0, 1], rates.damping[0, 0], rtol=1e-5)
+
+    def test_one_overlap_per_ordered_pair_of_shapes(self, monkeypatch):
+        # Two widths at alternating rates: the rate never enters the overlap.
+        n = 20
+        coupling = np.diag(np.full(n - 1, 0.004), 1)
+        spec = osc.NetworkSpec(omega=np.ones(n), coupling=coupling + coupling.T)
+        modes = osc.normal_modes(osc.build_hamiltonian(spec))
+        profiles = tuple(
+            osc.Lorentzian(0.002 * (1 + k % 3), 1.0, 0.5 if k % 2 else 0.4) for k in range(n)
+        )
+        pairwise = np.eye(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                pairwise[i, j] = pairwise[j, i] = osc.profile_overlap(profiles[i], profiles[j])
+        reference = osc.rates_common(
+            osc.ReservoirSpec([0.9] * n, profiles, common=True, overlap=pairwise), modes
+        )
+        calls = []
+        original = osc.reservoirs.profile_overlap
+
+        def counted(p, q):
+            calls.append((p, q))
+            return original(p, q)
+
+        monkeypatch.setattr(osc.reservoirs, "profile_overlap", counted)
+        rates = osc.rates_common(osc.ReservoirSpec([0.9] * n, profiles, common=True), modes)
+        assert len(calls) <= 4
+        assert np.array_equal(rates.damping, reference.damping)
+        assert np.array_equal(rates.diffusion, reference.diffusion)
