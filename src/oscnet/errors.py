@@ -56,7 +56,7 @@ class DefectiveMatrix(OscnetError):
 
 class SingularSystem(OscnetError):
     """Stationary width is undefined: an undamped eigenvalue pair makes the
-    linear system singular."""
+    linear system singular, or the width passes the float range."""
 
 
 class SingularWidth(OscnetError):
@@ -69,7 +69,7 @@ class NullState(ValidationError):
 
 
 class NoBracket(OscnetError):
-    """Root not bracketed on the supplied time grid; extend the grid."""
+    """Brent's method was given an interval whose ends have the same sign."""
 
 
 class RootNotConverged(OscnetError):

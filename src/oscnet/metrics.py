@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _FLAT_RATE = 1e-12
-_LIMIT_TOL = 1e-12
 
 
 def mean_diffusion_time(diffusion: np.ndarray) -> float:
@@ -176,47 +175,44 @@ def interference_decay_time(
     tau ~ 1 / (2 rate |alpha|^2 (R+S)(1+2 nbar)) is the first-order form of
     this law, valid for large |alpha|^2; this function returns the exact root.
 
-    The grid is scanned up to its first sign change, and the crossing in that
-    interval is found by Brent's method, ported from scipy's ``brentq`` (same
-    iterates), to relative tolerance ``rtol = 1e-8`` and brentq's default
-    absolute tolerance ``xtol = 2e-12``; the scan's values at the interval
-    ends are reused, not recomputed.  A crossing within ``xtol`` of a grid starting
-    at t = 0 (extreme temperatures) is reported as the smaller of ``xtol``
-    and the grid's second point, the positive end of the bracket Brent's
-    method closes on it.  If the grid ends with the gap still positive, the
-    t -> infinity limit decides between a genuinely absent crossing
-    (``inf``) and a too-short grid (:class:`NoBracket`); it needs only the
-    trace tr P + N of the stationary Wigner width, not its spectrum.  That
-    limit assumes T(t) -> 0; without dissipation T is unitary and W = I, so
-    the gap stays 4 and the time is ``inf`` whatever the grid.
+    The scan runs over t = 0 (when the grid starts after it; the gap there
+    is 4), then the grid, then the last grid time doubled while
+    ``0 < min(Re lambda) * t < 20`` over the generator's eigenvalues, i.e.
+    until every |exp(-lambda t)|^2 is below exp(-40).  So ``tau`` may lie
+    past the grid's last time, and a grid starting past the crossing finds
+    it in [0, t_0].  The crossing in the first interval where the gap goes
+    from > 0 to <= 0 is found by Brent's method, ported from scipy's
+    ``brentq`` (same iterates), to relative tolerance ``rtol = 1e-8`` and
+    brentq's default absolute tolerance ``xtol = 2e-12``; the scan's values
+    at the interval ends are reused, not recomputed.  A crossing within
+    ``xtol`` of t = 0 (extreme temperatures) is reported as the smaller of
+    ``xtol`` and the interval's positive end, where Brent's method closes on
+    it.  No crossing on the scan gives ``inf``; without dissipation
+    (min Re lambda = 0) the scan ends at the grid, where W = I keeps the gap
+    at 4.
     """
     beta_r, beta_s = _component_pair(state, r, s)
     delta = beta_r - beta_s
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValidationError("time grid must be increasing with at least two points")
+    rate = float(propagator.dissipative.eigenvalues.real.min())
+    times = ([0.0] if t_grid[0] > 0 else []) + t_grid.tolist()
+    while 0 < rate * times[-1] < 20:
+        times.append(2.0 * times[-1])
 
     def gap(t):
         return _gap(delta, propagator.bundle(t))
 
-    first = f_left = gap(t_grid[0])
-    for left, right in zip(t_grid, t_grid[1:]):
+    f_left = gap(times[0])
+    for left, right in zip(times, times[1:]):
         f_right = gap(right)
         if f_left > 0 >= f_right:
             root = _brentq(gap, left, right, f_left, f_right, _BRENT_RTOL)
             # A crossing within the absolute tolerance of t = 0 comes back as
             # t = 0; it lies in (0, xtol), so report that bracket's positive end.
-            return root if root > 0 else min(float(right), _BRENT_XTOL)
+            return root if root > 0 else min(right, _BRENT_XTOL)
         f_left = f_right
-    if first <= 0:
-        raise ValidationError("grid starts past the crossing; start earlier")
-    if not np.any(propagator.dissipative.eigenvalues.real):
-        return math.inf
-    n = delta.size
-    spread = float(np.trace(propagator.width.matrix).real) + n
-    limit = -2.0 * float(np.sum(np.abs(delta) ** 2)) + 4.0 * n / spread
-    if limit < -_LIMIT_TOL:
-        raise NoBracket("gap still positive at the end of the grid; extend it")
     return math.inf
 
 

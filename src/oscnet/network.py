@@ -70,12 +70,16 @@ class NetworkSpec:
         coupling = np.asarray(self.coupling, dtype=float)
         if omega.ndim != 1 or omega.size < 1:
             raise ValidationError("omega must be a non-empty 1-d array")
-        if np.any(omega <= 0):
+        if not np.all(np.isfinite(omega)):
+            raise ValidationError("natural frequencies must be finite")
+        if not np.all(omega > 0):
             raise ValidationError("all natural frequencies must be positive")
         if coupling.shape != (omega.size, omega.size):
             raise ValidationError(
                 f"coupling must be {omega.size}x{omega.size}, got {coupling.shape}"
             )
+        if not np.all(np.isfinite(coupling)):
+            raise ValidationError("couplings must be finite")
         scale = max(1.0, float(np.max(np.abs(coupling))))
         if np.max(np.abs(coupling - coupling.T)) > _SYMMETRY_TOL * scale:
             raise ValidationError("coupling matrix must be symmetric")

@@ -14,8 +14,8 @@ frame) are lazy and cached apart.  A dense width's quadratic forms, here and
 in the P and Wigner evaluators, go through its Cholesky factor
 (:func:`_positive_factor`), the one test that it is positive definite: a
 width that is not has no Gaussian and raises :class:`SingularWidth`.
-The width's slope Y + Y.T at t = 0 and its limit's trace tr P + N need no
-bundle (see :mod:`oscnet.metrics`).  Bundles at distinct times are
+The width's slope Y + Y.T at t = 0 needs no bundle (see
+:mod:`oscnet.metrics`).  Bundles at distinct times are
 independent and immutable; time grids are caller-supplied and nothing is
 interpolated.
 

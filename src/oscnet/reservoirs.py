@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -46,7 +47,9 @@ class WhiteNoise:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not math.isfinite(self.gamma):
+            raise ValidationError("damping rate must be finite")
+        if not self.gamma >= 0:
             raise ValidationError("damping rate must be >= 0")
 
     def rate(self, omega):
@@ -63,7 +66,9 @@ class Lorentzian:
     width: float
 
     def __post_init__(self):
-        if self.gamma < 0 or self.width <= 0:
+        if not all(map(math.isfinite, (self.gamma, self.center, self.width))):
+            raise ValidationError("need finite gamma, center and width")
+        if not (self.gamma >= 0 and self.width > 0):
             raise ValidationError("need gamma >= 0 and width > 0")
 
     def rate(self, omega):
@@ -81,7 +86,9 @@ class GaussianBand:
     width: float
 
     def __post_init__(self):
-        if self.gamma < 0 or self.width <= 0:
+        if not all(map(math.isfinite, (self.gamma, self.center, self.width))):
+            raise ValidationError("need finite gamma, center and width")
+        if not (self.gamma >= 0 and self.width > 0):
             raise ValidationError("need gamma >= 0 and width > 0")
 
     def rate(self, omega):
@@ -99,10 +106,10 @@ def mean_occupation(temperature: float, omega):
     ``omega`` must be positive (scalar or array); hbar = k_B = 1.
     """
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise ValidationError("mean occupation requires omega > 0")
-    if temperature < 0:
-        raise ValidationError("temperature must be >= 0")
+    if not np.all((omega > 0) & (omega < math.inf)):
+        raise ValidationError("mean occupation requires finite omega > 0")
+    if not 0 <= temperature < math.inf:
+        raise ValidationError("temperature must be finite and >= 0")
     if temperature == 0:
         value = np.zeros_like(omega)
     else:
@@ -113,10 +120,10 @@ def mean_occupation(temperature: float, omega):
 
 def temperature_for_occupation(nbar: float, omega: float) -> float:
     """Temperature at which a mode of frequency ``omega`` holds ``nbar`` quanta."""
-    if nbar < 0:
-        raise ValidationError("occupation must be >= 0")
-    if omega <= 0:
-        raise ValidationError("omega must be positive")
+    if not 0 <= nbar < math.inf:
+        raise ValidationError("occupation must be finite and >= 0")
+    if not 0 < omega < math.inf:
+        raise ValidationError("omega must be finite and positive")
     if nbar == 0:
         return 0.0
     return omega / np.log1p(1.0 / nbar)
@@ -141,7 +148,9 @@ class ReservoirSpec:
         profiles = tuple(self.profiles)
         if temps.ndim != 1:
             raise ValidationError("temperatures must be 1-d")
-        if np.any(temps < 0):
+        if not np.all(np.isfinite(temps)):
+            raise ValidationError("temperatures must be finite")
+        if not np.all(temps >= 0):
             raise ValidationError("temperatures must be >= 0")
         if len(profiles) != temps.size:
             raise ValidationError("one spectral profile per oscillator is required")
@@ -150,10 +159,12 @@ class ReservoirSpec:
             n = temps.size
             if overlap.shape != (n, n):
                 raise ValidationError("overlap matrix has the wrong shape")
+            # In range first: a NaN or an infinity fails it, and the symmetry
+            # test below then subtracts finite numbers.
+            if not np.all((overlap >= 0) & (overlap <= 1 + 1e-12)):
+                raise ValidationError("overlap factors must lie in [0, 1]")
             if np.max(np.abs(overlap - overlap.T)) > 1e-12:
                 raise ValidationError("overlap matrix must be symmetric")
-            if np.any(overlap < 0) or np.any(overlap > 1 + 1e-12):
-                raise ValidationError("overlap factors must lie in [0, 1]")
             overlap.setflags(write=False)
             object.__setattr__(self, "overlap", overlap)
         temps.setflags(write=False)

@@ -91,6 +91,11 @@ def lyapunov_residual(hd: np.ndarray, pi: np.ndarray, diffusion: np.ndarray) -> 
 
 
 def _validated(pi: np.ndarray, dis: DissipativeMatrix, diffusion: np.ndarray) -> StationaryWidth:
+    # Not a ValidationError, which would start the Sylvester fallback: a
+    # width past the float range is past it on every route, and scipy's
+    # input check raises an untyped ValueError on a non-finite Y + Y.T.
+    if not np.all(np.isfinite(pi)):
+        raise SingularSystem("stationary width has a non-finite entry: it passes the float range")
     scale = max(1.0, float(np.max(np.abs(pi))))
     if np.max(np.abs(pi - pi.conj().T)) > _HERMITICITY_TOL * scale:
         raise ValidationError("stationary width is not Hermitian to tolerance")

@@ -1474,6 +1474,25 @@ class TestMoreConfigs:
         payload = json.loads((tmp_path / "tau_report.json").read_text())
         assert payload["regime"] in ("weak", "strong")
 
+    def test_common_bath_tau_past_the_grid(self, tmp_path, monkeypatch, capsys):
+        # The benchmark's big_network at three modes on one common bath: the
+        # gap is still positive at t = 40, so the scan doubles past the grid.
+        # A grid long enough to hold the crossing gives the same root.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        config = importlib.import_module("workloads").big_network(0, n=3).config
+        config["reservoirs"]["common"] = True
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        tau = json.loads((tmp_path / "out" / "tau_report.json").read_text())["tau_int"]
+        spec = parse_config(config)
+        model = osc.build_model(spec.network, spec.reservoirs, spec.regime)
+        grid = np.linspace(0.0, 4000.0, 4001)
+        long = osc.interference_decay_time(spec.state, 0, 1, model.propagator, grid)
+        assert 40.0 < long < 41.0
+        assert_allclose(tau, long, rtol=2e-8)
+
     def test_common_reservoir_undamped_mode_fails_cleanly(self, tmp_path):
         config = _base_config(network={"n": 2, "omega": 1.0, "coupling": 0.1})
         config["reservoirs"]["common"] = True

@@ -246,8 +246,8 @@ class TestLazyFrame:
         )
         assert calls == []
 
-    def test_no_crossing_limit_takes_no_eigensolve(self, monkeypatch):
-        # The t -> infinity gap needs only tr P, not the stationary spectrum.
+    def test_no_crossing_scan_takes_no_eigensolve(self, monkeypatch):
+        # The scan past the grid reads widths, not their spectra.
         model = white_model(n=2, coupling=0.1, gamma=0.05, nbar=0.5)
         state = osc.build_cat_family(2, 1, 0, 0.1)
         calls = _count_calls(monkeypatch, propagation, "rotate_frame")

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oscnet as osc
-from oscnet.errors import NoBracket, SingularWidth, ValidationError
+from oscnet.errors import SingularWidth, ValidationError
 
 from conftest import white_model
 
@@ -235,14 +235,17 @@ class TestInterferenceDecayTime:
         tau = osc.interference_decay_time(cat, 0, 1, model.propagator, grid)
         assert_allclose(tau, -math.log1p(-eps) / rate, rtol=1e-7)
 
-    def test_no_bracket_on_short_grid(self):
+    @pytest.mark.parametrize("start, stop", [(0.0, 0.01), (20.0, 40.0)], ids=["short", "late"])
+    def test_grid_ending_before_or_starting_after_the_crossing(self, start, stop):
+        # The scan doubles past a grid that ends early and starts from t = 0
+        # before a grid that starts late: both find the closed-form root.
         model = white_model(n=1, gamma=0.05, nbar=0.5)
         cat = osc.build_cat_family(1, 1, 0, 1.0)
         rate = model.rates.damping[0, 0]
-        with pytest.raises(NoBracket):
-            osc.interference_decay_time(
-                cat, 0, 1, model.propagator, np.linspace(0.0, 0.01 / rate, 5)
-            )
+        grid = np.linspace(start / rate, stop / rate, 5)
+        tau = osc.interference_decay_time(cat, 0, 1, model.propagator, grid)
+        assert not grid[0] < tau < grid[-1]
+        assert_allclose(tau, -math.log1p(-1.0 / 4.0) / rate, rtol=1e-7)
 
     def test_never_crossing_pair_is_infinite(self):
         # Tiny excitation: the gap approaches zero from above, never crossing.
@@ -255,8 +258,7 @@ class TestInterferenceDecayTime:
     @pytest.mark.parametrize("stop", [4.0, 400.0])
     def test_dissipation_free_pair_is_infinite(self, stop):
         # Without damping T is unitary and W = I: the decay function stays 1
-        # on any grid, and the t -> infinity limit of a damped model does not
-        # apply.
+        # on any grid, and the scan stops at the grid's end.
         net = osc.NetworkSpec(omega=[1.0, 1.02], coupling=[[0.0, 0.1], [0.1, 0.0]])
         res = osc.ReservoirSpec(temperatures=[0.0, 0.0], profiles=(osc.WhiteNoise(0.0),) * 2)
         model = osc.build_model(net, res)

@@ -60,6 +60,38 @@ class TestProfiles:
             osc.WhiteNoise(-0.1)
 
 
+_WHITE2 = (osc.WhiteNoise(0.05),) * 2
+# One library record or function per field, with that field set to a value.
+_FIELDS = {
+    "network.omega": lambda v: osc.NetworkSpec([1.0, v], [[0.0, 0.1], [0.1, 0.0]]),
+    "network.coupling": lambda v: osc.NetworkSpec([1.0, 1.0], [[0.0, v], [v, 0.0]]),
+    "reservoirs.temperatures": lambda v: osc.ReservoirSpec([0.5, v], _WHITE2),
+    "reservoirs.overlap": lambda v: osc.ReservoirSpec(
+        [0.5, 0.5], _WHITE2, common=True, overlap=[[1.0, v], [v, 1.0]]
+    ),
+    "white.gamma": lambda v: osc.WhiteNoise(v),
+    "lorentzian.gamma": lambda v: osc.Lorentzian(v, 1.0, 0.5),
+    "lorentzian.center": lambda v: osc.Lorentzian(0.1, v, 0.5),
+    "lorentzian.width": lambda v: osc.Lorentzian(0.1, 1.0, v),
+    "gaussian_band.gamma": lambda v: osc.GaussianBand(v, 1.0, 0.5),
+    "gaussian_band.center": lambda v: osc.GaussianBand(0.1, v, 0.5),
+    "gaussian_band.width": lambda v: osc.GaussianBand(0.1, 1.0, v),
+    "mean_occupation.temperature": lambda v: osc.mean_occupation(v, 1.0),
+    "mean_occupation.omega": lambda v: osc.mean_occupation(0.5, v),
+    "temperature_for_occupation.nbar": lambda v: osc.temperature_for_occupation(v, 1.0),
+    "temperature_for_occupation.omega": lambda v: osc.temperature_for_occupation(0.5, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", list(_FIELDS))
+def test_non_finite_number_refused(field, value):
+    # The CLI's rule for every number, applied where the value enters.
+    _FIELDS[field](1.0)
+    with pytest.raises(ValidationError):
+        _FIELDS[field](value)
+
+
 def _identical_white(n, gamma, temp):
     return osc.ReservoirSpec(
         temperatures=[temp] * n, profiles=(osc.WhiteNoise(gamma),) * n

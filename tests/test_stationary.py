@@ -188,3 +188,19 @@ def test_sylvester_fallback_on_a_near_exceptional_chain():
     reference = osc.solve_pi_vec(dis, diffusion).matrix
     assert np.max(np.abs(width - reference)) <= 1e-12 * np.max(np.abs(reference))
     assert np.array_equal(model.width.matrix, width)
+
+
+def test_non_finite_width_is_refused_before_the_fallback(monkeypatch):
+    # At T = 1e308 the diffusion matrix is finite (about 1e307) but P passes
+    # the float range in the eigen route; the Sylvester fallback would get
+    # the same finite inputs and is not reached.
+    network = osc.degenerate_symmetric_network(2, 1.0, 0.1)
+    reservoirs = osc.ReservoirSpec([1e308] * 2, (osc.WhiteNoise(0.05),) * 2)
+
+    def fallback(*args):
+        raise AssertionError("a non-finite width must not reach the fallback")
+
+    monkeypatch.setattr(osc.stationary, "_solve_pi_sylvester", fallback)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularSystem, match="stationary width has a non-finite entry"):
+            osc.build_model(network, reservoirs)
